@@ -155,10 +155,6 @@ def _worker(task):
         row[q] = None
     try:
         row.update(evaluate_point(model_name, params, quantities))
-    except NessGeomError as exc:
-        for q in quantities:
-            if row.get(q) is None:
-                row[q] = type(exc).__name__
     except Exception as exc:  # noqa: BLE001 - surfaced in-cell per contract
         for q in quantities:
             if row.get(q) is None:

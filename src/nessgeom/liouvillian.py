@@ -105,7 +105,11 @@ def shape_matrices(model: QuadraticLindbladModel) -> ShapeMatrices:
     sym = x + x.T - 8.0 * np.real(m)
     if np.max(np.abs(sym)) > 1e-10 * max(1.0, np.max(np.abs(x))):
         raise DimensionMismatch("x + x^T != 8 Re(M); inconsistent assembly")
-    if np.min(np.linalg.eigvalsh(m)) < -1e-10 * max(1.0, np.max(np.abs(m))):
+    # L L^dag and the k x k Gram matrix L^dag L of the jump vectors share
+    # their nonzero spectrum, so the PSD check needs no d x d eigensolve
+    jumps = np.stack(model.jumps, axis=1)
+    gram = jumps.conj().T @ jumps
+    if np.min(np.linalg.eigvalsh(gram)) < -1e-10 * max(1.0, np.max(np.abs(m))):
         raise InstabilityDetected("bath matrix has a significantly negative eigenvalue")
     return ShapeMatrices(x=x, y=y, m=m)
 
@@ -164,14 +168,19 @@ def gap_report(x: np.ndarray) -> GapReport:
     )
 
 
+def _unique_solver(x: np.ndarray, what: str) -> numerics.LyapunovSolver:
+    """Schur-factored solver for the drift; raises if the steady state is not unique."""
+    solver = numerics.LyapunovSolver(x)
+    scale = max(np.max(np.abs(solver.spectrum)), 1e-300)
+    if solver.pair_min <= UNIQUENESS_TOL * scale:
+        raise NonUniqueSteadyState(f"Sylvester gap vanishes: {what}")
+    return solver
+
+
 def ness_covariance(shape: ShapeMatrices) -> CovarianceMatrix:
     """Unique steady-state covariance from the continuous Lyapunov equation."""
-    eigs, _ = numerics.general_eigendecomposition(shape.x)
-    scale = max(np.max(np.abs(eigs)), 1e-300)
-    if np.min(np.abs(eigs[:, None] + eigs[None, :])) <= UNIQUENESS_TOL * scale:
-        raise NonUniqueSteadyState("Sylvester gap vanishes: steady state not unique")
-    gamma = numerics.solve_continuous_lyapunov(shape.x, shape.y)
-    return validate(gamma)
+    solver = _unique_solver(shape.x, "steady state not unique")
+    return validate(numerics.hermitize_antisymmetric(solver.solve(shape.y)))
 
 
 def ness_tangents(
@@ -181,7 +190,10 @@ def ness_tangents(
     gamma,
     parameters: Sequence[str] | None = None,
 ) -> TangentSet:
-    """Steady-state tangents from ``X dG + dG X^T = dY - dX G - G dX^T``."""
+    """Steady-state tangents from ``X dG + dG X^T = dY - dX G - G dX^T``.
+
+    Every tangent is solved on one Schur factorization of ``X``.
+    """
     from .gaussian import as_gamma
 
     g = as_gamma(gamma)
@@ -189,13 +201,10 @@ def ness_tangents(
         raise DimensionMismatch("need matching dX and dY lists")
     if parameters is None:
         parameters = [f"l{i}" for i in range(len(dxs))]
-    eigs, _ = numerics.general_eigendecomposition(shape.x)
-    scale = max(np.max(np.abs(eigs)), 1e-300)
-    if np.min(np.abs(eigs[:, None] + eigs[None, :])) <= UNIQUENESS_TOL * scale:
-        raise NonUniqueSteadyState("Sylvester gap vanishes: tangents undefined")
+    solver = _unique_solver(shape.x, "tangents undefined")
     d_gammas = []
     for dx, dy in zip(dxs, dys):
         dx = np.asarray(dx)
-        rhs = np.asarray(dy, dtype=complex) - dx @ g - g @ dx.T
-        d_gammas.append(numerics.solve_continuous_lyapunov(shape.x, numerics.hermitize_antisymmetric(rhs)))
+        rhs = numerics.hermitize_antisymmetric(np.asarray(dy, dtype=complex) - dx @ g - g @ dx.T)
+        d_gammas.append(numerics.hermitize_antisymmetric(solver.solve(rhs)))
     return make_tangents(parameters, d_gammas)

@@ -247,6 +247,7 @@ def rationalize(model: SymbolModel, n_check: int = 32) -> RationalSymbol:
     norm = np.max(np.abs(d_poly)) or 1.0
     d_poly = d_poly / norm
     eta_poly = eta_poly / norm
+    _require_nonvanishing(d_poly, "denominator d(z) = det xhat(z)")
     # strip the common z^v factor: root finders otherwise scatter the
     # high-order zero at the origin into a spurious root cloud
     v = min(_valuation(d_poly), _valuation(eta_poly))
@@ -308,6 +309,16 @@ def _valuation(c: np.ndarray, rtol: float = 1e-11) -> int:
     scale = np.max(flat) or 1.0
     nz = np.nonzero(flat > rtol * scale)[0]
     return int(nz[0]) if nz.size else c.shape[0]
+
+
+def _require_nonvanishing(c: np.ndarray, what: str) -> None:
+    """Raise ``CriticalAngle`` when a polynomial has no non-negligible coefficient.
+
+    ``d(z) = det xhat(z)`` vanishes identically where ``xhat`` is singular
+    at every angle (the reservoir chain at lam = -1); no pole can be located.
+    """
+    if _valuation(c) == c.shape[0]:
+        raise CriticalAngle(f"{what} vanishes identically")
 
 
 def _last_nonzero(c: np.ndarray, rtol: float = 1e-12) -> int:
@@ -726,7 +737,8 @@ def _muc_residue(builder, params, pair) -> float:
     one_minus = npoly.polysub(npoly.polymul(d, d), det_eta)
     u_at = _u_evaluator(builder, params, pair)
     candidates = []
-    for poly in (d, one_minus):
+    for name, poly in (("d(z) = det xhat(z)", d), ("d(z)^2 - det eta(z)", one_minus)):
+        _require_nonvanishing(poly, f"MUC residue mode: pole polynomial {name}")
         poly = poly / (np.max(np.abs(poly)) or 1.0)
         poly = _trim(poly[_valuation(poly) :])
         if poly.size > 1:

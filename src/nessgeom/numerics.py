@@ -20,6 +20,8 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NonPositiveValue,
+    NotAntisymmetric,
+    NotHermitian,
     SingularSylvester,
 )
 
@@ -39,14 +41,29 @@ def hermitize_antisymmetric(a: np.ndarray) -> np.ndarray:
     return 1j * 0.5 * (im - im.T)
 
 
+# Leaf order of the recursive triangular Sylvester solve: below it one
+# unblocked ``trsyl`` call is cheaper than another level of GEMM updates.
+_SYLVESTER_LEAF = 64
+
+_trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
+
+
+def _opens_block(t: np.ndarray, i: int) -> bool:
+    """True when rows ``i, i+1`` of a real Schur form hold one 2x2 block.
+
+    This is LAPACK's rule (a nonzero subdiagonal entry), so the block
+    scan below and the splits of the blocked solve agree with ``trsyl``.
+    """
+    return i + 1 < t.shape[0] and t[i + 1, i] != 0.0
+
+
 def _quasi_triangular_eigenvalues(t: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real Schur form by scanning its 1x1 / 2x2 blocks."""
     n = t.shape[0]
-    scale = max(np.max(np.abs(t)) if t.size else 0.0, ABS_FLOOR)
     eigs = np.empty(n, dtype=complex)
     i = 0
     while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > 1e-14 * scale:
+        if _opens_block(t, i):
             a, b = t[i, i], t[i, i + 1]
             c, d = t[i + 1, i], t[i + 1, i + 1]
             tr, det = a + d, a * d - b * c
@@ -60,26 +77,65 @@ def _quasi_triangular_eigenvalues(t: np.ndarray) -> np.ndarray:
     return eigs
 
 
+def _split_index(t: np.ndarray) -> int:
+    """Middle index of a quasi-triangular ``t`` that does not cut a 2x2 block."""
+    k = t.shape[0] // 2
+    return k + 1 if _opens_block(t, k - 1) else k
+
+
+def _solve_quasi_triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """Overwrite ``c`` with the solution ``Z`` of ``a Z + Z b^T = c``.
+
+    ``a`` and ``b`` are upper quasi-triangular (real Schur forms).  The
+    larger dimension is halved, the lower-right subproblem solved first and
+    its coupling folded into the rest by one GEMM, so almost all flops run
+    as level-3 BLAS; ``trsyl`` only sees leaf blocks (Jonsson & Kagstrom,
+    ACM TOMS 28, 2002).
+    """
+    m, n = c.shape
+    if max(m, n) <= _SYLVESTER_LEAF:
+        z, scale, info = _trsyl(a, b, c, tranb="T")
+        if info < 0:  # pragma: no cover - argument error
+            raise SingularSylvester(f"trsyl failed with info={info}")
+        c[...] = z if scale == 1.0 else z / scale
+        return
+    if m >= n:
+        k = _split_index(a)
+        _solve_quasi_triangular_sylvester(a[k:, k:], b, c[k:])
+        c[:k] -= a[:k, k:] @ c[k:]
+        _solve_quasi_triangular_sylvester(a[:k, :k], b, c[:k])
+    else:
+        k = _split_index(b)
+        _solve_quasi_triangular_sylvester(a, b[k:, k:], c[:, k:])
+        c[:, :k] -= c[:, k:] @ b[:k, k:].T
+        _solve_quasi_triangular_sylvester(a, b[:k, :k], c[:, :k])
+
+
 class LyapunovSolver:
     """Schur-factored solver for ``X G + G X^T = Y`` with a fixed real drift.
 
-    The Bartels-Stewart back-substitution runs on the real Schur form, so a
-    defective (Jordan-like) drift needs no special casing.  Factoring once
-    and reusing the triangular solve is what makes steady state plus
-    tangent sweeps cheap.
+    ``Y`` is Hermitian antisymmetric, hence purely imaginary, and so is
+    ``G``: the solve runs in real arithmetic on ``A = Im G`` with
+    ``X A + A X^T = Im Y``.  The Bartels-Stewart back-substitution runs on
+    the real Schur form, so a defective (Jordan-like) drift needs no special
+    casing.  Factoring once and reusing the triangular solve is what makes
+    steady state plus tangent sweeps cheap.
     """
 
     def __init__(self, x: np.ndarray):
         x = np.real(_as_square(x, "x"))
         self.x = x
-        self.t, self.u = sla.schur(x, output="real")
+        self._x_norm = np.linalg.norm(x)
+        try:
+            self.t, self.u = sla.schur(x, output="real")
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise ConvergenceFailure(f"real Schur factorization failed: {exc}") from exc
         self.spectrum = _quasi_triangular_eigenvalues(self.t)
         scale = max(np.max(np.abs(self.spectrum)), ABS_FLOOR)
         self.pair_min = float(
             np.min(np.abs(self.spectrum[:, None] + self.spectrum[None, :]))
         )
         self._singular = self.pair_min <= max(1e-12 * scale, ABS_FLOOR)
-        self._trsyl = sla.get_lapack_funcs(("trsyl",), (x,))[0]
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         if self._singular:
@@ -87,20 +143,32 @@ class LyapunovSolver:
                 f"min |x_i + x_j| = {self.pair_min:.3e} below tolerance; "
                 "Lyapunov equation has no unique solution"
             )
-        y = np.asarray(y, dtype=complex)
-        rhs = self.u.T @ y @ self.u
-        zr, scale_r, info_r = self._trsyl(self.t, self.t, np.real(rhs), tranb="T")
-        zi, scale_i, info_i = self._trsyl(self.t, self.t, np.imag(rhs), tranb="T")
-        if info_r < 0 or info_i < 0:  # pragma: no cover - argument error
-            raise SingularSylvester(f"trsyl failed with info={(info_r, info_i)}")
-        g = self.u @ (zr / scale_r + 1j * zi / scale_i) @ self.u.T
-        res = np.linalg.norm(self.x @ g + g @ self.x.T - y)
-        bound = 1e-10 * (np.linalg.norm(self.x) * np.linalg.norm(g) + np.linalg.norm(y))
+        y = np.asarray(y)
+        b = np.imag(y)
+        # ||X G + G X^T - Y||^2 = ||Re Y||^2 + ||X A + A X^T - Im Y||^2
+        re_norm = np.linalg.norm(np.real(y))
+        b_norm = np.linalg.norm(b)
+        y_norm = np.hypot(re_norm, b_norm)
+        if re_norm > max(1e-12 * y_norm, ABS_FLOOR):
+            raise NotHermitian(
+                f"Lyapunov source has a real part of norm {re_norm:.3e}; "
+                "a Hermitian antisymmetric source is purely imaginary"
+            )
+        if np.linalg.norm(b + b.T) > max(1e-12 * b_norm, ABS_FLOOR):
+            raise NotAntisymmetric("Lyapunov source is not antisymmetric")
+        z = self.u.T @ b @ self.u
+        _solve_quasi_triangular_sylvester(self.t, self.t, z)
+        a = self.u @ z @ self.u.T
+        a = 0.5 * (a - a.T)
+        # A is antisymmetric, so A X^T = -(X A)^T
+        xa = self.x @ a
+        res = np.hypot(re_norm, np.linalg.norm(xa - xa.T - b))
+        bound = 1e-10 * (self._x_norm * np.linalg.norm(a) + y_norm)
         if res > max(bound, ABS_FLOOR):
             raise SingularSylvester(
                 f"Lyapunov residual {res:.3e} exceeds {bound:.3e}; equation is near singular"
             )
-        return g
+        return 1j * a
 
 
 def solve_continuous_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -121,16 +189,6 @@ def solve_continuous_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"x {x.shape} and y {y.shape} differ")
     solver = LyapunovSolver(x)
     return hermitize_antisymmetric(solver.solve(y))
-
-
-def hermitian_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and unitary eigenvectors of a Hermitian matrix."""
-    a = _as_square(a)
-    scale = max(np.max(np.abs(a)), ABS_FLOOR)
-    if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
-        raise DimensionMismatch("input is not Hermitian")
-    vals, vecs = np.linalg.eigh(a)
-    return vals, vecs
 
 
 def general_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -186,11 +244,6 @@ def cluster_roots(roots: np.ndarray, rtol: float = 1e-6) -> list[list[int]]:
                 unassigned.remove(j)
         clusters.append(sorted(group))
     return clusters
-
-
-def polynomial_from_roots(roots: Sequence[complex]) -> np.ndarray:
-    """Monic polynomial coefficients (ascending) with the given roots."""
-    return np.polynomial.polynomial.polyfromroots(np.asarray(roots, dtype=complex))
 
 
 def periodic_quadrature(

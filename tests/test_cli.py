@@ -51,6 +51,16 @@ class TestSweep:
         assert "DimensionMismatch" in rows[1]
         assert "DimensionMismatch" not in rows[2]  # the valid point computed
 
+    def test_reservoir_critical_point_named_in_cells(self):
+        # at lam = -1, theta = 0 the symbol determinant d(z) vanishes
+        # identically; xi and residue-mode muc must name the failure
+        row = cli._worker(("reservoir_chain", {"lam": -1.0, "theta": 0.0}, ("xi",)))
+        assert row == {"xi": "CriticalAngle"}
+        row = cli._worker(
+            ("reservoir_chain", {"lam": -1.0, "theta": 0.0, "muc_mode": "residue"}, ("muc",))
+        )
+        assert row == {"muc": "CriticalAngle"}
+
     def test_bad_specs_rejected(self, tmp_path):
         with pytest.raises(BadSpec):
             cli.run_sweep(sweep_spec(tmp_path, axes=[]))
@@ -183,3 +193,4 @@ class TestConfigAndMain:
         rows = [l.split(",") for l in text.splitlines() if l and not l.startswith("#")][1:]
         inside, outside = float(rows[0][1]), float(rows[1][1])
         assert abs(outside - inside) > 0.05
+

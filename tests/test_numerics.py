@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nessgeom import numerics
+from nessgeom import liouvillian, numerics
 from nessgeom.errors import (
     DegenerateInput,
     NoConvergence,
     NonPositiveValue,
+    NotAntisymmetric,
+    NotHermitian,
     SingularSylvester,
 )
 
-from conftest import rand_antisym
+from conftest import rand_antisym, rand_stable_model
 
 
 class TestLyapunov:
@@ -70,22 +75,125 @@ class TestLyapunov:
             )
 
 
-class TestEigendecompositions:
-    def test_hermitian_diag_and_sigma_y(self):
-        vals, _ = numerics.hermitian_eigendecomposition(np.diag([1.0, 3.0]))
-        np.testing.assert_allclose(vals, [1.0, 3.0])
-        vals, _ = numerics.hermitian_eigendecomposition(
-            np.array([[0.0, -1j], [1j, 0.0]])
+LEAF = numerics._SYLVESTER_LEAF
+# sizes above the leaf so the recursion runs, odd and even
+blocked_sizes = st.integers(min_value=LEAF + 1, max_value=3 * LEAF)
+
+
+def _quasi_triangular(rng, n, extra_blocks):
+    """Real Schur-like matrix, spectrum in Re > 0, with a 2x2 block across every
+    split the recursion makes at the top level plus ``extra_blocks`` random ones."""
+    t = np.triu(rng.normal(size=(n, n))) / np.sqrt(n)
+    t[np.diag_indices(n)] = rng.uniform(0.5, 2.0, size=n)
+    starts = {n // 2 - 1}
+    for i in rng.integers(0, n - 1, size=extra_blocks):
+        if all(abs(int(i) - s) > 1 for s in starts):
+            starts.add(int(i))
+    for i in starts:
+        re, b, c = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.5), -rng.uniform(0.3, 1.5)
+        t[i, i] = t[i + 1, i + 1] = re
+        t[i, i + 1], t[i + 1, i] = b, c
+    return t
+
+
+def _full_trsyl(a, b, c):
+    trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
+    z, scale, info = trsyl(a, b, c, tranb="T")
+    assert info >= 0
+    return z / scale
+
+
+class TestBlockedSylvester:
+    @settings(max_examples=20, deadline=None)
+    @given(n=blocked_sizes, m=blocked_sizes, extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_sylvester_matches_full_trsyl(self, n, m, extra, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _quasi_triangular(rng, m, extra), _quasi_triangular(rng, n, extra)
+        c = rng.normal(size=(m, n))
+        z = c.copy()
+        numerics._solve_quasi_triangular_sylvester(a, b, z)
+        ref = _full_trsyl(a, b, c)
+        assert np.linalg.norm(z - ref) <= 1e-11 * np.linalg.norm(ref)
+        assert np.linalg.norm(a @ z + z @ b.T - c) <= 1e-12 * (
+            (np.linalg.norm(a) + np.linalg.norm(b)) * np.linalg.norm(z) + np.linalg.norm(c)
         )
-        np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-15)
 
-    def test_hermitian_reconstruction(self, rng):
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        a = a + a.conj().T
-        vals, vecs = numerics.hermitian_eigendecomposition(a)
-        recon = (vecs * vals) @ vecs.conj().T
-        assert np.max(np.abs(recon - a)) < 1e-12 * np.max(np.abs(a))
+    @settings(max_examples=20, deadline=None)
+    @given(n=blocked_sizes, extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_lyapunov_matches_trsyl_and_scipy(self, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        t = _quasi_triangular(rng, n, extra)
+        c = rand_antisym(rng, n)
+        z = c.copy()
+        numerics._solve_quasi_triangular_sylvester(t, t, z)
+        for ref in (_full_trsyl(t, t, c), sla.solve_continuous_lyapunov(t, c)):
+            assert np.linalg.norm(z - ref) <= 1e-11 * np.linalg.norm(ref)
 
+    def test_split_keeps_two_by_two_blocks(self, rng):
+        n = 2 * LEAF + 1
+        t = _quasi_triangular(rng, n, 0)
+        k = numerics._split_index(t)
+        assert k == n // 2 + 1 and t[k, k - 1] == 0.0
+        eigs = numerics._quasi_triangular_eigenvalues(t)
+        np.testing.assert_allclose(
+            np.sort_complex(eigs), np.sort_complex(np.linalg.eigvals(t)), atol=1e-10
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=blocked_sizes, seed=st.integers(0, 2**32 - 1))
+    def test_solver_matches_scipy_on_general_drifts(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, n)) / np.sqrt(n) + 1.5 * np.eye(n)
+        b = rand_antisym(rng, n)
+        g = numerics.LyapunovSolver(x).solve(1j * b)
+        ref = sla.solve_continuous_lyapunov(x, b)
+        assert np.linalg.norm(g.imag - ref) <= 1e-11 * np.linalg.norm(ref)
+        assert np.array_equal(g.real, np.zeros_like(b))
+
+    def test_near_singular_pair_sum_raises(self, rng):
+        n = LEAF + 7
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        spectrum = rng.uniform(0.5, 2.0, size=n)
+        spectrum[-2:] = 0.7, -0.7 + 1e-14  # x_i + x_j ~ 1e-14
+        x = (q * spectrum) @ q.T
+        with pytest.raises(SingularSylvester):
+            numerics.LyapunovSolver(x).solve(1j * rand_antisym(rng, n))
+
+    def test_source_with_real_part_raises(self, rng):
+        x = np.eye(4) + 0.1 * rand_antisym(rng, 4)
+        y = 1j * rand_antisym(rng, 4) + 1e-6 * rand_antisym(rng, 4)
+        with pytest.raises(NotHermitian):
+            numerics.LyapunovSolver(x).solve(y)
+
+    def test_source_with_symmetric_part_raises(self, rng):
+        x = np.eye(4) + 0.1 * rand_antisym(rng, 4)
+        y = 1j * (rand_antisym(rng, 4) + 1e-6 * np.eye(4))
+        with pytest.raises(NotAntisymmetric):
+            numerics.LyapunovSolver(x).solve(y)
+
+    def test_tangents_share_one_factorization(self, rng, monkeypatch):
+        model = rand_stable_model(rng, 4)
+        shape = liouvillian.shape_matrices(model)
+        gamma = liouvillian.ness_covariance(shape).gamma
+        dxs = [rng.normal(size=(8, 8)) for _ in range(3)]
+        dys = [1j * rand_antisym(rng, 8) for _ in range(3)]
+        inits = []
+        init = numerics.LyapunovSolver.__init__
+
+        def counting_init(self, x):
+            inits.append(x)
+            init(self, x)
+
+        monkeypatch.setattr(numerics.LyapunovSolver, "__init__", counting_init)
+        tang = liouvillian.ness_tangents(shape, dxs, dys, gamma)
+        assert len(inits) == 1
+        for dx, dy, dg in zip(dxs, dys, tang.d_gamma):
+            rhs = dy - dx @ gamma - gamma @ dx.T
+            ref = sla.solve_continuous_lyapunov(shape.x, np.imag(rhs))
+            assert np.linalg.norm(dg.imag - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+class TestEigendecompositions:
     def test_general_rotation_and_triangular(self):
         vals, cond = numerics.general_eigendecomposition(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         np.testing.assert_allclose(sorted(vals.imag), [-1.0, 1.0], atol=1e-14)
@@ -128,7 +236,7 @@ class TestPolynomials:
         for _ in range(20):
             k = int(rng.integers(2, 8))
             roots = rng.normal(size=k) + 1j * rng.normal(size=k)
-            coeffs = numerics.polynomial_from_roots(roots)
+            coeffs = np.polynomial.polynomial.polyfromroots(roots)
             back = numerics.polynomial_roots(coeffs)
             assert np.max(np.abs(np.sort_complex(back) - np.sort_complex(roots))) < 1e-8 * max(
                 1.0, np.max(np.abs(roots))
