@@ -180,7 +180,7 @@ def _unique_solver(x: np.ndarray, what: str) -> numerics.LyapunovSolver:
 def ness_covariance(shape: ShapeMatrices) -> CovarianceMatrix:
     """Unique steady-state covariance from the continuous Lyapunov equation."""
     solver = _unique_solver(shape.x, "steady state not unique")
-    return validate(numerics.hermitize_antisymmetric(solver.solve(shape.y)))
+    return validate(solver.solve(shape.y))
 
 
 def ness_tangents(
@@ -206,5 +206,5 @@ def ness_tangents(
     for dx, dy in zip(dxs, dys):
         dx = np.asarray(dx)
         rhs = numerics.hermitize_antisymmetric(np.asarray(dy, dtype=complex) - dx @ g - g @ dx.T)
-        d_gammas.append(numerics.hermitize_antisymmetric(solver.solve(rhs)))
+        d_gammas.append(solver.solve(rhs))
     return make_tangents(parameters, d_gammas)

@@ -187,8 +187,7 @@ def solve_continuous_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = _as_square(y, "y")
     if x.shape != y.shape:
         raise DimensionMismatch(f"x {x.shape} and y {y.shape} differ")
-    solver = LyapunovSolver(x)
-    return hermitize_antisymmetric(solver.solve(y))
+    return LyapunovSolver(x).solve(y)
 
 
 def general_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, float]:
