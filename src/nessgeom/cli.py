@@ -38,7 +38,7 @@ def _fmt(value) -> str:
 # --- model adapters ---------------------------------------------------------------
 
 FINITE_QUANTITIES = ("gap", "gmax", "detg", "muc", "R", "purity")
-SYMBOL_QUANTITIES = ("gap", "muc", "xi", "detg_symbol")
+SYMBOL_QUANTITIES = ("gap", "muc", "xi")
 
 
 def _boundary_xy_point(params: dict, quantities: tuple[str, ...]) -> dict:
@@ -210,7 +210,6 @@ class ScalingSpec:
     out: str | None = None
     jobs: int = 1
     seed: int = 0
-    fit_window: tuple | None = None
 
     def validate(self):
         if len(self.sizes) < 4:
@@ -307,14 +306,12 @@ def run_scaling(spec: ScalingSpec) -> tuple[str, str]:
     for n, res in zip(spec.sizes, results):
         lines.append(",".join([str(int(n))] + [_fmt(res[q]) for q in spec.quantities]))
     csv_text = "\n".join(lines) + "\n"
-    window = spec.fit_window or (spec.sizes[0], spec.sizes[-1])
     fits = {}
     for q in spec.quantities:
         samples = [
             (int(n), float(res[q]))
             for n, res in zip(spec.sizes, results)
-            if isinstance(res[q], (int, float)) and window[0] <= n <= window[1]
-            and np.isfinite(res[q]) and res[q] > 0
+            if isinstance(res[q], (int, float)) and np.isfinite(res[q]) and res[q] > 0
         ]
         if len(samples) >= 4:
             fit = fit_power_law(samples)
@@ -330,7 +327,7 @@ def run_scaling(spec: ScalingSpec) -> tuple[str, str]:
         "model": spec.model,
         "fixed": {k: spec.fixed[k] for k in sorted(spec.fixed)},
         "sizes": [int(n) for n in spec.sizes],
-        "fit_window": [int(window[0]), int(window[1])],
+        "fit_window": [int(spec.sizes[0]), int(spec.sizes[-1])],
         "fits": fits,
         "samples": {
             q: [res[q] if not isinstance(res[q], str) else res[q] for res in results]
@@ -478,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="key=value")
         if grid:
             p.add_argument("--grid", action="append", metavar="axis=start:stop:step")
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         if sizes:
             p.add_argument("--sizes", metavar="20,40,80")
         p.add_argument("--quantities", metavar="gap,gmax,muc")
         p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--jobs", type=int, default=None,
                        help="worker pool width (default: available cores)")
         p.add_argument("--seed", type=int, default=0)

@@ -107,14 +107,6 @@ class CriticalAngle(NessGeomError):
     pass
 
 
-class ClusteredPoles(NessGeomError):
-    pass
-
-
-class NoPoles(NessGeomError):
-    pass
-
-
 # --- dense oracle ------------------------------------------------------------
 
 class SingularState(NessGeomError):
@@ -122,10 +114,6 @@ class SingularState(NessGeomError):
 
 
 class RankChange(NessGeomError):
-    pass
-
-
-class DegenerateSpectrum(NessGeomError):
     pass
 
 

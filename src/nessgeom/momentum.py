@@ -35,6 +35,12 @@ from .errors import (
 )
 
 UNIT_CIRCLE_TOL = 1e-9
+# angles at which ``rationalize`` checks the continuation against grid solves
+RATIONAL_CHECK_ANGLES = 32
+# coarse scan of ``gap_on_circle`` before the golden-section polish
+GAP_SCAN_ANGLES = 512
+# relative central-difference step of the MUC parameter derivatives
+DIFF_STEP = 1e-6
 
 
 @dataclass
@@ -144,14 +150,20 @@ def symbol_shape(model: SymbolModel, phi) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _xhat(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
+    """Batched 4x4 vectorized drift ``x+ (x) 1 + 1 (x) x-`` of ``x+ g + g x-^T``."""
+    eye = np.eye(2)
+    # add before reshaping: numpy sums into an owned temporary in place,
+    # saving a 16 n complex buffer (256 MB at 2^20 angles)
+    return (
+        np.einsum("nab,cd->nacbd", xp, eye) + np.einsum("ab,ncd->nacbd", eye, xm)
+    ).reshape(-1, 4, 4)
+
+
 def _solve_blocks(xp: np.ndarray, xm: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Batched solve of ``x+ g + g x-^T = y`` via the 4x4 vectorized form."""
-    eye = np.eye(2)
-    xhat = np.einsum("nab,cd->nacbd", xp, eye).reshape(-1, 4, 4) + np.einsum(
-        "ab,ncd->nacbd", eye, xm
-    ).reshape(-1, 4, 4)
     try:
-        vec = np.linalg.solve(xhat, y.reshape(-1, 4, 1))
+        vec = np.linalg.solve(_xhat(xp, xm), y.reshape(-1, 4, 1))
     except np.linalg.LinAlgError as exc:
         raise CriticalAngle(f"vectorized drift symbol is singular: {exc}") from exc
     return vec.reshape(-1, 2, 2)
@@ -211,12 +223,13 @@ class RationalSymbol:
         return (num / den).T.reshape(z.size, 2, 2)
 
 
-def rationalize(model: SymbolModel, n_check: int = 32) -> RationalSymbol:
-    """Exact rational continuation by evaluation-interpolation on roots of unity.
+def _symbol_coefficients(model: SymbolModel) -> tuple[np.ndarray, np.ndarray, int]:
+    """Raw ascending coefficients ``(z^K eta, z^K d, K)`` by evaluation-interpolation.
 
     ``z^K d(z)`` and ``z^K eta(z)`` are polynomials of degree at most 2K
     with ``K = 4 * reach``; sampling them on enough roots of unity and
     running one FFT recovers the coefficients exactly (up to rounding).
+    ``eta`` has shape (2K + 1, 4); nothing is normalized or trimmed.
     """
     reach = model.reach
     if reach > 64:
@@ -228,22 +241,23 @@ def rationalize(model: SymbolModel, n_check: int = 32) -> RationalSymbol:
         m *= 2
     m *= 2
     phis = 2.0 * np.pi * np.arange(m) / m
-    z = np.exp(1j * phis)
-    xp = model.x_tilde(phis)
-    xm = model.x_tilde(-phis)
-    y = model.y_tilde(phis)
-    eye = np.eye(2)
-    xhat = np.einsum("nab,cd->nacbd", xp, eye).reshape(-1, 4, 4) + np.einsum(
-        "ab,ncd->nacbd", eye, xm
-    ).reshape(-1, 4, 4)
+    xhat = _xhat(model.x_tilde(phis), model.x_tilde(-phis))
     d_vals = np.linalg.det(xhat)
     # adjugate through cofactors so critical angles (singular xhat) stay exact
-    eta_vals = np.empty((m, 4), dtype=complex)
-    for j in range(m):
-        eta_vals[j] = _adjugate4(xhat[j]) @ y[j].reshape(4)
-    zk = z**k_shift
-    d_poly = np.fft.fft(d_vals * zk) / m
-    eta_poly = np.fft.fft(eta_vals * zk[:, None], axis=0) / m
+    eta_vals = (_adjugate4(xhat) @ model.y_tilde(phis).reshape(m, 4, 1))[:, :, 0]
+    zk = np.exp(1j * phis) ** k_shift
+    d_poly = (np.fft.fft(d_vals * zk) / m)[: deg + 1]
+    eta_poly = (np.fft.fft(eta_vals * zk[:, None], axis=0) / m)[: deg + 1]
+    return eta_poly, d_poly, k_shift
+
+
+def rationalize(model: SymbolModel) -> RationalSymbol:
+    """Exact rational continuation ``gamma~(z) = eta(z) / d(z)``.
+
+    The raw coefficients are normalized, the common ``z^v`` factor is
+    stripped, and the result is checked against grid solves.
+    """
+    eta_poly, d_poly, k_shift = _symbol_coefficients(model)
     norm = np.max(np.abs(d_poly)) or 1.0
     d_poly = d_poly / norm
     eta_poly = eta_poly / norm
@@ -255,11 +269,11 @@ def rationalize(model: SymbolModel, n_check: int = 32) -> RationalSymbol:
     eta_poly = eta_poly[v : _last_nonzero(eta_poly) + 1]
     eta_arr = np.transpose(eta_poly.reshape(-1, 2, 2), (1, 2, 0))
     rat = RationalSymbol(eta=eta_arr, d=d_poly, shift=k_shift - v, model=model)
-    # invariant: reproduce the grid solution at n_check angles.  Near a
-    # critical pinch the numerator and denominator both nearly vanish on a
-    # stretch of the circle, so the comparison tolerance carries the local
-    # cancellation factor of the denominator evaluation.
-    check_phis = np.linspace(-np.pi, np.pi, n_check, endpoint=False) + 0.0391
+    # invariant: reproduce the grid solution at RATIONAL_CHECK_ANGLES angles.
+    # Near a critical pinch the numerator and denominator both nearly vanish
+    # on a stretch of the circle, so the comparison tolerance carries the
+    # local cancellation factor of the denominator evaluation.
+    check_phis = np.linspace(-np.pi, np.pi, RATIONAL_CHECK_ANGLES, endpoint=False) + 0.0391
     zc = np.exp(1j * check_phis)
     direct = symbol_covariance(model, check_phis)
     cont = rat.gamma_at(zc)
@@ -275,24 +289,17 @@ def rationalize(model: SymbolModel, n_check: int = 32) -> RationalSymbol:
 
 
 def _adjugate4(a: np.ndarray) -> np.ndarray:
-    """Adjugate of a 4x4 matrix from 3x3 cofactors (works when singular)."""
-    adj = np.empty((4, 4), dtype=complex)
-    idx = [0, 1, 2, 3]
+    """Adjugates of a batch of 4x4 matrices from 3x3 cofactors (exact when singular)."""
+    adj = np.empty_like(a, dtype=complex)
     for i in range(4):
         for j in range(4):
-            rows = [r for r in idx if r != i]
-            cols = [c for c in idx if c != j]
-            minor = a[np.ix_(rows, cols)]
-            adj[j, i] = (-1) ** (i + j) * _det3(minor)
+            m = np.delete(np.delete(a, i, axis=-2), j, axis=-1)
+            adj[..., j, i] = (-1) ** (i + j) * (
+                m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+                - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+                + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
+            )
     return adj
-
-
-def _det3(m: np.ndarray) -> complex:
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
 
 
 def _trim(c: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
@@ -569,26 +576,27 @@ def real_space_correlation_quadrature(model: SymbolModel, r: int, tol: float = 1
 # --- mean Uhlmann curvature per site -------------------------------------------
 
 
-def _dgamma_grid(
+def _central_difference(
     builder: Callable[..., SymbolModel],
     params: Mapping[str, float],
     name: str,
-    phis: np.ndarray,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Parameter derivative of gamma~ on a grid: closed form if the model
-    carries one, otherwise central differences with the default step."""
-    model = builder(**params)
-    if model.dgamma_symbols is not None and name in model.dgamma_symbols:
-        return np.asarray(model.dgamma_symbols[name](np.atleast_1d(phis)))
-    h = step * max(1.0, abs(params[name]))
-    up = dict(params)
-    dn = dict(params)
-    up[name] = params[name] + h
-    dn[name] = params[name] - h
-    g_up = gamma_grid(builder(**up), phis)
-    g_dn = gamma_grid(builder(**dn), phis)
-    return (g_up - g_dn) / (2.0 * h)
+    evaluate: Callable[[SymbolModel, np.ndarray], np.ndarray],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``d gamma~ / d name`` by central differences of ``evaluate(model, points)``,
+    with the shifted models built once and step ``DIFF_STEP * max(1, |p|)``."""
+    h = DIFF_STEP * max(1.0, abs(params[name]))
+    up, dn = dict(params), dict(params)
+    up[name] += h
+    dn[name] -= h
+    up_model, dn_model = builder(**up), builder(**dn)
+    return lambda pts: (evaluate(up_model, pts) - evaluate(dn_model, pts)) / (2.0 * h)
+
+
+def _muc_terms(gam: np.ndarray, dmu: np.ndarray, dnu: np.ndarray) -> tuple:
+    """Numerator ``(i/4) Tr{ g~ [d_mu g~, d_nu g~] }`` and ``1 - det g~`` of the
+    MUC density, batched over points."""
+    comm = np.einsum("nab,nbc->nac", dmu, dnu) - np.einsum("nab,nbc->nac", dnu, dmu)
+    return 0.25j * np.einsum("nab,nba->n", gam, comm), 1.0 - np.linalg.det(gam)
 
 
 def muc_integrand(
@@ -601,21 +609,27 @@ def muc_integrand(
         u(phi) = (i/4) Tr{ g~ [d_mu g~, d_nu g~] } / (1 - det g~)^2,
 
     set to zero where ``det g~ = 1`` (two pure eigenmodes: the continuity
-    branch, not a singularity)."""
+    branch, not a singularity).  Parameter derivatives are the model's
+    closed forms when it carries them, otherwise central differences.
+    Where the density is not finite, the model's own Lyapunov solve
+    decides: a singular drift there raises ``CriticalAngle``, a regular
+    one marks a removable 0/0 of the closed form, which the continuity
+    branch also sets to zero."""
     model = builder(**params)
+    closed = model.dgamma_symbols or {}
+    derivatives = [
+        closed.get(name) or _central_difference(builder, params, name, gamma_grid)
+        for name in pair
+    ]
 
     def u_of(phis: np.ndarray) -> np.ndarray:
         phis = np.atleast_1d(phis)
-        gam = gamma_grid(model, phis)
-        dmu = _dgamma_grid(builder, params, pair[0], phis)
-        dnu = _dgamma_grid(builder, params, pair[1], phis)
-        comm = np.einsum("nab,nbc->nac", dmu, dnu) - np.einsum("nab,nbc->nac", dnu, dmu)
-        tr = np.einsum("nab,nba->n", gam, comm)
-        det = np.linalg.det(gam)
-        denom = (1.0 - det) ** 2
-        ok = np.abs(1.0 - det) > 1e-12
-        vals = np.where(ok, 0.25j * tr / np.where(ok, denom, 1.0), 0.0)
-        return vals
+        num, one_minus = _muc_terms(gamma_grid(model, phis), *(f(phis) for f in derivatives))
+        bad = ~(np.isfinite(num) & np.isfinite(one_minus))
+        if np.any(bad) and not np.all(np.isfinite(symbol_covariance(model, phis[bad]))):
+            raise CriticalAngle("MUC density is not finite: critical angle on the grid")
+        ok = np.abs(one_minus) > 1e-12
+        return np.where(ok, num / np.where(ok, one_minus**2, 1.0), 0.0)
 
     return u_of
 
@@ -643,34 +657,6 @@ def muc_per_site(
     return _muc_residue(builder, params, pair)
 
 
-def _rationalize_raw(model: SymbolModel) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fixed-length (eta, d) coefficients without trimming or normalization."""
-    reach = model.reach
-    k_shift = 4 * reach
-    deg = 2 * k_shift
-    m = 1
-    while m < deg + 2:
-        m *= 2
-    m *= 2
-    phis = 2.0 * np.pi * np.arange(m) / m
-    z = np.exp(1j * phis)
-    xp = model.x_tilde(phis)
-    xm = model.x_tilde(-phis)
-    y = model.y_tilde(phis)
-    eye = np.eye(2)
-    xhat = np.einsum("nab,cd->nacbd", xp, eye).reshape(-1, 4, 4) + np.einsum(
-        "ab,ncd->nacbd", eye, xm
-    ).reshape(-1, 4, 4)
-    d_vals = np.linalg.det(xhat)
-    eta_vals = np.empty((m, 4), dtype=complex)
-    for j in range(m):
-        eta_vals[j] = _adjugate4(xhat[j]) @ y[j].reshape(4)
-    zk = z**k_shift
-    d_poly = (np.fft.fft(d_vals * zk) / m)[: deg + 1]
-    eta_poly = (np.fft.fft(eta_vals * zk[:, None], axis=0) / m)[: deg + 1]
-    return eta_poly, d_poly, k_shift
-
-
 def gamma_at_points(model: SymbolModel, z: np.ndarray) -> np.ndarray:
     """Covariance symbol continued to arbitrary complex points by local solves.
 
@@ -679,47 +665,7 @@ def gamma_at_points(model: SymbolModel, z: np.ndarray) -> np.ndarray:
     roots, so values stay accurate wherever the system is regular.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    xp = model.x_at(z)
-    xm = model.x_at(1.0 / z)
-    y = model.y_at(z)
-    eye = np.eye(2)
-    xhat = np.einsum("nab,cd->nacbd", xp, eye).reshape(-1, 4, 4) + np.einsum(
-        "ab,ncd->nacbd", eye, xm
-    ).reshape(-1, 4, 4)
-    vec = np.linalg.solve(xhat, y.reshape(-1, 4, 1))
-    return vec.reshape(-1, 2, 2)
-
-
-def _u_evaluator(
-    builder: Callable[..., SymbolModel],
-    params: Mapping[str, float],
-    pair: tuple[str, str],
-    step: float = 1e-6,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Locally evaluated analytic continuation of the MUC density u(z)."""
-    center = builder(**params)
-    shifted = {}
-    for name in pair:
-        h = step * max(1.0, abs(params[name]))
-        up, dn = dict(params), dict(params)
-        up[name] += h
-        dn[name] -= h
-        shifted[name] = (builder(**up), builder(**dn), h)
-
-    def u_at(z: np.ndarray) -> np.ndarray:
-        gam = gamma_at_points(center, z)
-        ds = []
-        for name in pair:
-            up_m, dn_m, h = shifted[name]
-            ds.append((gamma_at_points(up_m, z) - gamma_at_points(dn_m, z)) / (2.0 * h))
-        comm = np.einsum("nab,nbc->nac", ds[0], ds[1]) - np.einsum(
-            "nab,nbc->nac", ds[1], ds[0]
-        )
-        tr = np.einsum("nab,nba->n", gam, comm)
-        det = np.linalg.det(gam)
-        return 0.25j * tr / (1.0 - det) ** 2
-
-    return u_at
+    return _solve_blocks(model.x_at(z), model.x_at(1.0 / z), model.y_at(z))
 
 
 def _muc_residue(builder, params, pair) -> float:
@@ -730,12 +676,17 @@ def _muc_residue(builder, params, pair) -> float:
     u(z) itself is evaluated locally by complex-point solves.
     """
     model = builder(**params)
-    eta, d, _ = _rationalize_raw(model)
+    eta, d, _ = _symbol_coefficients(model)
+    derivatives = [_central_difference(builder, params, name, gamma_at_points) for name in pair]
+
+    def u_at(z: np.ndarray) -> np.ndarray:
+        num, one_minus_det = _muc_terms(gamma_at_points(model, z), *(f(z) for f in derivatives))
+        return num / one_minus_det**2
+
     det_eta = npoly.polysub(
         npoly.polymul(eta[:, 0], eta[:, 3]), npoly.polymul(eta[:, 1], eta[:, 2])
     )
     one_minus = npoly.polysub(npoly.polymul(d, d), det_eta)
-    u_at = _u_evaluator(builder, params, pair)
     candidates = []
     for name, poly in (("d(z) = det xhat(z)", d), ("d(z)^2 - det eta(z)", one_minus)):
         _require_nonvanishing(poly, f"MUC residue mode: pole polynomial {name}")
@@ -806,7 +757,7 @@ def _residue_sum_unit_disk(
     return _contour_integral(func, 0.0, rho, points=1024, tol=1e-13)
 
 
-def gap_on_circle(model: SymbolModel, grid: int = 512) -> float:
+def gap_on_circle(model: SymbolModel) -> float:
     """Dissipative gap ``2 min_{phi,j} Re x_j(e^{i phi})`` on the circle.
 
     Coarse grid scan polished by golden-section around the minimum.
@@ -817,10 +768,10 @@ def gap_on_circle(model: SymbolModel, grid: int = 512) -> float:
         eigs = np.linalg.eigvals(x)
         return np.min(np.real(eigs), axis=1)
 
-    phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    phis = np.linspace(-np.pi, np.pi, GAP_SCAN_ANGLES, endpoint=False)
     vals = min_re(phis)
     i0 = int(np.argmin(vals))
-    dphi = 2.0 * np.pi / grid
+    dphi = 2.0 * np.pi / GAP_SCAN_ANGLES
     best = float(vals[i0])
     try:
         res = minimize_scalar(

@@ -223,28 +223,6 @@ def polynomial_roots(coefficients: Sequence[complex]) -> np.ndarray:
     return np.roots(c[::-1])
 
 
-def cluster_roots(roots: np.ndarray, rtol: float = 1e-6) -> list[list[int]]:
-    """Group root indices whose mutual distance is below ``rtol`` (relative).
-
-    Downstream residue code treats clusters of size > 1 as non-simple poles
-    and switches to contour integration.
-    """
-    roots = np.asarray(roots)
-    n = roots.size
-    scale = max(np.max(np.abs(roots)) if n else 0.0, 1.0)
-    unassigned = list(range(n))
-    clusters: list[list[int]] = []
-    while unassigned:
-        i = unassigned.pop(0)
-        group = [i]
-        for j in unassigned[:]:
-            if np.abs(roots[i] - roots[j]) <= rtol * scale:
-                group.append(j)
-                unassigned.remove(j)
-        clusters.append(sorted(group))
-    return clusters
-
-
 def periodic_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     tolerance: float,

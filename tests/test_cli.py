@@ -53,9 +53,12 @@ class TestSweep:
 
     def test_reservoir_critical_point_named_in_cells(self):
         # at lam = -1, theta = 0 the symbol determinant d(z) vanishes
-        # identically; xi and residue-mode muc must name the failure
+        # identically and the closed-form symbol is 0/0; xi and muc in both
+        # modes must name the failure
         row = cli._worker(("reservoir_chain", {"lam": -1.0, "theta": 0.0}, ("xi",)))
         assert row == {"xi": "CriticalAngle"}
+        row = cli._worker(("reservoir_chain", {"lam": -1.0}, ("muc",)))
+        assert row == {"muc": "CriticalAngle"}
         row = cli._worker(
             ("reservoir_chain", {"lam": -1.0, "theta": 0.0, "muc_mode": "residue"}, ("muc",))
         )
@@ -68,6 +71,11 @@ class TestSweep:
             cli.run_sweep(sweep_spec(tmp_path, quantities=("xi",)))  # finite model
         with pytest.raises(BadSpec):
             cli.run_sweep(sweep_spec(tmp_path, axes=[("h", 0.0, 1.0, -0.5)]))
+        with pytest.raises(BadSpec):
+            cli.run_sweep(cli.SweepSpec(
+                model="reservoir_chain", axes=[("lam", 0.4, 0.6, 0.1)],
+                quantities=("detg_symbol",), out=str(tmp_path / "rc.csv"),
+            ))
 
     def test_symbol_model_sweep(self, tmp_path):
         spec = cli.SweepSpec(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nessgeom import momentum, numerics
-from nessgeom.errors import CriticalAngle, DimensionMismatch
+from nessgeom.errors import CriticalAngle, DimensionMismatch, NotFiniteRange
 from nessgeom.models import build_reservoir_chain, build_rotated_xy_dissipative
 
 
@@ -85,6 +85,9 @@ class TestSymbolCovariance:
         model = reservoir(-1.0, 0.3)
         with pytest.raises(CriticalAngle):
             momentum.symbol_covariance(model, 0.0)
+        # off the circle too: at lam = -1 the drift is singular at every z
+        with pytest.raises(CriticalAngle):
+            momentum.gamma_at_points(reservoir(-1.0, 0.0), np.array([0.5, 0.3j, 2.0]))
 
 
 class TestRationalize:
@@ -119,6 +122,39 @@ class TestRationalize:
             momentum.symbol_covariance(model, phis),
             atol=1e-8,
         )
+
+    def test_reach_beyond_64_rejected_in_both_pipelines(self):
+        # a jump coupling cells 65 apart: rationalize and the residue-mode
+        # MUC share the evaluation-interpolation step and its reach guard
+        model = momentum.SymbolModel(
+            h_blocks={0: np.array([[0.0, -0.5j], [0.5j, 0.0]])},
+            jumps=[{0: np.array([0.5, -0.5j]), 65: np.array([0.1, 0.2j])}],
+        )
+        assert model.reach == 65
+        with pytest.raises(NotFiniteRange):
+            momentum.rationalize(model)
+        with pytest.raises(NotFiniteRange):
+            momentum.muc_per_site(lambda **p: model, {"a": 0.0, "b": 0.0}, ("a", "b"),
+                                  mode="residue")
+
+
+class TestAdjugate:
+    def test_nonsingular_batch_matches_det_inverse(self, rng):
+        a = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+        expect = np.linalg.det(a)[:, None, None] * np.linalg.inv(a)
+        np.testing.assert_allclose(
+            momentum._adjugate4(a), expect, atol=1e-12 * np.max(np.abs(expect))
+        )
+
+    def test_rank_three_batch_annihilates(self, rng):
+        # adj(a) a = det(a) 1 = 0 for a singular a, while adj(a) != 0 at rank 3
+        u = rng.normal(size=(50, 4, 3)) + 1j * rng.normal(size=(50, 4, 3))
+        v = rng.normal(size=(50, 3, 4)) + 1j * rng.normal(size=(50, 3, 4))
+        a = u @ v
+        adj = momentum._adjugate4(a)
+        scale = np.max(np.abs(adj), axis=(1, 2))
+        assert np.min(scale) > 1e-6
+        assert np.max(np.max(np.abs(adj @ a), axis=(1, 2)) / scale) < 1e-12 * np.max(np.abs(a))
 
 
 class TestCorrelationLength:
@@ -262,6 +298,17 @@ class TestMucPerSite:
             pars["h"] = h
             vals[h] = momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="quadrature")
         assert abs(vals[1.05] - vals[0.95]) > 0.05
+
+    def test_closed_form_removable_point_is_not_critical(self):
+        # at h = 1 the weak-coupling closed form is 0/0 at phi = 0 while the
+        # finite-epsilon drift stays regular: the quadrature keeps the
+        # continuity branch there and agrees with a grid that misses phi = 0
+        pars = dict(ROT_PARAMS, h=1.0)
+        val = momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="quadrature")
+        u_of = momentum.muc_integrand(rot_xy, pars, ("h", "theta"))
+        shifted = numerics.periodic_quadrature(lambda p: u_of(p + 0.01), 1e-10)
+        assert np.isfinite(val)
+        assert val == pytest.approx(np.real(shifted) / (2.0 * np.pi), rel=1e-6)
 
     def test_reservoir_jump_across_critical_coupling(self):
         u_lo = momentum.muc_per_site(

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nessgeom import liouvillian, numerics
+from nessgeom import liouvillian, momentum, numerics
 from nessgeom.errors import (
     DegenerateInput,
     NoConvergence,
@@ -223,7 +223,7 @@ class TestPolynomials:
 
     def test_double_root_clustered(self):
         roots = numerics.polynomial_roots([0.0, 0.0, 1.0])  # z^2
-        clusters = numerics.cluster_roots(roots)
+        clusters = momentum._link_islands(roots, threshold=1e-6)
         assert len(clusters) == 1 and len(clusters[0]) == 2
 
     def test_reservoir_denominator_roots(self):
