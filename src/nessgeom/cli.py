@@ -15,7 +15,7 @@ import configparser
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,60 +41,35 @@ FINITE_QUANTITIES = ("gap", "gmax", "detg", "muc", "R", "purity")
 SYMBOL_QUANTITIES = ("gap", "muc", "xi")
 
 
-def _boundary_xy_point(params: dict, quantities: tuple[str, ...]) -> dict:
-    from . import geometry, liouvillian, numerics
-    from .models import BoundaryXYParams, build_boundary_driven_xy
+def _boundary_xy_params(params: dict):
+    """A boundary_xy point from CLI parameters; unset rates keep the dataclass defaults."""
+    from . import models
 
-    n = int(params["n"])
-    delta = float(params.get("delta", 1.25))
-    h = float(params.get("h", 0.3))
-    kappas = tuple(
-        float(params.get(k, dflt))
-        for k, dflt in (
-            ("kappa_l_plus", 0.3),
-            ("kappa_l_minus", 0.5),
-            ("kappa_r_plus", 0.1),
-            ("kappa_r_minus", 0.5),
-        )
+    rates = {f.name: float(params[f.name]) for f in fields(models.BoundaryXYParams)
+             if f.name.startswith("kappa") and f.name in params}
+    return models.BoundaryXYParams(
+        float(params.get("delta", 1.25)), float(params.get("h", 0.3)), int(params["n"]), **rates
     )
 
-    def build(dd, hh):
-        model = build_boundary_driven_xy(
-            BoundaryXYParams(dd, hh, n, *kappas)
-        )
-        return liouvillian.shape_matrices(model)
 
-    shape = build(delta, h)
-    solver = numerics.LyapunovSolver(shape.x)
-    out: dict = {}
-    if "gap" in quantities:
-        out["gap"] = 2.0 * float(np.min(np.real(solver.spectrum)))
-    gamma = numerics.hermitize_antisymmetric(solver.solve(shape.y))
-    if "purity" in quantities:
-        from .gaussian import purity
+def _boundary_xy_point(params: dict, quantities: tuple[str, ...]) -> dict:
+    from . import gaussian, liouvillian, models
 
-        out["purity"] = purity(gamma)
+    p = _boundary_xy_params(params)
+    shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
     geom_needed = {"gmax", "detg", "muc", "R"} & set(quantities)
-    if geom_needed:
-        eps = 1e-6
-        dgs = []
-        for up_args, dn_args in (((delta + eps, h), (delta - eps, h)),
-                                 ((delta, h + eps), (delta, h - eps))):
-            s_up, s_dn = build(*up_args), build(*dn_args)
-            dx = (s_up.x - s_dn.x) / (2.0 * eps)
-            dy = (s_up.y - s_dn.y) / (2.0 * eps)
-            rhs = numerics.hermitize_antisymmetric(dy - dx @ gamma - gamma @ dx.T)
-            dgs.append(numerics.hermitize_antisymmetric(solver.solve(rhs)))
-        res = geometry.qgt(gamma, geometry.make_tangents(("delta", "h"), dgs))
-        if "gmax" in quantities:
-            out["gmax"] = res.gmax()
-        if "detg" in quantities:
-            out["detg"] = float(np.linalg.det(res.g))
-        if "muc" in quantities:
-            out["muc"] = abs(float(res.u[0, 1]))
-        if "R" in quantities:
-            out["R"] = res.r_ratio
-    return out
+    point = liouvillian.point_geometry(
+        shape, models.boundary_xy_shape_derivatives(p) if geom_needed else None
+    )
+    cells = {
+        "gap": lambda: point.gap,
+        "purity": lambda: gaussian.purity(point.gamma),
+        "gmax": lambda: point.qgt.gmax(),
+        "detg": lambda: float(np.linalg.det(point.qgt.g)),
+        "muc": lambda: abs(float(point.qgt.u[0, 1])),
+        "R": lambda: point.qgt.r_ratio,
+    }
+    return {q: cells[q]() for q in quantities if q in cells}
 
 
 def _symbol_point(model_name: str, params: dict, quantities: tuple[str, ...]) -> dict:
@@ -150,15 +125,11 @@ def evaluate_point(model_name: str, params: dict, quantities: tuple[str, ...]) -
 
 def _worker(task):
     model_name, params, quantities = task
-    row = {}
-    for q in quantities:
-        row[q] = None
+    row = dict.fromkeys(quantities)
     try:
         row.update(evaluate_point(model_name, params, quantities))
     except Exception as exc:  # noqa: BLE001 - surfaced in-cell per contract
-        for q in quantities:
-            if row.get(q) is None:
-                row[q] = type(exc).__name__
+        row = dict.fromkeys(quantities, type(exc).__name__)
     return row
 
 
@@ -329,10 +300,7 @@ def run_scaling(spec: ScalingSpec) -> tuple[str, str]:
         "sizes": [int(n) for n in spec.sizes],
         "fit_window": [int(spec.sizes[0]), int(spec.sizes[-1])],
         "fits": fits,
-        "samples": {
-            q: [res[q] if not isinstance(res[q], str) else res[q] for res in results]
-            for q in spec.quantities
-        },
+        "samples": {q: [res[q] for res in results] for q in spec.quantities},
     }
     json_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if spec.out:
@@ -370,20 +338,11 @@ def run_geometry(model: str, params: dict) -> dict:
 
 
 def run_spectrum(model: str, params: dict) -> dict:
-    from . import liouvillian
-    from .models import BoundaryXYParams, build_boundary_driven_xy
+    from . import liouvillian, models
 
     if model == "boundary_xy":
-        p = BoundaryXYParams(
-            float(params.get("delta", 1.25)),
-            float(params.get("h", 0.3)),
-            int(params["n"]),
-            float(params.get("kappa_l_plus", 0.3)),
-            float(params.get("kappa_l_minus", 0.5)),
-            float(params.get("kappa_r_plus", 0.1)),
-            float(params.get("kappa_r_minus", 0.5)),
-        )
-        shape = liouvillian.shape_matrices(build_boundary_driven_xy(p))
+        p = _boundary_xy_params(params)
+        shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
         rep = liouvillian.gap_report(shape.x)
         return {
             "delta": rep.delta,
@@ -487,16 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("sweep", help="grid sweep to CSV"), grid=True)
     common(sub.add_parser("scaling", help="finite-size scaling fits"), sizes=True)
-    geo = sub.add_parser("geometry", help="one-point geometry report")
-    geo.add_argument("--model", default=None)
-    geo.add_argument("--set", action="append", metavar="key=value")
-    geo.add_argument("--out", default=None)
-    geo.add_argument("--config", default=None)
-    spec_p = sub.add_parser("spectrum", help="gap report at one point")
-    spec_p.add_argument("--model", default=None)
-    spec_p.add_argument("--set", action="append", metavar="key=value")
-    spec_p.add_argument("--out", default=None)
-    spec_p.add_argument("--config", default=None)
+    for name, text in (("geometry", "one-point geometry report"),
+                       ("spectrum", "gap report at one point")):
+        point = sub.add_parser(name, help=text)
+        point.add_argument("--model", default=None)
+        point.add_argument("--set", action="append", metavar="key=value")
+        point.add_argument("--out", default=None)
+        point.add_argument("--config", default=None)
     orc = sub.add_parser("oracle", help="randomized cross-module self checks")
     orc.add_argument("--seed", type=int, default=0)
     orc.add_argument("--cases", type=int, default=10)
@@ -537,14 +493,10 @@ def main(argv=None) -> int:
             )
             run_scaling(spec)
             return 0
-        if args.command == "geometry":
-            _merge_config(args, "geometry")
-            report = run_geometry(args.model or "boundary_xy", args._fixed)
-            _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-            return 0
-        if args.command == "spectrum":
-            _merge_config(args, "spectrum")
-            report = run_spectrum(args.model or "boundary_xy", args._fixed)
+        if args.command in ("geometry", "spectrum"):
+            _merge_config(args, args.command)
+            run = run_geometry if args.command == "geometry" else run_spectrum
+            report = run(args.model or "boundary_xy", args._fixed)
             _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
             return 0
         if args.command == "oracle":

@@ -54,15 +54,8 @@ class GeometryResult:
     q: np.ndarray
     r_ratio: float | None
 
-    @property
-    def fisher(self) -> np.ndarray:
-        return 4.0 * self.g
-
     def gmax(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.g))))
-
-    def umax(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(1j * self.u))))
 
 
 def make_tangents(parameters: Sequence[str], d_gammas: Sequence[np.ndarray]) -> TangentSet:
@@ -136,7 +129,6 @@ def qgt(gamma, tangents: TangentSet, *, check_rank: bool = True) -> GeometryResu
     u = 2.0 * np.imag(q)
     u = 0.5 * (u - u.T)
     q_exact = g + 0.5j * u
-    r = None
     try:
         r = incompatibility_ratio(g, u)
     except SingularFisher:

@@ -14,19 +14,19 @@ The signs are pinned by the one-time calibration that a single lossy mode
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import numerics
+from . import geometry, numerics
 from .errors import (
     DimensionMismatch,
     EmptyJumps,
     InstabilityDetected,
     NonUniqueSteadyState,
 )
-from .gaussian import CovarianceMatrix, validate
-from .geometry import TangentSet, make_tangents
+from .gaussian import CovarianceMatrix, as_gamma, validate
+from .geometry import GeometryResult, TangentSet
 
 UNIQUENESS_TOL = 1e-10
 
@@ -68,6 +68,17 @@ class ShapeMatrices:
     @property
     def dim(self) -> int:
         return self.x.shape[0]
+
+
+@dataclass(frozen=True)
+class PointGeometry:
+    """Dissipative gap ``2 min Re x``, steady state, tangents and QGT at one
+    point; ``tangents`` and ``qgt`` are None when no direction was given."""
+
+    gap: float
+    gamma: np.ndarray
+    tangents: TangentSet | None
+    qgt: GeometryResult | None
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,27 @@ def ness_covariance(shape: ShapeMatrices) -> CovarianceMatrix:
     return validate(solver.solve(shape.y))
 
 
+def _solve_tangents(
+    solver: numerics.LyapunovSolver,
+    gamma: np.ndarray,
+    parameters: Sequence[str],
+    derivatives: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> TangentSet:
+    """Tangents from ``X dG + dG X^T = dY - dX G - G dX^T``, all on ``solver``.
+
+    With ``G = iA`` and a real ``dX`` the source is ``i [B - (P - P^T)]``
+    with ``P = dX A`` and A, ``B = Im dY`` antisymmetrized: one real GEMM.
+    """
+    a = np.imag(gamma)
+    a = 0.5 * (a - a.T)
+    d_gammas = []
+    for dx, dy in derivatives:
+        b = np.imag(np.asarray(dy))
+        p = np.real(np.asarray(dx)) @ a
+        d_gammas.append(solver.solve(1j * (0.5 * (b - b.T) - (p - p.T))))
+    return geometry.make_tangents(parameters, d_gammas)
+
+
 def ness_tangents(
     shape: ShapeMatrices,
     dxs: Sequence[np.ndarray],
@@ -194,17 +226,28 @@ def ness_tangents(
 
     Every tangent is solved on one Schur factorization of ``X``.
     """
-    from .gaussian import as_gamma
-
-    g = as_gamma(gamma)
     if len(dxs) != len(dys):
         raise DimensionMismatch("need matching dX and dY lists")
     if parameters is None:
         parameters = [f"l{i}" for i in range(len(dxs))]
     solver = _unique_solver(shape.x, "tangents undefined")
-    d_gammas = []
-    for dx, dy in zip(dxs, dys):
-        dx = np.asarray(dx)
-        rhs = numerics.hermitize_antisymmetric(np.asarray(dy, dtype=complex) - dx @ g - g @ dx.T)
-        d_gammas.append(solver.solve(rhs))
-    return make_tangents(parameters, d_gammas)
+    return _solve_tangents(solver, as_gamma(gamma), parameters, zip(dxs, dys))
+
+
+def point_geometry(
+    shape: ShapeMatrices,
+    derivatives: Mapping[str, tuple[np.ndarray, np.ndarray]] | None = None,
+) -> PointGeometry:
+    """Gap, steady state, tangents along ``derivatives`` (parameter ->
+    ``(dX, dY)``) and their QGT, all on one factorization of ``X``.
+
+    Uniqueness is the solver's own test: SingularSylvester when a pair sum
+    of the drift spectrum vanishes or the residual check fails.
+    """
+    solver = numerics.LyapunovSolver(shape.x)
+    gap = 2.0 * float(np.min(np.real(solver.spectrum)))
+    gamma = solver.solve(shape.y)
+    if not derivatives:
+        return PointGeometry(gap, gamma, None, None)
+    tangents = _solve_tangents(solver, gamma, tuple(derivatives), derivatives.values())
+    return PointGeometry(gap, gamma, tangents, geometry.qgt(gamma, tangents))

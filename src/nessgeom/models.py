@@ -425,8 +425,8 @@ class BoundaryXYParams:
         return abs(1.0 - self.delta**2)
 
 
-def _xy_hamiltonian_kernel(n: int, delta: float, h: float, periodic: bool = False) -> np.ndarray:
-    """Majorana kernel of ``sum_j [(1+d)/2 XX + (1-d)/2 YY] + h sum_j Z``.
+def _xy_kernel(n: int, xx: float, yy: float, z: float) -> np.ndarray:
+    """Open-chain kernel of ``sum_j [xx XX + yy YY] + z sum_j Z``, linear in xx, yy, z.
 
     ``sigma^x_j sigma^x_{j+1} = -i w_{2j} w_{2j+1}``,
     ``sigma^y_j sigma^y_{j+1} = +i w_{2j-1} w_{2j+2}``,
@@ -439,13 +439,11 @@ def _xy_hamiltonian_kernel(n: int, delta: float, h: float, periodic: bool = Fals
         hk[p, q] += alpha / 2.0
         hk[q, p] -= alpha / 2.0
 
-    bonds = n if periodic else n - 1
-    for j in range(bonds):
-        jp = (j + 1) % n
-        add_pair(2 * j + 1, 2 * jp, -1j * (1.0 + delta) / 2.0)
-        add_pair(2 * j, 2 * jp + 1, 1j * (1.0 - delta) / 2.0)
+    for j in range(n - 1):
+        add_pair(2 * j + 1, 2 * j + 2, -1j * xx)
+        add_pair(2 * j, 2 * j + 3, 1j * yy)
     for j in range(n):
-        add_pair(2 * j, 2 * j + 1, -1j * h)
+        add_pair(2 * j, 2 * j + 1, -1j * z)
     return hk
 
 
@@ -459,7 +457,7 @@ def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel
     """
     n = params.n
     dim = 2 * n
-    hk = _xy_hamiltonian_kernel(n, params.delta, params.h, periodic=False)
+    hk = _xy_kernel(n, (1.0 + params.delta) / 2.0, (1.0 - params.delta) / 2.0, params.h)
     jumps = []
     for site, (kp, km) in ((0, (params.kappa_l_plus, params.kappa_l_minus)),
                            (n - 1, (params.kappa_r_plus, params.kappa_r_minus))):
@@ -474,6 +472,22 @@ def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel
             vec[2 * site + 1] = -0.5j
             jumps.append(np.sqrt(km) * vec)  # sigma^- = c
     return QuadraticLindbladModel(n_modes=n, h=hk, jumps=tuple(jumps))
+
+
+def boundary_xy_shape_derivatives(params: BoundaryXYParams) -> dict[str, tuple]:
+    """Exact ``(dX, dY)`` of the boundary-driven chain along ``delta`` and ``h``.
+
+    ``X = 4 [iH + Re M]`` with H affine in (delta, h) through the couplings
+    ``((1+delta)/2, (1-delta)/2, h)``, and the bath M set by the rates
+    alone, so ``dY = 0`` and ``dX = 4i dH`` with dH the kernel of the
+    coupling slopes.
+    """
+    n = params.n
+    dy = np.zeros((2 * n, 2 * n))
+    return {
+        "delta": (np.real(4j * _xy_kernel(n, 0.5, -0.5, 0.0)), dy),
+        "h": (np.real(4j * _xy_kernel(n, 0.0, 0.0, 1.0)), dy),
+    }
 
 
 def boundary_xy_spin_operators(params: BoundaryXYParams) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -561,7 +575,8 @@ def _pauli_assemble(v: np.ndarray) -> np.ndarray:
 
 def _reservoir_vector(phis, lam, theta):
     phis = np.atleast_1d(phis)
-    g = (1.0 + lam) / (1.0 + lam + lam * np.cos(phis) + lam**2)
+    with np.errstate(invalid="ignore"):  # 0/0 at lam = -1, phi = 0 stays NaN
+        g = (1.0 + lam) / (1.0 + lam + lam * np.cos(phis) + lam**2)
     s1 = np.sin(phis) + lam * np.sin(2.0 * phis)
     c1 = np.cos(phis) + lam * np.cos(2.0 * phis)
     return np.array([g * s1 * np.cos(2 * theta), -g * c1, g * s1 * np.sin(2 * theta)])
@@ -570,8 +585,9 @@ def _reservoir_vector(phis, lam, theta):
 def _reservoir_vector_dlam(phis, lam, theta):
     phis = np.atleast_1d(phis)
     p = 1.0 + lam + lam * np.cos(phis) + lam**2
-    g = (1.0 + lam) / p
-    dg = (p - (1.0 + lam) * (1.0 + np.cos(phis) + 2.0 * lam)) / p**2
+    with np.errstate(invalid="ignore"):
+        g = (1.0 + lam) / p
+        dg = (p - (1.0 + lam) * (1.0 + np.cos(phis) + 2.0 * lam)) / p**2
     s1 = np.sin(phis) + lam * np.sin(2.0 * phis)
     c1 = np.cos(phis) + lam * np.cos(2.0 * phis)
     ds1 = np.sin(2.0 * phis)
@@ -587,7 +603,8 @@ def _reservoir_vector_dlam(phis, lam, theta):
 
 def _reservoir_vector_dtheta(phis, lam, theta):
     phis = np.atleast_1d(phis)
-    g = (1.0 + lam) / (1.0 + lam + lam * np.cos(phis) + lam**2)
+    with np.errstate(invalid="ignore"):
+        g = (1.0 + lam) / (1.0 + lam + lam * np.cos(phis) + lam**2)
     s1 = np.sin(phis) + lam * np.sin(2.0 * phis)
     return np.array(
         [
@@ -655,27 +672,27 @@ def _rotated_xy_vector(phis, delta, h, theta, q_pol):
     phis = np.atleast_1d(phis)
     s, u = np.sin(phis), np.cos(phis) - h
     dd = u**2 + delta**2 * s**2
-    g = q_pol * u**2 / dd
-    gt = q_pol * delta * s * u / dd
+    with np.errstate(invalid="ignore"):  # 0/0 at h = 1, phi = 0 stays NaN
+        g = q_pol * u**2 / dd
+        gt = q_pol * delta * s * u / dd
     return np.array([gt * np.cos(2 * theta), g, -gt * np.sin(2 * theta)])
 
 
 def _rotated_xy_dvec(phis, delta, h, theta, q_pol, which: str):
+    if which == "theta":
+        v = _rotated_xy_vector(phis, delta, h, theta, q_pol)
+        return np.array([2.0 * v[2], np.zeros_like(v[1]), -2.0 * v[0]])
     phis = np.atleast_1d(phis)
     s, u = np.sin(phis), np.cos(phis) - h
     dd = u**2 + delta**2 * s**2
-    if which == "theta":
-        gt = q_pol * delta * s * u / dd
-        return np.array(
-            [-2.0 * gt * np.sin(2 * theta), np.zeros_like(phis), -2.0 * gt * np.cos(2 * theta)]
-        )
-    if which == "delta":
-        dg = -2.0 * q_pol * u**2 * delta * s**2 / dd**2
-        dgt = q_pol * s * u * (u**2 - delta**2 * s**2) / dd**2
-    elif which == "h":
-        # chain rule through u' = -1
-        dg = -2.0 * q_pol * u * delta**2 * s**2 / dd**2
-        dgt = q_pol * delta * s * (u**2 - delta**2 * s**2) / dd**2
-    else:
-        raise DimensionMismatch(f"unknown parameter {which!r}")
+    with np.errstate(invalid="ignore"):
+        if which == "delta":
+            dg = -2.0 * q_pol * u**2 * delta * s**2 / dd**2
+            dgt = q_pol * s * u * (u**2 - delta**2 * s**2) / dd**2
+        elif which == "h":
+            # chain rule through u' = -1
+            dg = -2.0 * q_pol * u * delta**2 * s**2 / dd**2
+            dgt = q_pol * delta * s * (u**2 - delta**2 * s**2) / dd**2
+        else:
+            raise DimensionMismatch(f"unknown parameter {which!r}")
     return np.array([dgt * np.cos(2 * theta), dg, -dgt * np.sin(2 * theta)])

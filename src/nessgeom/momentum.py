@@ -594,9 +594,11 @@ def _central_difference(
 
 def _muc_terms(gam: np.ndarray, dmu: np.ndarray, dnu: np.ndarray) -> tuple:
     """Numerator ``(i/4) Tr{ g~ [d_mu g~, d_nu g~] }`` and ``1 - det g~`` of the
-    MUC density, batched over points."""
+    MUC density, batched over points; a NaN symbol passes through silently."""
     comm = np.einsum("nab,nbc->nac", dmu, dnu) - np.einsum("nab,nbc->nac", dnu, dmu)
-    return 0.25j * np.einsum("nab,nba->n", gam, comm), 1.0 - np.linalg.det(gam)
+    with np.errstate(invalid="ignore"):
+        one_minus = 1.0 - np.linalg.det(gam)
+    return 0.25j * np.einsum("nab,nba->n", gam, comm), one_minus
 
 
 def muc_integrand(

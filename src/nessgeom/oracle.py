@@ -206,13 +206,6 @@ def muc_dense(family: ParametrizedFamily, point) -> np.ndarray:
     return 0.5 * (u - u.T)
 
 
-def qgt_dense(family: ParametrizedFamily, point) -> np.ndarray:
-    """Generalized quantum geometric tensor ``Q = g + (i/2) U``."""
-    g = bures_metric_dense(family, point)
-    u = muc_dense(family, point)
-    return g + 0.5j * u
-
-
 def qcb_metric(family: ParametrizedFamily, point) -> np.ndarray:
     """Quantum Chernoff bound metric (denominators ``(sqrt p_j + sqrt p_k)^2``)."""
     rho = family.rho(point)

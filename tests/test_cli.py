@@ -1,9 +1,15 @@
 import json
 
+import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
-from nessgeom import cli
+from nessgeom import cli, gaussian, geometry, liouvillian, models, numerics
 from nessgeom.errors import BadSpec
+
+# n=40, delta=1: the smallest pair sum of the drift spectrum is 2.7e-11 of
+# its scale, above the solver's 1e-12 singularity threshold
+NEAR_SINGULAR = (40, 1.0, 1.1304758631173196e-4)
 
 
 def sweep_spec(tmp_path, **overrides):
@@ -18,6 +24,24 @@ def sweep_spec(tmp_path, **overrides):
     )
     base.update(overrides)
     return cli.SweepSpec(**base)
+
+
+def _reference_gmax(n, delta, h):
+    """gmax with scipy's Lyapunov solver on the real form ``X A + A X^T = Im Y``
+    and shape derivatives by unit-step central differences (exact: affine)."""
+
+    def shape(dd, hh):
+        p = models.BoundaryXYParams(delta=dd, h=hh, n=n)
+        return liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
+
+    s = shape(delta, h)
+    a = solve_continuous_lyapunov(s.x, np.imag(s.y))
+    a = 0.5 * (a - a.T)
+    dgs = []
+    for up, dn in (((delta + 1, h), (delta - 1, h)), ((delta, h + 1), (delta, h - 1))):
+        dx = (shape(*up).x - shape(*dn).x) / 2.0
+        dgs.append(1j * solve_continuous_lyapunov(s.x, -(dx @ a + a @ dx.T)))
+    return geometry.qgt(1j * a, geometry.make_tangents(("delta", "h"), dgs)).gmax()
 
 
 class TestSweep:
@@ -38,18 +62,22 @@ class TestSweep:
         assert serial == parallel
 
     def test_error_lands_in_cell(self, tmp_path):
-        # a negative rate fails that grid point; the sweep must not abort and
-        # the cell carries the originating error's class name
-        spec = sweep_spec(
-            tmp_path,
-            fixed={"n": 4, "delta": 1.25, "h": 0.3},
-            axes=[("kappa_l_minus", -0.1, 0.1, 0.2)],
-            quantities=("gap", "muc"),
+        # a failing grid point must not abort the sweep, and every cell of it
+        # carries the originating error's class name
+        cases = (
+            # a negative rate fails the model build
+            ({"n": 4, "delta": 1.25, "h": 0.3}, ("kappa_l_minus", -0.1, 0.1, 0.2),
+             "DimensionMismatch"),
+            # at delta = 1, h = 0 a pair sum of the drift spectrum is exactly 0
+            ({"n": 4, "delta": 1.0}, ("h", 0.0, 0.3, 0.3), "SingularSylvester"),
         )
-        text = cli.run_sweep(spec)
-        rows = [l for l in text.strip().splitlines() if not l.startswith("#")]
-        assert "DimensionMismatch" in rows[1]
-        assert "DimensionMismatch" not in rows[2]  # the valid point computed
+        for fixed, axis, error in cases:
+            spec = sweep_spec(tmp_path, fixed=fixed, axes=[axis],
+                              quantities=cli.FINITE_QUANTITIES)
+            text = cli.run_sweep(spec)
+            rows = [l for l in text.strip().splitlines() if not l.startswith("#")]
+            assert rows[1].split(",")[1:] == [error] * len(cli.FINITE_QUANTITIES)
+            assert error not in rows[2]  # the valid point computed
 
     def test_reservoir_critical_point_named_in_cells(self):
         # at lam = -1, theta = 0 the symbol determinant d(z) vanishes
@@ -151,13 +179,44 @@ class TestConfigAndMain:
 
     def test_geometry_subcommand(self, tmp_path):
         out = tmp_path / "geo.json"
-        rc = cli.main(
-            ["geometry", "--model", "boundary_xy", "--set", "n=6", "--set", "delta=1.25",
-             "--set", "h=0.3", "--out", str(out)]
+        for n, delta, h in ((6, 1.25, 0.3), NEAR_SINGULAR):
+            rc = cli.main(
+                ["geometry", "--model", "boundary_xy", "--set", f"n={n}",
+                 "--set", f"delta={delta!r}", "--set", f"h={h!r}", "--out", str(out)]
+            )
+            assert rc == 0
+            report = json.loads(out.read_text())
+            assert set(report) >= {"gap", "gmax", "detg", "muc", "R", "purity"}
+            assert all(np.isfinite(v) for v in report.values())
+            assert report["gmax"] == pytest.approx(_reference_gmax(n, delta, h), rel=1e-6)
+
+    def test_run_geometry_is_point_geometry(self):
+        report = cli.run_geometry("boundary_xy", {"n": 8, "delta": 0.9, "h": 0.4,
+                                                  "kappa_r_plus": 0.2})
+        p = models.BoundaryXYParams(delta=0.9, h=0.4, n=8, kappa_r_plus=0.2)
+        point = liouvillian.point_geometry(
+            liouvillian.shape_matrices(models.build_boundary_driven_xy(p)),
+            models.boundary_xy_shape_derivatives(p),
         )
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert set(report) >= {"gap", "gmax", "detg", "muc", "R", "purity"}
+        assert report == {
+            "gap": point.gap,
+            "purity": gaussian.purity(point.gamma),
+            "gmax": point.qgt.gmax(),
+            "detg": float(np.linalg.det(point.qgt.g)),
+            "muc": abs(float(point.qgt.u[0, 1])),
+            "R": point.qgt.r_ratio,
+        }
+
+    def test_gap_and_purity_solve_no_tangents(self, monkeypatch):
+        solves = []
+        solve = numerics.LyapunovSolver.solve
+        monkeypatch.setattr(numerics.LyapunovSolver, "solve",
+                            lambda self, y: solves.append(y) or solve(self, y))
+        cli.evaluate_point("boundary_xy", {"n": 6}, ("gap", "purity"))
+        assert len(solves) == 1  # the steady state only
+        solves.clear()
+        cli.evaluate_point("boundary_xy", {"n": 6}, ("gap", "muc"))
+        assert len(solves) == 3  # and one tangent per direction
 
     def test_oracle_exit_codes(self, capsys):
         assert cli.main(["oracle", "--seed", "3", "--cases", "2"]) == 0

@@ -293,27 +293,15 @@ class TestEndToEnd:
         np.testing.assert_allclose(res.u, oracle.muc_dense(fam, point), atol=1e-7)
 
     def test_analytic_and_fd_pipelines_match_at_scale(self):
-        # the two tangent routes behind the sweep machinery agree at n = 20
+        # point_geometry (exact shape derivatives, tangents on one
+        # factorization) against finite differences of the steady state at n = 20
         from nessgeom import models
 
         n, delta, h = 20, 1.25, 0.3
         pars = models.BoundaryXYParams(delta=delta, h=h, n=n)
         shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(pars))
-        solver = numerics.LyapunovSolver(shape.x)
-        gam = numerics.hermitize_antisymmetric(solver.solve(shape.y))
-        eps = 1e-6
-        dgs = []
-        for up, dn in (((delta + eps, h), (delta - eps, h)),
-                       ((delta, h + eps), (delta, h - eps))):
-            s_up = liouvillian.shape_matrices(
-                models.build_boundary_driven_xy(models.BoundaryXYParams(*up, n)))
-            s_dn = liouvillian.shape_matrices(
-                models.build_boundary_driven_xy(models.BoundaryXYParams(*dn, n)))
-            dx = (s_up.x - s_dn.x) / (2 * eps)
-            dy = (s_up.y - s_dn.y) / (2 * eps)
-            rhs = numerics.hermitize_antisymmetric(dy - dx @ gam - gam @ dx.T)
-            dgs.append(numerics.hermitize_antisymmetric(solver.solve(rhs)))
-        res_analytic = geometry.qgt(gam, geometry.make_tangents(("delta", "h"), dgs))
+        point = liouvillian.point_geometry(shape, models.boundary_xy_shape_derivatives(pars))
+        res_analytic = point.qgt
 
         def gamma_of(lam):
             p = models.BoundaryXYParams(delta=lam[0], h=lam[1], n=n)

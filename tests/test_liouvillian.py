@@ -169,6 +169,28 @@ class TestNessTangents:
         assert np.max(np.abs(fd.d_gamma[0] - analytic.d_gamma[0])) < 1e-6
 
 
+class TestPointGeometry:
+    def test_matches_ness_covariance_and_tangents(self, rng):
+        shape = liouvillian.shape_matrices(rand_stable_model(rng, 3))
+        dx = np.real(4j * 1j * rand_antisym(rng, 6, 0.2))
+        dy = numerics.hermitize_antisymmetric(1j * rand_antisym(rng, 6, 0.2))
+        point = liouvillian.point_geometry(shape, {"a": (dx, dy), "b": (dx.T, 0 * dy)})
+        cov = liouvillian.ness_covariance(shape)
+        tang = liouvillian.ness_tangents(shape, [dx, dx.T], [dy, 0 * dy], cov.gamma, ("a", "b"))
+        assert point.gap == pytest.approx(liouvillian.gap_report(shape.x).delta, rel=1e-10)
+        np.testing.assert_allclose(point.gamma, cov.gamma, atol=1e-13)
+        assert point.tangents.parameters == tang.parameters == ("a", "b")
+        for got, want in zip(point.tangents.d_gamma, tang.d_gamma):
+            np.testing.assert_allclose(got, want, atol=1e-13)
+        res = geometry.qgt(cov.gamma, tang)
+        np.testing.assert_allclose(point.qgt.q, res.q, atol=1e-12)
+
+    def test_no_directions_solve_only_the_steady_state(self, rng):
+        point = liouvillian.point_geometry(liouvillian.shape_matrices(rand_stable_model(rng, 2)))
+        assert point.tangents is None and point.qgt is None
+        assert np.all(np.isfinite(point.gamma))
+
+
 class TestReservoirChainRing:
     def test_symbol_eigenvalues_match_closed_forms(self):
         from nessgeom.models import build_reservoir_chain

@@ -271,6 +271,28 @@ class TestBoundaryXY:
         expect = 4.0 * np.sqrt(2.0 * (p.h - hc) / hc)
         assert slope == pytest.approx(expect, rel=0.2)
 
+    @pytest.mark.parametrize("delta, h, n", [(1.25, 0.3, 5), (0.5, 0.30011, 12), (1.0, 0.0, 4)])
+    def test_shape_derivatives_are_exact(self, delta, h, n):
+        # X and Y are affine in (delta, h), so a central difference with
+        # step 1 is exact up to rounding
+        kappas = dict(kappa_l_plus=0.2, kappa_r_minus=0.7)
+
+        def shape(dd, hh):
+            p = models.BoundaryXYParams(delta=dd, h=hh, n=n, **kappas)
+            return liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
+
+        exact = models.boundary_xy_shape_derivatives(
+            models.BoundaryXYParams(delta=delta, h=h, n=n, **kappas)
+        )
+        assert list(exact) == ["delta", "h"]
+        steps = {"delta": (1.0, 0.0), "h": (0.0, 1.0)}
+        for name, (dd, hh) in steps.items():
+            up, dn = shape(delta + dd, h + hh), shape(delta - dd, h - hh)
+            dx, dy = exact[name]
+            fd = (up.x - dn.x) / 2.0
+            assert np.max(np.abs(dx - fd)) <= 1e-12 * np.max(np.abs(fd))
+            assert not np.any(dy) and not np.any(up.y - dn.y)
+
 
 class TestSymbolBuilders:
     def test_reservoir_chain_closed_form(self):
