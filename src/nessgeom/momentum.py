@@ -35,6 +35,21 @@ from .errors import (
 )
 
 UNIT_CIRCLE_TOL = 1e-9
+# roots of d this close to the unit circle are on it: rounding splits a
+# root on the circle into a pair straddling it
+CIRCLE_BAND = 1e-7
+# roots of d closer than this to z = 0 belong to the origin block
+ORIGIN_TOL = 1e-9
+# island contours: moment agreement and removability, relative to the
+# symbol scale times the radius; point cap; Hankel rank cut
+ISLAND_TOL = 1e-10
+ISLAND_MAX_POINTS = 1 << 12
+HANKEL_RANK_TOL = 1e-8
+# Newton steps on det xhat for roots of unresolved islands (linear at a double root)
+NEWTON_STEPS = 60
+# fixed generic projection of the 2x2 island moments onto scalars
+_PROJ_U = np.array([1.0, 0.6 + 0.3j])
+_PROJ_V = np.array([0.7 - 0.4j, 1.0])
 # angles at which ``rationalize`` checks the continuation against grid solves
 RATIONAL_CHECK_ANGLES = 32
 # coarse scan of ``gap_on_circle`` before the golden-section polish
@@ -207,14 +222,14 @@ class RationalSymbol:
     ``eta`` has shape (2, 2, deg+1): ascending coefficients of ``z^K eta``;
     ``d`` the ascending coefficients of ``z^K d``.  The shift K cancels in
     the ratio, so poles and residues may be read off the stored
-    polynomials directly.  ``model`` is the source chain, kept so that
-    near-pinch refinements can fall back on well-conditioned local solves.
+    polynomials directly.  ``model`` is the source chain, kept for the
+    well-conditioned local solves of the island contours and the decay fit.
     """
 
     eta: np.ndarray
     d: np.ndarray
     shift: int
-    model: "SymbolModel | None" = None
+    model: SymbolModel
 
     def gamma_at(self, z: complex | np.ndarray) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -350,31 +365,48 @@ def _contour_integral(
     func: Callable[[np.ndarray], np.ndarray],
     center: complex,
     radius: float,
-    points: int = 256,
-    tol: float = 1e-11,
-) -> np.ndarray:
-    """(1/2 pi i) closed contour integral of ``func`` around ``center``.
+    points: int = 32,
+    tol: float = 1e-10,
+    max_points: int = 1 << 17,
+    floor: float = 0.0,
+) -> tuple[np.ndarray, int]:
+    """(1/2 pi i) closed contour integral of ``func`` around ``center``,
+    returned with the number of trapezoid points it took.
 
-    Trapezoid samples are doubled until two successive estimates agree;
-    convergence is geometric in the clearance between the contour and the
-    nearest singularity, so tight geometries simply take more points.
+    Samples are doubled, reusing the earlier ones, until two successive
+    estimates agree to ``tol * max(sum |f| |dz|, floor)``: the integrand's
+    size on the contour, not the size of the result.  Convergence is
+    geometric in the clearance between the contour and the nearest
+    singularity.  At ``max_points`` the last estimate is carried by
+    ``NoConvergence``.
     """
 
-    def estimate(m: int) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(m) / m
-        z = center + radius * np.exp(1j * theta)
-        vals = func(z)
-        dz = 1j * radius * np.exp(1j * theta)
-        return np.tensordot(vals, dz, axes=(0, 0)) / (1j * m)
+    def sample(theta: np.ndarray) -> np.ndarray:
+        return np.asarray(func(center + radius * np.exp(1j * theta)))
 
-    prev = estimate(points)
-    while points < (1 << 17):
+    def estimate(vals: np.ndarray) -> tuple[np.ndarray, float]:
+        m = vals.shape[0]
+        step = radius * np.exp(2j * np.pi * np.arange(m) / m)
+        size = np.sum(np.max(np.abs(vals).reshape(m, -1), axis=1)) * 2.0 * np.pi * radius / m
+        return np.tensordot(vals, step, axes=(0, 0)) / m, float(size)
+
+    vals = sample(2.0 * np.pi * np.arange(points) / points)
+    prev, _ = estimate(vals)
+    while points < max_points:
         points *= 2
-        cur = estimate(points)
-        if np.max(np.abs(cur - prev)) <= tol * max(1.0, float(np.max(np.abs(cur)))):
-            return cur
+        both = np.empty((points,) + vals.shape[1:], dtype=complex)
+        both[0::2] = vals
+        both[1::2] = sample((2.0 * np.pi * np.arange(points) / points)[1::2])
+        vals = both
+        cur, size = estimate(vals)
+        if np.max(np.abs(cur - prev)) <= tol * max(size, floor):
+            return cur, points
         prev = cur
-    return prev
+    raise NoConvergence(
+        f"contour integral did not settle within {max_points} points "
+        "(singularity on the contour?)",
+        last_estimate=prev,
+    )
 
 
 def _symbol_scale(rational: RationalSymbol) -> float:
@@ -383,51 +415,153 @@ def _symbol_scale(rational: RationalSymbol) -> float:
     return float(max(np.max(np.abs(vals)), 1e-12))
 
 
-def pole_structure(rational: RationalSymbol) -> tuple[list[dict], np.ndarray]:
-    """Islands of denominator roots with removability verdicts.
+def _det_xhat(model: SymbolModel, z: np.ndarray) -> np.ndarray:
+    """``det xhat(z)`` by local assembly: the roots of ``d(z)``, well conditioned."""
+    return np.linalg.det(_xhat(model.x_at(z), model.x_at(1.0 / z)))
 
-    Multiple roots split by rounding are re-merged by single-linkage; an
-    island is removable when the contour integral of gamma~ around it is
-    negligible against the symbol scale (unit-circle roots of d are
-    guaranteed removable by the structure of the adjugate solution).
-    Islands hugging the unit circle are kept as candidates and left to the
-    decay-based refinement.
+
+@dataclass(frozen=True)
+class Island:
+    """Linked roots of ``d(z)`` inside or on the unit circle, with the verdict
+    of a contour of local solves around them.
+
+    ``side`` is -1 inside the disk and 0 on the circle (within
+    ``CIRCLE_BAND``).  ``poles`` are the poles of gamma~ the contour located:
+    empty when the island is removable, None when the contour could not
+    resolve it (too little clearance, a root count that disagrees with the
+    winding of ``det xhat``, or no convergence).
+    """
+
+    members: np.ndarray
+    center: complex
+    side: int
+    radius: float
+    poles: np.ndarray | None
+    points: int = 0
+
+    @property
+    def resolved(self) -> bool:
+        return self.poles is not None
+
+    @property
+    def removable(self) -> bool:
+        return self.poles is not None and self.poles.size == 0
+
+
+def _side(z: complex) -> int:
+    """-1 inside the unit disk, 0 on the circle (within ``CIRCLE_BAND``), +1 outside."""
+    off = abs(z) - 1.0
+    return 0 if abs(off) <= CIRCLE_BAND else int(np.sign(off))
+
+
+def _hankel_nodes(s: np.ndarray) -> np.ndarray | None:
+    """Nodes ``w_j`` of moments ``s_k = sum_j c_j w_j^k`` (confluent nodes
+    included) from the rank-revealed Hankel pencil; None when rank 0."""
+    n = s.size // 2
+    idx = np.add.outer(np.arange(n), np.arange(n))
+    h0, h1 = s[idx], s[idx + 1]
+    sv = np.linalg.svd(h0, compute_uv=False)
+    k = int(np.sum(sv > HANKEL_RANK_TOL * sv[0]))
+    if k == 0:
+        return None
+    return np.linalg.eigvals(np.linalg.solve(h0[:k, :k], h1[:k, :k]))
+
+
+def _resolve_island(
+    model: SymbolModel,
+    members: np.ndarray,
+    others: np.ndarray,
+    scale: float,
+) -> Island:
+    """Decide one island by the moments ``s_k = (1/2 pi i) oint ((z-c)/r)^k
+    gamma~(z) dz``, k = 0 .. 2m+1, on a circle of radius half its clearance.
+
+    The island is removable when every moment is negligible against the
+    symbol scale; otherwise its poles are ``c + r eig(H0^-1 H1)`` of the
+    Hankel pencil of the projected moments (Kravanja & Van Barel).
+    """
+    center = complex(np.mean(members))
+    side = _side(members[0])
+    spread = float(np.max(np.abs(members - center)))
+    bounds = [abs(center)] + ([1.0 - abs(center)] if side < 0 else [])
+    if others.size:
+        bounds.append(float(np.min(np.abs(others - center))))
+    clearance = min(bounds)
+    radius = 0.5 * clearance
+    unresolved = Island(members, center, side, radius, None)
+    if clearance <= 4.0 * spread:
+        return unresolved
+    m = members.size
+    powers = np.arange(2 * m + 2)
+
+    def moments(z: np.ndarray) -> np.ndarray:
+        weights = ((z - center) / radius)[:, None] ** powers
+        return weights[:, :, None, None] * gamma_at_points(model, z)[:, None]
+
+    try:
+        s, points = _contour_integral(
+            moments, center, radius, tol=ISLAND_TOL, max_points=ISLAND_MAX_POINTS
+        )
+    except (NoConvergence, CriticalAngle):
+        return unresolved
+    dets = _det_xhat(model, center + radius * np.exp(2j * np.pi * np.arange(points) / points))
+    winding = np.sum(np.angle(np.roll(dets, -1) * np.conj(dets))) / (2.0 * np.pi)
+    if round(winding) != m:
+        return unresolved
+    if np.max(np.abs(s)) < ISLAND_TOL * scale * radius:
+        return Island(members, center, side, radius, np.empty(0, dtype=complex), points)
+    nodes = _hankel_nodes(np.einsum("a,kab,b->k", _PROJ_U, s, _PROJ_V))
+    if nodes is None or np.any(np.abs(nodes) >= 1.0):
+        return unresolved
+    return Island(members, center, side, radius, center + radius * nodes, points)
+
+
+def pole_structure(rational: RationalSymbol) -> tuple[list[Island], np.ndarray]:
+    """Islands of denominator roots inside and on the unit circle, each
+    decided by a contour of local solves, and all roots of ``d``.
+
+    Roots are linked only on the same side of the circle; roots outside
+    the disk and the origin block (the finite-range piece) are not
+    islands.  An island the contour cannot resolve keeps ``poles=None``.
     """
     roots = numerics.polynomial_roots(rational.d)
-    scale = _symbol_scale(rational)
-    out = []
     if roots.size == 0:
-        return out, roots
-    for g in _link_islands(roots, threshold=1e-6):
-        members = roots[g]
-        center = complex(np.mean(members))
-        spread = float(np.max(np.abs(members - center))) if len(g) > 1 else 0.0
-        others = np.delete(roots, g)
-        gap = float(np.min(np.abs(others - center))) if others.size else np.inf
-        near_circle = abs(abs(center) - 1.0) <= max(10.0 * spread, 1e-3)
-        radius = min(0.45 * gap, 0.45 * abs(center), max(3.0 * spread, 1e-3))
-        clean = (not near_circle) and radius > 1.5 * spread and radius < abs(
-            abs(center) - 1.0
-        )
-        if clean:
-            strength = _contour_integral(rational.gamma_at, center, radius)
-            removable = bool(np.max(np.abs(strength)) < 1e-10 * scale)
-        else:
-            strength = None
-            removable = False  # decided downstream by the decay refinement
-        out.append(
-            {
-                "center": center,
-                "members": members,
-                "multiplicity": len(g),
-                "spread": spread,
-                "radius": radius,
-                "clean": clean,
-                "removable": removable,
-                "strength": strength,
-            }
-        )
+        return [], roots
+    model = rational.model
+    scale = _symbol_scale(rational)
+
+    def islands(roots: np.ndarray) -> tuple[list[Island], list[list[int]]]:
+        out, groups = [], []
+        for g in _link_islands(roots, threshold=1e-6):
+            members = roots[g]
+            if _side(members[0]) > 0 or abs(np.mean(members)) < ORIGIN_TOL:
+                continue
+            out.append(_resolve_island(model, members, np.delete(roots, g), scale))
+            groups.append(g)
+        return out, groups
+
+    out, groups = islands(roots)
+    stuck = [i for isl, g in zip(out, groups) if not isl.resolved for i in g]
+    if stuck:
+        # rounding scatters near-multiple roots of the polynomial; Newton on
+        # the locally evaluated det xhat brings them back before a retry
+        roots = roots.copy()
+        roots[stuck] = _newton_roots(model, roots[stuck])
+        out, _ = islands(roots)
     return out, roots
+
+
+def _newton_roots(model: SymbolModel, z: np.ndarray) -> np.ndarray:
+    """Batched Newton steps on ``det xhat``; a start that leaves the finite plane stays."""
+    start = z
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            h = 1e-7 * np.maximum(np.abs(z), 1e-3)
+            step = _det_xhat(model, z) * 2.0 * h / (
+                _det_xhat(model, z + h) - _det_xhat(model, z - h)
+            )
+            z = np.where(np.isfinite(step), z - step, z)
+    return np.where(np.isfinite(z), z, start)
 
 
 def _xi_by_decay(rational: RationalSymbol) -> float:
@@ -436,8 +570,10 @@ def _xi_by_decay(rational: RationalSymbol) -> float:
     One FFT of gamma~ on a fine circle grid gives every gamma(r) at once;
     the slope of ``ln ||gamma(r)||`` over the clean part of the decay is
     immune to the root-splitting noise that plagues near-multiple poles.
-    The grid grows until the window has decayed through several decades
-    (or the sequence is flat: criticality).
+    The grid grows until the window has decayed through several decades;
+    a flat tail reads as criticality (inf), and a tail that still decays
+    but never falls through them within 2^20 angles raises
+    ``NoConvergence`` with the fit it would have returned.
     """
     n_fft = 1 << 13
     while True:
@@ -445,16 +581,13 @@ def _xi_by_decay(rational: RationalSymbol) -> float:
         # it only changes gamma(r) by a pure phase, so the norms are exact
         phis = 2.0 * np.pi * (np.arange(n_fft) + 0.5) / n_fft
         try:
-            if rational.model is not None:
-                # pointwise solves stay well conditioned at a near-critical
-                # pinch, where the polynomial ratio hits its cancellation floor
-                vals = _solve_blocks(
-                    rational.model.x_tilde(phis),
-                    rational.model.x_tilde(-phis),
-                    rational.model.y_tilde(phis),
-                )
-            else:
-                vals = rational.gamma_at(np.exp(1j * phis))
+            # pointwise solves stay well conditioned at a near-critical
+            # pinch, where the polynomial ratio hits its cancellation floor
+            vals = _solve_blocks(
+                rational.model.x_tilde(phis),
+                rational.model.x_tilde(-phis),
+                rational.model.y_tilde(phis),
+            )
         except CriticalAngle:
             return np.inf
         blocks = np.fft.ifft(vals, axis=0)  # gamma(r), r = 0 .. n_fft-1
@@ -477,87 +610,78 @@ def _xi_by_decay(rational: RationalSymbol) -> float:
         slope = np.polyfit(rs[sel][good], np.log(tail[sel][good]), 1)[0]
         if not np.isfinite(slope) or slope >= -1e-9:
             return np.inf
+        if below_hi.size == 0:
+            raise NoConvergence(
+                f"gamma(r) did not decay through 1e-7 of its peak within {n_fft} angles",
+                last_estimate=float(-1.0 / slope),
+            )
         return float(-1.0 / slope)
 
 
 def correlation_length(rational: RationalSymbol) -> CorrelationLength:
-    """Dominant non-removable pole inside the unit disk and ``xi = -1/ln|z|``.
+    """Outermost non-removable pole inside the unit disk and ``xi = -1/ln|z|``.
 
-    Clean well-separated islands give the pole location directly; islands
-    whose rounding spread is comparable to their distance from the unit
-    circle (the near-critical pinch) hand over to the decay-slope
-    refinement, which also decides apparent criticality.
+    The poles come from the island contours of ``pole_structure``.  Only
+    when an island the contours could not resolve might hold the
+    outermost pole (the near-critical pinch, where the roots of ``d``
+    scatter) does the decay fit of ``_xi_by_decay`` decide.
     """
-    clusters, _ = pole_structure(rational)
-    candidates = []
-    for c in clusters:
-        inside_members = c["members"][np.abs(c["members"]) < 1.0 - UNIT_CIRCLE_TOL]
-        if inside_members.size == 0 or c["removable"]:
-            continue
-        if np.max(np.abs(inside_members)) < 1e-12:
-            continue  # origin block: finite-range piece, no decay scale
-        candidates.append((c, inside_members))
-    if not candidates:
+    islands, _ = pole_structure(rational)
+    poles = np.concatenate([isl.poles for isl in islands if isl.resolved] + [np.empty(0)])
+    on_circle = poles[np.abs(np.abs(poles) - 1.0) <= UNIT_CIRCLE_TOL]
+    if on_circle.size:
+        return CorrelationLength(xi=np.inf, dominant_pole=complex(on_circle[0]), kind="critical")
+    inside = poles[np.abs(poles) < 1.0]
+    z0 = complex(inside[np.argmax(np.abs(inside))]) if inside.size else None
+    r_dom = abs(z0) if z0 is not None else 0.0
+    pending = [
+        isl
+        for isl in islands
+        if not isl.resolved and float(np.max(np.abs(isl.members))) + isl.radius >= r_dom
+    ]
+    if pending:
+        members = np.concatenate([isl.members for isl in pending])
+        z0 = complex(members[np.argmax(np.abs(members))])
+        xi = _xi_by_decay(rational)
+        if not np.isfinite(xi):
+            return CorrelationLength(xi=np.inf, dominant_pole=z0, kind="critical")
+        return CorrelationLength(
+            xi=float(xi), dominant_pole=np.exp(-1.0 / xi) * z0 / abs(z0), kind="finite"
+        )
+    if z0 is None:
         return CorrelationLength(xi=0.0, dominant_pole=None, kind="short_range_trivial")
-    dom, inside_members = max(
-        candidates, key=lambda ci: float(np.max(np.abs(ci[1])))
-    )
-    z0 = complex(inside_members[np.argmax(np.abs(inside_members))])
-    if dom["clean"]:
-        return CorrelationLength(xi=-1.0 / np.log(abs(z0)), dominant_pole=z0, kind="finite")
-    xi = _xi_by_decay(rational)
-    if not np.isfinite(xi):
-        return CorrelationLength(xi=np.inf, dominant_pole=z0, kind="critical")
-    zr = np.exp(-1.0 / xi)
-    return CorrelationLength(
-        xi=float(xi), dominant_pole=zr * z0 / abs(z0), kind="finite"
-    )
+    return CorrelationLength(xi=float(-1.0 / np.log(abs(z0))), dominant_pole=z0, kind="finite")
 
 
 def real_space_correlation(rational: RationalSymbol, r: int) -> np.ndarray:
     """Real-space block ``gamma(r) = sum Res_{z in disk} [z^{r-1} gamma~(z)]``.
 
-    Simple well-separated poles use the direct residue formula; clusters
-    and the ``z = 0`` contribution (present for small ``r``) go through
-    contour integration, which is what keeps multiple poles exact.
+    Each non-removable island of ``pole_structure`` contributes the
+    integral of ``z^{r-1} gamma~`` over its own contour, and one small
+    circle around ``z = 0`` adds the origin block (present for small
+    ``r``).  When an island is unresolved or sits on the unit circle, one
+    mid-annulus contour over the whole disk is used instead.
     """
     if r < 0:
         raise DimensionMismatch("r must be a nonnegative integer")
-    clusters, all_roots = pole_structure(rational)
-    d_der = npoly.polyder(rational.d)
-    total = np.zeros((2, 2), dtype=complex)
+    islands, roots = pole_structure(rational)
 
     def weighted(z):
-        return rational.gamma_at(z) * (z ** (r - 1))[:, None, None]
+        return gamma_at_points(rational.model, z) * (z ** (r - 1))[:, None, None]
 
-    relevant = [
-        c
-        for c in clusters
-        if not c["removable"]
-        and np.any(np.abs(c["members"]) < 1.0 - UNIT_CIRCLE_TOL)
-        and abs(c["center"]) > 1e-12
-    ]
-    if any(not c["clean"] for c in relevant):
-        # messy island (near-critical pinch or unresolvable multiplet): the
-        # contour-integration fallback, one mid-annulus circle
+    poles = [isl for isl in islands if not isl.removable]
+    if any(not isl.resolved or isl.side == 0 for isl in poles):
         return _residue_sum_unit_disk(
             weighted,
-            all_roots,
+            roots,
             _symbol_scale(rational),
             "real-space correlation: non-removable pole on the unit circle",
         )
-    for c in relevant:
-        z0, mult = c["center"], c["multiplicity"]
-        if mult == 1:
-            num = npoly.polyval(z0, rational.eta.reshape(4, -1).T).reshape(2, 2)
-            total += z0 ** (r - 1) * num / npoly.polyval(z0, d_der)
-        else:
-            total += _contour_integral(weighted, z0, c["radius"])
-    # z = 0 contribution: Laurent parts of gamma~ plus the z^{r-1} factor
-    zero_radius = 0.3 * min(
-        [abs(c["center"]) - c["radius"] for c in relevant] + [1.0]
-    )
-    total += _contour_integral(weighted, 0.0, max(zero_radius, 1e-9))
+    total = np.zeros((2, 2), dtype=complex)
+    for isl in poles:
+        total += _contour_integral(weighted, isl.center, isl.radius)[0]
+    away = np.abs(roots)[np.abs(roots) >= ORIGIN_TOL]
+    total += _contour_integral(weighted, 0.0, 0.5 * min([1.0, *away]))[0]
     return total
 
 
@@ -713,8 +837,13 @@ def _muc_residue(builder, params, pair) -> float:
 
 
 def _link_islands(roots: np.ndarray, threshold: float) -> list[list[int]]:
-    """Single-linkage grouping: noise-split multiple roots re-merge here."""
+    """Single-linkage grouping: noise-split multiple roots re-merge here.
+
+    Two roots link when they lie on the same side of the unit circle and
+    within ``max(threshold, 1e-3 |z|)`` of each other.
+    """
     n = roots.size
+    sides = [_side(z) for z in roots]
     parent = list(range(n))
 
     def find(i):
@@ -725,8 +854,8 @@ def _link_islands(roots: np.ndarray, threshold: float) -> list[list[int]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            link = max(threshold, 0.08 * max(abs(roots[i]), abs(roots[j])))
-            if abs(roots[i] - roots[j]) <= link:
+            link = max(threshold, 1e-3 * max(abs(roots[i]), abs(roots[j])))
+            if sides[i] == sides[j] and abs(roots[i] - roots[j]) <= link:
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -747,7 +876,7 @@ def _residue_sum_unit_disk(
     singularity; roots within 1e-7 of the circle are probed for
     boundedness first (removable pinches pass, true critical poles raise).
     """
-    band = max(UNIT_CIRCLE_TOL, 1e-7)
+    band = CIRCLE_BAND
     on_circle = roots[np.abs(np.abs(roots) - 1.0) <= band] if roots.size else roots
     for z0 in on_circle:
         probe = z0 / abs(z0) * (1.0 - 1e-4)
@@ -756,7 +885,9 @@ def _residue_sum_unit_disk(
     inner = roots[np.abs(roots) < 1.0 - band] if roots.size else roots
     r_in = float(np.max(np.abs(inner))) if inner.size else 0.0
     rho = 0.5 * (1.0 + r_in)
-    return _contour_integral(func, 0.0, rho, points=1024, tol=1e-13)
+    # the floor of 1 keeps the O(1) densities summed here at their old
+    # stopping points: below it they sit at their noise floor
+    return _contour_integral(func, 0.0, rho, points=1024, tol=1e-13, floor=1.0)[0]
 
 
 def gap_on_circle(model: SymbolModel) -> float:

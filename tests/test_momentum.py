@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nessgeom import momentum, numerics
-from nessgeom.errors import CriticalAngle, DimensionMismatch, NotFiniteRange
+from nessgeom.errors import CriticalAngle, DimensionMismatch, NoConvergence, NotFiniteRange
 from nessgeom.models import build_reservoir_chain, build_rotated_xy_dissipative
 
 
@@ -165,24 +165,102 @@ class TestCorrelationLength:
         assert abs(cl.dominant_pole) == pytest.approx(3 - 2 * np.sqrt(2), rel=1e-6)
 
     def test_divergence_towards_minus_one(self):
-        xi_values = []
-        for lam in (-0.99, -0.999, -0.9995):
-            cl = momentum.correlation_length(momentum.rationalize(reservoir(lam, 0.3)))
-            xi_values.append(cl.xi)
-        assert xi_values[0] < xi_values[1] < xi_values[2]
-        assert xi_values[2] > 1e3
+        for theta in (0.0, 0.3):
+            xi_values = []
+            for lam in (-0.99, -0.999, -0.9995):
+                cl = momentum.correlation_length(momentum.rationalize(reservoir(lam, theta)))
+                xi_values.append(cl.xi)
+            assert xi_values[0] < xi_values[1] < xi_values[2]
+            assert xi_values[2] > 1e3
 
     def test_exact_critical_point(self):
         cl = momentum.correlation_length(momentum.rationalize(reservoir(-1.0, 0.3)))
         assert cl.kind in ("critical", "short_range_trivial")
 
     def test_analytic_pole_positions(self):
-        for lam in (-0.99, 0.5, 2.0):
-            cl = momentum.correlation_length(momentum.rationalize(reservoir(lam, 0.3)))
-            b = 2.0 * (1 + lam + lam**2)
-            roots = np.roots([lam, b, lam])
-            zin = np.min(np.abs(roots))
-            assert cl.xi == pytest.approx(-1.0 / np.log(zin), rel=1e-3)
+        for theta in (0.0, 0.3):
+            for lam in (-1.9, -1.3, -1.04, -0.99, -0.96, 0.06, 0.5, 1.0, 2.0):
+                cl = momentum.correlation_length(momentum.rationalize(reservoir(lam, theta)))
+                b = 2.0 * (1 + lam + lam**2)
+                roots = np.roots([lam, b, lam])
+                zin = np.min(np.abs(roots))
+                assert cl.kind == "finite"
+                assert cl.xi == pytest.approx(-1.0 / np.log(zin), rel=1e-10)
+
+    def test_rotated_xy_critical_cell_matches_real_axis_bisection(self):
+        # h = 1: d(z) has a reciprocal pair at 1 -+ 1.25e-6, so xi ~ 8e5 is
+        # far longer than any FFT window; the reference root of the locally
+        # assembled det xhat(x) is bisected on the real axis
+        model = rot_xy(delta=0.5, h=1.0, theta=0.0, mu_minus=1.0, mu_plus=0.5)
+
+        def det_re(x):
+            z = np.array([x])
+            return np.linalg.det(momentum._xhat(model.x_at(z), model.x_at(1.0 / z)))[0].real
+
+        lo, hi = 1.0 - 1e-5, 1.0 - 1e-7
+        f_lo = det_re(lo)
+        assert f_lo * det_re(hi) < 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if np.sign(det_re(mid)) == np.sign(f_lo):
+                lo = mid
+            else:
+                hi = mid
+        xi_ref = -1.0 / np.log(0.5 * (lo + hi))
+        cl = momentum.correlation_length(momentum.rationalize(model))
+        assert cl.kind == "finite"
+        assert cl.xi == pytest.approx(xi_ref, rel=1e-8)
+        assert cl.xi == pytest.approx(799999.99997, rel=1e-8)
+
+    def test_rotated_xy_near_critical_matches_tail_ratio(self):
+        # h = 0.999: one pole dominates gamma(r) for r >= 2000, so the ratio
+        # of FFT tail norms at r = 2000 and 4000 gives xi to rounding
+        model = rot_xy(delta=0.5, h=0.999, theta=0.0, mu_minus=1.0, mu_plus=0.5)
+        n = 1 << 18
+        phis = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        blocks = np.fft.ifft(momentum.symbol_covariance(model, phis), axis=0)
+        norms = np.linalg.norm(blocks.reshape(n, 4), axis=1)
+        xi_ref = 2000.0 / np.log(norms[2000] / norms[4000])
+        cl = momentum.correlation_length(momentum.rationalize(model))
+        assert cl.xi == pytest.approx(xi_ref, rel=1e-8)
+        assert cl.xi == pytest.approx(498.99823, rel=1e-7)
+
+    def test_island_contour_resolves_critical_cell(self):
+        # the inside root at 1 - 1.25e-6 is one island whose contour of
+        # local solves converges quickly and whose winding matches
+        rat = momentum.rationalize(rot_xy(delta=0.5, h=1.0, theta=0.0, mu_minus=1.0,
+                                          mu_plus=0.5))
+        islands, _ = momentum.pole_structure(rat)
+        outer = max(islands, key=lambda isl: abs(isl.center))
+        assert outer.resolved and not outer.removable
+        assert outer.points <= 256
+        assert abs(outer.poles[0]) == pytest.approx(1.0 - 1.25e-6, abs=1e-11)
+
+    def test_decay_fit_refuses_a_window_shorter_than_xi(self):
+        # at h = 1 the tail never falls through 1e-7 of its peak within 2^20
+        # angles; the fit of what is left (about 1.16e6) must not be returned
+        rat = momentum.rationalize(rot_xy(delta=0.5, h=1.0, theta=0.0, mu_minus=1.0,
+                                          mu_plus=0.5))
+        with pytest.raises(NoConvergence) as err:
+            momentum._xi_by_decay(rat)
+        assert err.value.last_estimate is not None
+
+
+class TestContourIntegral:
+    def test_residue_of_simple_pole(self):
+        val, points = momentum._contour_integral(
+            lambda z: 3.0 / (z - 0.2), 0.0, 0.5, tol=1e-12
+        )
+        assert val == pytest.approx(3.0, abs=1e-12)
+        assert points <= 256
+
+    def test_pole_on_contour_raises_with_estimate(self):
+        pole = np.exp(0.3j)  # on the unit circle, never on a sample point
+        with pytest.raises(NoConvergence) as err:
+            momentum._contour_integral(lambda z: 1.0 / (z - pole), 0.0, 1.0)
+        assert err.value.last_estimate is not None
 
 
 class TestRealSpaceCorrelation:
