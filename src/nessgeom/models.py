@@ -548,6 +548,17 @@ def build_reservoir_chain(lam: float, theta: float) -> SymbolModel:
     l0 = np.array([np.cos(theta), -np.sin(theta)])
     l1 = 1j * np.array([np.sin(theta), np.cos(theta)])
     fam = {0: (1.0 + lam) * l0 / nl, 1: l1 / nl, 2: lam * l1 / nl}
+    # exact derivative families: quotient rule in lam, l0' = -(sin t, cos t)
+    # and l1' = i (cos t, -sin t) in theta
+    dnl = 4.0 * (2.0 * lam + 1.0)
+    dfam_lam = {
+        0: (nl - (1.0 + lam) * dnl) / nl**2 * l0,
+        1: -dnl / nl**2 * l1,
+        2: (nl - lam * dnl) / nl**2 * l1,
+    }
+    dl0 = -np.array([np.sin(theta), np.cos(theta)])
+    dl1 = 1j * np.array([np.cos(theta), -np.sin(theta)])
+    dfam_theta = {0: (1.0 + lam) * dl0 / nl, 1: dl1 / nl, 2: lam * dl1 / nl}
 
     def gamma_closed(phis: np.ndarray) -> np.ndarray:
         v = _reservoir_vector(phis, lam, theta)
@@ -563,6 +574,7 @@ def build_reservoir_chain(lam: float, theta: float) -> SymbolModel:
         params={"lam": lam, "theta": theta},
         gamma_symbol=gamma_closed,
         dgamma_symbols=dgamma,
+        dl={"lam": [dfam_lam], "theta": [dfam_theta]},
     )
 
 
@@ -641,11 +653,36 @@ def build_rotated_xy_dissipative(
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     h0 = np.array([[0.0, -0.5j * h], [0.5j * h, 0.0]])
     h1 = np.array([[0.0, 0.25j * (1.0 - delta)], [-0.25j * (1.0 + delta), 0.0]])
-    blocks = {0: rot @ h0 @ rot.T, 1: rot @ h1 @ rot.T, -1: -(rot @ h1 @ rot.T).T}
+
+    def ring(b0, b1):
+        return {0: b0, 1: b1, -1: -b1.T}
+
+    def turned(a):
+        return rot @ a @ rot.T
+
+    blocks = ring(turned(h0), turned(h1))
+    c_minus, c_plus = np.array([0.5, -0.5j]), np.array([0.5, 0.5j])
     jumps = [
-        {0: epsilon * mu_minus * np.array([0.5, -0.5j])},  # c_r
-        {0: epsilon * mu_plus * np.array([0.5, 0.5j])},  # c_r^dag
+        {0: epsilon * mu_minus * c_minus},  # c_r
+        {0: epsilon * mu_plus * c_plus},  # c_r^dag
     ]
+    # exact derivative blocks: h and delta enter h0 and h1 linearly, and
+    # d rot / d theta is the rotation by theta + pi/2
+    drot = np.array([[-np.sin(theta), -np.cos(theta)], [np.cos(theta), -np.sin(theta)]])
+
+    def dturned(a):
+        return drot @ a @ rot.T + rot @ a @ drot.T
+
+    dh = {
+        "h": ring(turned(np.array([[0.0, -0.5j], [0.5j, 0.0]])), np.zeros((2, 2))),
+        "delta": ring(np.zeros((2, 2)), turned(np.array([[0.0, -0.25j], [-0.25j, 0.0]]))),
+        "theta": ring(dturned(h0), dturned(h1)),
+    }
+    dl = {
+        "mu_minus": [{0: epsilon * c_minus}, {}],
+        "mu_plus": [{}, {0: epsilon * c_plus}],
+        "epsilon": [{0: mu_minus * c_minus}, {0: mu_plus * c_plus}],
+    }
     q_pol = (mu_minus**2 - mu_plus**2) / (mu_minus**2 + mu_plus**2)
 
     def closed(phis: np.ndarray) -> np.ndarray:
@@ -663,6 +700,8 @@ def build_rotated_xy_dissipative(
                 "mu_minus": mu_minus, "mu_plus": mu_plus, "epsilon": epsilon},
         gamma_symbol=closed,
         dgamma_symbols=dgamma,
+        dh=dh,
+        dl=dl,
     )
 
 

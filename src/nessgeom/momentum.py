@@ -20,6 +20,7 @@ curvature per site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -54,46 +55,74 @@ _PROJ_V = np.array([0.7 - 0.4j, 1.0])
 RATIONAL_CHECK_ANGLES = 32
 # coarse scan of ``gap_on_circle`` before the golden-section polish
 GAP_SCAN_ANGLES = 512
-# relative central-difference step of the MUC parameter derivatives
-DIFF_STEP = 1e-6
+
+
+def _h_blocks(blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+    out = {int(u): np.asarray(b, dtype=complex) for u, b in blocks.items()}
+    if any(b.shape != (2, 2) for b in out.values()):
+        raise DimensionMismatch("h blocks must be 2x2")
+    return out
+
+
+def _jump_families(jumps: Sequence[Mapping[int, np.ndarray]]) -> tuple:
+    return tuple(
+        {int(u): np.asarray(v, dtype=complex).reshape(2) for u, v in fam.items()}
+        for fam in jumps
+    )
+
+
+def _bath_blocks(left: Sequence[Mapping], right: Sequence[Mapping]) -> dict[int, np.ndarray]:
+    """Blocks of ``sum_{a,r} l_{a,r} l'_{a,r}^dag`` pairing family a of ``left``
+    with family a of ``right``, in the (s - r) block convention shared by
+    every circulant matrix here:
+
+        m(u) = M_{(s),(s+u)} = sum_{a,v} l_a(v) (x) l'_a(v+u)^dag
+    """
+    blocks: dict[int, np.ndarray] = {}
+    for lfam, rfam in zip(left, right):
+        for u1 in sorted(lfam):
+            for u2 in sorted(rfam):
+                u = u2 - u1
+                blocks.setdefault(u, np.zeros((2, 2), dtype=complex))
+                blocks[u] += np.outer(lfam[u1], rfam[u2].conj())
+    return blocks
 
 
 @dataclass
 class SymbolModel:
-    """Momentum-space description of a translationally invariant chain."""
+    """Momentum-space description of a translationally invariant chain.
+
+    ``dh`` and ``dl`` hold the exact derivatives of the blocks along the
+    parameters the builder differentiates: ``dh[name]`` maps offsets to 2x2
+    blocks, ``dl[name]`` has one family per jump family (absent offsets and
+    absent names are zero).  The bath derivative ``dm_blocks[name]`` follows
+    by the product rule, ``dm = (dl, l) + (l, dl)`` in ``_bath_blocks``.
+    """
 
     h_blocks: Mapping[int, np.ndarray]
     jumps: Sequence[Mapping[int, np.ndarray]]
     params: dict = field(default_factory=dict)
     gamma_symbol: Callable[[np.ndarray], np.ndarray] | None = None
     dgamma_symbols: Mapping[str, Callable[[np.ndarray], np.ndarray]] | None = None
+    dh: Mapping[str, Mapping[int, np.ndarray]] = field(default_factory=dict)
+    dl: Mapping[str, Sequence[Mapping[int, np.ndarray]]] = field(default_factory=dict)
     m_blocks: Mapping[int, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.h_blocks = {int(u): np.asarray(b, dtype=complex) for u, b in self.h_blocks.items()}
-        for b in self.h_blocks.values():
-            if b.shape != (2, 2):
-                raise DimensionMismatch("h blocks must be 2x2")
-        self.jumps = tuple(
-            {int(u): np.asarray(v, dtype=complex).reshape(2) for u, v in fam.items()}
-            for fam in self.jumps
-        )
-        self.m_blocks = self._bath_blocks()
+        self.h_blocks = _h_blocks(self.h_blocks)
+        self.jumps = _jump_families(self.jumps)
+        self.dh = {name: _h_blocks(b) for name, b in self.dh.items()}
+        self.dl = {name: _jump_families(f) for name, f in self.dl.items()}
+        if any(len(f) != len(self.jumps) for f in self.dl.values()):
+            raise DimensionMismatch("dl needs one family per jump family")
+        self.m_blocks = _bath_blocks(self.jumps, self.jumps)
         self._spot_check()
 
-    def _bath_blocks(self) -> dict[int, np.ndarray]:
-        # blocks of M = sum_{a,r} l_{a,r} l_{a,r}^dag in the (s - r) block
-        # convention shared by every circulant matrix here:
-        #   m(u) = M_{(s),(s+u)} = sum_{a,v} l_a(v) (x) l_a(v+u)^dag
-        blocks: dict[int, np.ndarray] = {}
-        for fam in self.jumps:
-            offs = sorted(fam)
-            for u1 in offs:
-                for u2 in offs:
-                    u = u2 - u1
-                    blocks.setdefault(u, np.zeros((2, 2), dtype=complex))
-                    blocks[u] += np.outer(fam[u1], fam[u2].conj())
-        return blocks
+    @cached_property
+    def dm_blocks(self) -> dict[str, dict[int, np.ndarray]]:
+        """Bath derivatives along each ``dl`` parameter, built on first use:
+        most models never ask for a tangent."""
+        return {name: _bath_blocks(f + self.jumps, self.jumps + f) for name, f in self.dl.items()}
 
     @property
     def reach(self) -> int:
@@ -123,13 +152,32 @@ class SymbolModel:
             out += (z ** (-u))[:, None, None] * b
         return out
 
+    def _x_at(self, h_blocks, m_blocks, z) -> np.ndarray:
+        re_blocks = {u: np.real(b) for u, b in m_blocks.items()}
+        return 4.0 * (1j * self._laurent(h_blocks, z) + self._laurent(re_blocks, z))
+
+    def _y_at(self, m_blocks, z) -> np.ndarray:
+        im_blocks = {u: np.imag(b) for u, b in m_blocks.items()}
+        return -8j * self._laurent(im_blocks, z)
+
     def x_at(self, z) -> np.ndarray:
-        re_blocks = {u: np.real(b) for u, b in self.m_blocks.items()}
-        return 4.0 * (1j * self._laurent(self.h_blocks, z) + self._laurent(re_blocks, z))
+        return self._x_at(self.h_blocks, self.m_blocks, z)
 
     def y_at(self, z) -> np.ndarray:
-        im_blocks = {u: np.imag(b) for u, b in self.m_blocks.items()}
-        return -8j * self._laurent(im_blocks, z)
+        return self._y_at(self.m_blocks, z)
+
+    def _derivative_blocks(self, name: str) -> tuple[Mapping, Mapping]:
+        if name not in self.dh and name not in self.dl:
+            raise DimensionMismatch(f"model carries no derivative blocks for {name!r}")
+        return self.dh.get(name, {}), self.dm_blocks.get(name, {})
+
+    def dx_at(self, name: str, z) -> np.ndarray:
+        """``d x(z) / d name`` from the exact derivative blocks."""
+        return self._x_at(*self._derivative_blocks(name), z)
+
+    def dy_at(self, name: str, z) -> np.ndarray:
+        """``d y(z) / d name`` from the exact derivative blocks."""
+        return self._y_at(self._derivative_blocks(name)[1], z)
 
     def x_tilde(self, phis) -> np.ndarray:
         re_blocks = {u: np.real(b) for u, b in self.m_blocks.items()}
@@ -175,13 +223,15 @@ def _xhat(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
     ).reshape(-1, 4, 4)
 
 
-def _solve_blocks(xp: np.ndarray, xm: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Batched solve of ``x+ g + g x-^T = y`` via the 4x4 vectorized form."""
+def _solve_blocks(xhat: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
+    """Batched solves of ``x+ g + g x-^T = r`` for each right-hand side ``r``
+    via the 4x4 vectorized form ``xhat``; shape (len(rhs), n, 2, 2)."""
+    b = np.stack([r.reshape(-1, 4) for r in rhs], axis=-1)
     try:
-        vec = np.linalg.solve(_xhat(xp, xm), y.reshape(-1, 4, 1))
+        vec = np.linalg.solve(xhat, b)
     except np.linalg.LinAlgError as exc:
         raise CriticalAngle(f"vectorized drift symbol is singular: {exc}") from exc
-    return vec.reshape(-1, 2, 2)
+    return np.moveaxis(vec, -1, 0).reshape(len(rhs), -1, 2, 2)
 
 
 def symbol_covariance(model: SymbolModel, phi) -> np.ndarray:
@@ -190,7 +240,7 @@ def symbol_covariance(model: SymbolModel, phi) -> np.ndarray:
     xp = model.x_tilde(phis)
     xm = model.x_tilde(-phis)
     y = model.y_tilde(phis)
-    gam = _solve_blocks(xp, xm, y)
+    gam = _solve_blocks(_xhat(xp, xm), y)[0]
     res = np.einsum("nab,nbc->nac", xp, gam) + np.einsum(
         "nab,ncb->nac", gam, xm
     ) - y
@@ -378,7 +428,8 @@ def _contour_integral(
     size on the contour, not the size of the result.  Convergence is
     geometric in the clearance between the contour and the nearest
     singularity.  At ``max_points`` the last estimate is carried by
-    ``NoConvergence``.
+    ``NoConvergence``, whose message gives the points reached and the last
+    increment as a multiple of its target.
     """
 
     def sample(theta: np.ndarray) -> np.ndarray:
@@ -392,6 +443,7 @@ def _contour_integral(
 
     vals = sample(2.0 * np.pi * np.arange(points) / points)
     prev, _ = estimate(vals)
+    excess = np.inf
     while points < max_points:
         points *= 2
         both = np.empty((points,) + vals.shape[1:], dtype=complex)
@@ -399,12 +451,15 @@ def _contour_integral(
         both[1::2] = sample((2.0 * np.pi * np.arange(points) / points)[1::2])
         vals = both
         cur, size = estimate(vals)
-        if np.max(np.abs(cur - prev)) <= tol * max(size, floor):
+        target = tol * max(size, floor)
+        step = float(np.max(np.abs(cur - prev)))
+        if step <= target:
             return cur, points
+        excess = step / target
         prev = cur
     raise NoConvergence(
-        f"contour integral did not settle within {max_points} points "
-        "(singularity on the contour?)",
+        f"contour integral did not settle at {points} points: the last doubling "
+        f"moved it by {excess:.3g} times its target",
         last_estimate=prev,
     )
 
@@ -575,6 +630,7 @@ def _xi_by_decay(rational: RationalSymbol) -> float:
     but never falls through them within 2^20 angles raises
     ``NoConvergence`` with the fit it would have returned.
     """
+    model = rational.model
     n_fft = 1 << 13
     while True:
         # half-spacing offset keeps high-symmetry critical angles off-grid;
@@ -584,10 +640,8 @@ def _xi_by_decay(rational: RationalSymbol) -> float:
             # pointwise solves stay well conditioned at a near-critical
             # pinch, where the polynomial ratio hits its cancellation floor
             vals = _solve_blocks(
-                rational.model.x_tilde(phis),
-                rational.model.x_tilde(-phis),
-                rational.model.y_tilde(phis),
-            )
+                _xhat(model.x_tilde(phis), model.x_tilde(-phis)), model.y_tilde(phis)
+            )[0]
         except CriticalAngle:
             return np.inf
         blocks = np.fft.ifft(vals, axis=0)  # gamma(r), r = 0 .. n_fft-1
@@ -700,22 +754,6 @@ def real_space_correlation_quadrature(model: SymbolModel, r: int, tol: float = 1
 # --- mean Uhlmann curvature per site -------------------------------------------
 
 
-def _central_difference(
-    builder: Callable[..., SymbolModel],
-    params: Mapping[str, float],
-    name: str,
-    evaluate: Callable[[SymbolModel, np.ndarray], np.ndarray],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``d gamma~ / d name`` by central differences of ``evaluate(model, points)``,
-    with the shifted models built once and step ``DIFF_STEP * max(1, |p|)``."""
-    h = DIFF_STEP * max(1.0, abs(params[name]))
-    up, dn = dict(params), dict(params)
-    up[name] += h
-    dn[name] -= h
-    up_model, dn_model = builder(**up), builder(**dn)
-    return lambda pts: (evaluate(up_model, pts) - evaluate(dn_model, pts)) / (2.0 * h)
-
-
 def _muc_terms(gam: np.ndarray, dmu: np.ndarray, dnu: np.ndarray) -> tuple:
     """Numerator ``(i/4) Tr{ g~ [d_mu g~, d_nu g~] }`` and ``1 - det g~`` of the
     MUC density, batched over points; a NaN symbol passes through silently."""
@@ -735,22 +773,29 @@ def muc_integrand(
         u(phi) = (i/4) Tr{ g~ [d_mu g~, d_nu g~] } / (1 - det g~)^2,
 
     set to zero where ``det g~ = 1`` (two pure eigenmodes: the continuity
-    branch, not a singularity).  Parameter derivatives are the model's
-    closed forms when it carries them, otherwise central differences.
+    branch, not a singularity).  ``g~`` and its parameter derivatives are
+    the model's closed forms when it carries them for the pair, otherwise
+    the exact tangents of ``gamma_at_points`` on the unit circle.
     Where the density is not finite, the model's own Lyapunov solve
     decides: a singular drift there raises ``CriticalAngle``, a regular
     one marks a removable 0/0 of the closed form, which the continuity
     branch also sets to zero."""
     model = builder(**params)
     closed = model.dgamma_symbols or {}
-    derivatives = [
-        closed.get(name) or _central_difference(builder, params, name, gamma_grid)
-        for name in pair
-    ]
+    if all(name in closed for name in pair):
+
+        def terms(phis: np.ndarray) -> tuple:
+            return gamma_grid(model, phis), *(closed[name](phis) for name in pair)
+
+    else:
+
+        def terms(phis: np.ndarray) -> tuple:
+            gam, tangents = gamma_at_points(model, np.exp(1j * phis), pair)
+            return gam, *tangents
 
     def u_of(phis: np.ndarray) -> np.ndarray:
         phis = np.atleast_1d(phis)
-        num, one_minus = _muc_terms(gamma_grid(model, phis), *(f(phis) for f in derivatives))
+        num, one_minus = _muc_terms(*terms(phis))
         bad = ~(np.isfinite(num) & np.isfinite(one_minus))
         if np.any(bad) and not np.all(np.isfinite(symbol_covariance(model, phis[bad]))):
             raise CriticalAngle("MUC density is not finite: critical angle on the grid")
@@ -783,30 +828,47 @@ def muc_per_site(
     return _muc_residue(builder, params, pair)
 
 
-def gamma_at_points(model: SymbolModel, z: np.ndarray) -> np.ndarray:
+def gamma_at_points(model: SymbolModel, z: np.ndarray, along: Sequence[str] = ()):
     """Covariance symbol continued to arbitrary complex points by local solves.
 
     Solving ``x(z) g + g x(1/z)^T = y(z)`` pointwise avoids the valley
     amplification that global polynomial numerators suffer near multiple
-    roots, so values stay accurate wherever the system is regular.
+    roots, so values stay accurate wherever the system is regular.  With
+    parameter names, the exact tangents
+
+        x(z) dg + dg x(1/z)^T = dy(z) - dx(z) g - g dx(1/z)^T
+
+    are solved on the same 4x4 system from the model's derivative blocks,
+    and ``(g, dg)`` is returned with ``dg`` of shape (len(along), n, 2, 2).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return _solve_blocks(model.x_at(z), model.x_at(1.0 / z), model.y_at(z))
+    zi = 1.0 / z
+    xhat = _xhat(model.x_at(z), model.x_at(zi))
+    gam = _solve_blocks(xhat, model.y_at(z))[0]
+    if not along:
+        return gam
+    sources = [
+        model.dy_at(name, z)
+        - np.einsum("nab,nbc->nac", model.dx_at(name, z), gam)
+        - np.einsum("nab,ncb->nac", gam, model.dx_at(name, zi))
+        for name in along
+    ]
+    return gam, _solve_blocks(xhat, *sources)
 
 
 def _muc_residue(builder, params, pair) -> float:
     """Residue form of the MUC per site.
 
     Pole candidates come from the exact center-point polynomials d(z) and
-    ``d^2 - det(eta)`` (no finite differences touch them); the density
-    u(z) itself is evaluated locally by complex-point solves.
+    ``d^2 - det(eta)``; the density u(z) itself is evaluated locally by
+    complex-point solves with their exact tangents.
     """
     model = builder(**params)
     eta, d, _ = _symbol_coefficients(model)
-    derivatives = [_central_difference(builder, params, name, gamma_at_points) for name in pair]
 
     def u_at(z: np.ndarray) -> np.ndarray:
-        num, one_minus_det = _muc_terms(gamma_at_points(model, z), *(f(z) for f in derivatives))
+        gam, tangents = gamma_at_points(model, z, pair)
+        num, one_minus_det = _muc_terms(gam, *tangents)
         return num / one_minus_det**2
 
     det_eta = npoly.polysub(
@@ -885,8 +947,10 @@ def _residue_sum_unit_disk(
     inner = roots[np.abs(roots) < 1.0 - band] if roots.size else roots
     r_in = float(np.max(np.abs(inner))) if inner.size else 0.0
     rho = 0.5 * (1.0 + r_in)
-    # the floor of 1 keeps the O(1) densities summed here at their old
-    # stopping points: below it they sit at their noise floor
+    # the floor of 1 measures the increments of the O(1) densities summed
+    # here on an absolute scale; with exact tangents they are smooth to
+    # rounding, and the residue-grid cells settle at 2,048 points with or
+    # without it
     return _contour_integral(func, 0.0, rho, points=1024, tol=1e-13, floor=1.0)[0]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nessgeom import momentum, numerics
+from nessgeom import cli, momentum, numerics
 from nessgeom.errors import CriticalAngle, DimensionMismatch, NoConvergence, NotFiniteRange
 from nessgeom.models import build_reservoir_chain, build_rotated_xy_dissipative
 
@@ -88,6 +88,106 @@ class TestSymbolCovariance:
         # off the circle too: at lam = -1 the drift is singular at every z
         with pytest.raises(CriticalAngle):
             momentum.gamma_at_points(reservoir(-1.0, 0.0), np.array([0.5, 0.3j, 2.0]))
+
+
+RESERVOIR_POINTS = [{"lam": 0.5, "theta": 0.3}, {"lam": -1.3, "theta": 1.1},
+                    {"lam": 1.7, "theta": 2.4}]
+ROTATED_POINTS = [
+    {"delta": 0.5, "h": 0.5, "theta": 0.7, "mu_minus": 1.0, "mu_plus": 0.4, "epsilon": 1e-3},
+    {"delta": 1.1, "h": 1.4, "theta": 0.2, "mu_minus": 0.7, "mu_plus": 0.9, "epsilon": 1e-2},
+    {"delta": 0.8, "h": -0.3, "theta": 2.0, "mu_minus": 1.0, "mu_plus": 0.3, "epsilon": 0.1},
+]
+BUILDER_POINTS = [(build_reservoir_chain, p) for p in RESERVOIR_POINTS] + [
+    (build_rotated_xy_dissipative, p) for p in ROTATED_POINTS
+]
+
+
+def _jump_blocks(model):
+    return {(a, u): v for a, fam in enumerate(model.jumps) for u, v in fam.items()}
+
+
+def _derivative_jump_blocks(model, name):
+    fams = model.dl.get(name, [{}] * len(model.jumps))
+    return {(a, u): v for a, fam in enumerate(fams) for u, v in fam.items()}
+
+
+def _assert_blocks_close(exact, reference, base):
+    scale = max([np.max(np.abs(b)) for b in [*reference.values(), *base.values()]] + [1e-300])
+    for key in set(exact) | set(reference):
+        dev = np.max(np.abs(exact.get(key, 0.0) - reference.get(key, 0.0)))
+        assert dev <= 1e-8 * scale, (key, dev, scale)
+
+
+class TestExactTangents:
+    @pytest.mark.parametrize("builder, params", BUILDER_POINTS)
+    def test_derivative_blocks_match_central_differences(self, builder, params):
+        model = builder(**params)
+        for name in params:
+            step = 1e-5 * max(1.0, abs(params[name]))
+            up = builder(**dict(params, **{name: params[name] + step}))
+            dn = builder(**dict(params, **{name: params[name] - step}))
+            for exact, blocks in (
+                (model.dh.get(name, {}), lambda m: m.h_blocks),
+                (_derivative_jump_blocks(model, name), _jump_blocks),
+                (model.dm_blocks.get(name, {}), lambda m: m.m_blocks),
+            ):
+                hi, lo = blocks(up), blocks(dn)
+                central = {
+                    k: (hi.get(k, 0.0) - lo.get(k, 0.0)) / (2.0 * step) for k in set(hi) | set(lo)
+                }
+                _assert_blocks_close(exact, central, blocks(model))
+
+    def test_underivable_parameter_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            momentum.gamma_at_points(reservoir(), np.array([0.5]), ("mu",))
+
+    @pytest.mark.parametrize("params", RESERVOIR_POINTS)
+    def test_tangents_match_reservoir_closed_form(self, params):
+        model = build_reservoir_chain(**params)
+        phis = np.linspace(-np.pi, np.pi, 64, endpoint=False) + 0.0123
+        names = ("lam", "theta")
+        _, tangents = momentum.gamma_at_points(model, np.exp(1j * phis), names)
+        closed = np.array([model.dgamma_symbols[n](phis) for n in names])
+        scale = max(1.0, np.max(np.abs(closed)))
+        assert np.max(np.abs(tangents - closed)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
+    @pytest.mark.parametrize("params", ROTATED_POINTS)
+    def test_tangents_approach_rotated_closed_form(self, params, epsilon):
+        # the closed form is the epsilon -> 0 limit of the solved symbol; the
+        # solved tangents leave it at order epsilon^2 (about 1.4 epsilon^2
+        # times the tangent scale at these points)
+        model = build_rotated_xy_dissipative(**dict(params, epsilon=epsilon))
+        phis = np.linspace(-np.pi, np.pi, 64, endpoint=False) + 0.0123
+        names = ("delta", "h", "theta")
+        _, tangents = momentum.gamma_at_points(model, np.exp(1j * phis), names)
+        closed = np.array([model.dgamma_symbols[n](phis) for n in names])
+        scale = max(1.0, np.max(np.abs(closed)))
+        assert np.max(np.abs(tangents - closed)) <= 2.0 * epsilon**2 * scale
+
+    def test_modes_agree_without_closed_forms(self):
+        # a chain with next-neighbour jumps and no closed-form symbols: the
+        # quadrature runs on the tangent kernel on the circle, the residue
+        # mode on the same kernel at complex points
+        k0 = np.array([[0.0, -0.5j], [0.5j, 0.0]])
+        k1 = np.array([[0.0, 0.125j], [-0.375j, 0.0]])
+        c_minus, c_plus, c_next = np.array([0.5, -0.5j]), np.array([0.5, 0.5j]), np.array([0.3, 0.1j])
+
+        def builder(a, b):
+            return momentum.SymbolModel(
+                h_blocks={0: a * k0, 1: k1, -1: -k1.T},
+                jumps=[{0: c_minus, 1: b * c_next}, {0: 0.4 * c_plus}],
+                params={"a": a, "b": b},
+                dh={"a": {0: k0}},
+                dl={"b": [{1: c_next}, {}]},
+            )
+
+        pars = {"a": 0.6, "b": 0.7}
+        assert builder(**pars).gamma_symbol is None
+        uq = momentum.muc_per_site(builder, pars, ("a", "b"), mode="quadrature", tol=1e-12)
+        ur = momentum.muc_per_site(builder, pars, ("a", "b"), mode="residue")
+        assert abs(uq) > 1e-3
+        assert abs(uq - ur) < 1e-10
 
 
 class TestRationalize:
@@ -262,6 +362,14 @@ class TestContourIntegral:
             momentum._contour_integral(lambda z: 1.0 / (z - pole), 0.0, 1.0)
         assert err.value.last_estimate is not None
 
+    def test_no_convergence_says_where_it_stopped(self):
+        pole = np.exp(0.3j)
+        with pytest.raises(NoConvergence) as err:
+            momentum._contour_integral(lambda z: 1.0 / (z - pole), 0.0, 1.0, max_points=256)
+        message = str(err.value)
+        assert "at 256 points" in message
+        assert "times its target" in message
+
 
 class TestRealSpaceCorrelation:
     def test_matches_quadrature(self):
@@ -356,6 +464,38 @@ class TestMucPerSite:
             ur = momentum.muc_per_site(rot_xy, pars, pair, mode="residue")
             worst = max(worst, abs(uq - ur))
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("lam", [-1.1262, -1.0502, -1.02, -0.98, -0.9445, -0.9])
+    def test_residue_mode_settles_beside_the_pinch(self, lam):
+        # the contour radius approaches the unit circle as lam -> -1; exact
+        # tangents keep the density smooth enough for the 1e-13 stopping test
+        for theta in (0.0, 0.3, 1.1):
+            pars = {"lam": lam, "theta": theta}
+            uq = momentum.muc_per_site(build_reservoir_chain, pars, ("lam", "theta"),
+                                       mode="quadrature", tol=1e-10)
+            ur = momentum.muc_per_site(build_reservoir_chain, pars, ("lam", "theta"),
+                                       mode="residue")
+            assert abs(uq - ur) < 1e-10, (lam, theta, uq, ur)
+
+    def test_residue_grid_point_budget(self, monkeypatch):
+        # every cell of a fixed residue-mode grid settles within 4,096
+        # contour points in all: noise in the density would make the contour
+        # keep doubling
+        points = []
+        solve = momentum.gamma_at_points
+
+        def counted(model, z, *args):
+            points.append(np.size(z))
+            return solve(model, z, *args)
+
+        monkeypatch.setattr(momentum, "gamma_at_points", counted)
+        spec = cli.SweepSpec(model="reservoir_chain", axes=cli._parse_grid(["lam=-1.1:1.9:0.6"]))
+        _, grid = spec.grid()
+        assert grid.shape == (6, 1)
+        for (lam,) in grid:
+            points.clear()
+            cli.evaluate_point("reservoir_chain", {"lam": lam, "muc_mode": "residue"}, ("muc",))
+            assert 0 < sum(points) <= 4096, (lam, sum(points))
 
     def test_rotated_xy_delta_h_vanishes(self, rng):
         for _ in range(5):
