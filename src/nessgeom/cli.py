@@ -63,7 +63,7 @@ def _boundary_xy_point(params: dict, quantities: tuple[str, ...]) -> dict:
     )
     cells = {
         "gap": lambda: point.gap,
-        "purity": lambda: gaussian.purity(point.gamma),
+        "purity": lambda: gaussian.purity(point.modes),
         "gmax": lambda: point.qgt.gmax(),
         "detg": lambda: float(np.linalg.det(point.qgt.g)),
         "muc": lambda: abs(float(point.qgt.u[0, 1])),

@@ -1,7 +1,7 @@
 """Geometry of Gaussian states from covariance-matrix data.
 
-The generalized quantum geometric tensor of a Gaussian family is assembled
-in the eigenbasis of the covariance matrix G (eigenvalues ``g_j``):
+The generalized quantum geometric tensor of a Gaussian family is, in the
+eigenbasis of the covariance matrix G (eigenvalues ``g_j``),
 
     Q_mn = (1/8) sum_jk (1 - g_j)(1 + g_k) (d_m G)_jk (d_n G)_kj / (1 - g_j g_k)^2
 
@@ -9,6 +9,20 @@ with terms where ``g_j g_k -> 1`` set to zero by continuity (both modes
 pure; the vanishing prefactors make the combined formula stable exactly
 where forming the transport kernel first would not be).  The Bures metric
 is ``Re Q``, the mean Uhlmann curvature ``2 Im Q``.
+
+``G = i A`` with ``A`` real antisymmetric, and its eigenvalues come in pairs
+``-g_b, +g_b`` on the complex vectors ``(q_1 +- i q_2)/sqrt 2`` of the real
+canonical 2-plane ``(q_1, q_2)`` of mode b.  So the sum is taken in real
+arithmetic on the 2x2 blocks ``E = (Q^T dA Q)_bc``: each splits into a part
+``p`` that commutes with the plane rotation and a part ``q`` that
+anticommutes with it (see ``_plane_parts``), and
+
+    Re Q_mn = 1/4 sum_bc [ p_m.p_n / (1 - g_b g_c) + q_m.q_n / (1 + g_b g_c) ]
+    Im Q_mn = 1/4 sum_bc [ (g_b - g_c) p_m^p_n / (1 - g_b g_c)^2
+                           - (g_b + g_c) q_m^q_n / (1 + g_b g_c)^2 ]
+
+with ``x.y = Re(x conj y)`` and ``x^y = Im(x conj y)``; the ``1 - g_b g_c``
+terms are the pure-pure pairs of the continuity rule.
 """
 from __future__ import annotations
 
@@ -17,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import gaussian
 from .errors import (
     EvaluationFailure,
     RankChangeSingularity,
@@ -30,18 +45,24 @@ DEGENERACY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TangentSet:
-    """Covariance derivatives d_mu G, one per parameter label."""
+    """Covariance derivatives, one per parameter label, held as the real
+    antisymmetric ``d_mu A`` of ``d_mu G = i d_mu A``."""
 
     parameters: tuple[str, ...]
-    d_gamma: tuple[np.ndarray, ...]
+    d_a: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.parameters) != len(self.d_gamma):
+        if len(self.parameters) != len(self.d_a):
             raise EvaluationFailure("one tangent matrix per parameter required")
 
     @property
     def n_params(self) -> int:
         return len(self.parameters)
+
+    @property
+    def d_gamma(self) -> tuple[np.ndarray, ...]:
+        """The tangents ``d_mu G`` as (purely imaginary) complex matrices."""
+        return tuple(1j * d for d in self.d_a)
 
 
 @dataclass(frozen=True)
@@ -59,17 +80,12 @@ class GeometryResult:
 
 
 def make_tangents(parameters: Sequence[str], d_gammas: Sequence[np.ndarray]) -> TangentSet:
-    """Wrap tangent matrices, projecting out non-(Hermitian-antisymmetric) noise."""
-    cleaned = tuple(hermitize_antisymmetric(np.asarray(d, dtype=complex)) for d in d_gammas)
-    return TangentSet(parameters=tuple(parameters), d_gamma=cleaned)
-
-
-def _eigenframe(gamma) -> tuple[np.ndarray, np.ndarray]:
-    from .gaussian import as_gamma
-
-    g = as_gamma(gamma)
-    vals, vecs = np.linalg.eigh(g)
-    return vals, vecs
+    """Wrap tangent matrices ``d G``, projecting out non-(Hermitian-antisymmetric) noise."""
+    d_a = []
+    for d in d_gammas:
+        im = np.imag(np.asarray(d, dtype=complex))
+        d_a.append(0.5 * (im - im.T))
+    return TangentSet(parameters=tuple(parameters), d_a=tuple(d_a))
 
 
 def transport_kernel(gamma, d_gamma: np.ndarray) -> np.ndarray:
@@ -80,7 +96,7 @@ def transport_kernel(gamma, d_gamma: np.ndarray) -> np.ndarray:
     RankChangeSingularity when the state changes rank along the direction
     (``|1 - g_j g_k|`` below tolerance with a non-negligible ``(dG)_jk``).
     """
-    vals, vecs = _eigenframe(gamma)
+    vals, vecs = np.linalg.eigh(gaussian.as_gamma(gamma))
     d = vecs.conj().T @ np.asarray(d_gamma, dtype=complex) @ vecs
     denom = np.outer(vals, vals) - 1.0
     scale = max(np.max(np.abs(d_gamma)), 1e-300)
@@ -94,46 +110,62 @@ def transport_kernel(gamma, d_gamma: np.ndarray) -> np.ndarray:
     return hermitize_antisymmetric(k)
 
 
+def _plane_parts(e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``Re p, Im p, Re q, Im q`` of every 2x2 block ``E_bc`` of ``e``, where
+    ``E = Re p + Im p J + Re q Z + Im q X`` with ``J = [[0, 1], [-1, 0]]``."""
+    e00, e01 = e[0::2, 0::2], e[0::2, 1::2]
+    e10, e11 = e[1::2, 0::2], e[1::2, 1::2]
+    return 0.5 * (e00 + e11), 0.5 * (e01 - e10), 0.5 * (e00 - e11), 0.5 * (e01 + e10)
+
+
 def qgt(gamma, tangents: TangentSet, *, check_rank: bool = True) -> GeometryResult:
     """Generalized QGT (Bures metric + mean Uhlmann curvature) of a family.
 
-    ``check_rank=False`` skips the rank-change flag so that limits toward
-    the pure manifold can be probed; the continuity rule still zeroes the
-    degenerate pair terms.
+    ``gamma`` is G, a CovarianceMatrix or the canonical form from
+    :func:`nessgeom.gaussian.eigenmodes`.  ``check_rank=False`` skips the
+    rank-change flag so that limits toward the pure manifold can be probed;
+    the continuity rule still zeroes the degenerate pair terms.
     """
-    vals, vecs = _eigenframe(gamma)
-    pref = np.outer(1.0 - vals, 1.0 + vals)
-    denom = (1.0 - np.outer(vals, vals)) ** 2
-    degenerate = np.abs(1.0 - np.outer(vals, vals)) < DEGENERACY_TOL
-    weight = np.where(degenerate, 0.0, pref / np.where(degenerate, 1.0, denom))
-    p = tangents.n_params
-    mats = []
-    for d_g in tangents.d_gamma:
-        d = vecs.conj().T @ np.asarray(d_g, dtype=complex) @ vecs
+    modes = gaussian.eigenmodes(gamma)
+    gs = modes.gammas
+    gg = np.outer(gs, gs)
+    degenerate = np.abs(1.0 - gg) < DEGENERACY_TOL
+    co = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, 1.0 - gg))
+    counter = 1.0 / (1.0 + gg)
+    co_twist = (gs[:, None] - gs[None, :]) * co**2
+    counter_twist = (gs[:, None] + gs[None, :]) * counter**2
+    parts = []
+    for d_a in tangents.d_a:
+        p_re, p_im, q_re, q_im = _plane_parts(modes.q.T @ (d_a @ modes.q))
         if check_rank:
-            scale = max(np.max(np.abs(d_g)), 1e-300)
-            if np.any(degenerate & (np.abs(d) > 1e-8 * scale)):
+            scale = max(np.max(np.abs(d_a)), 1e-300)
+            if np.any(degenerate & (np.hypot(p_re, p_im) > 1e-8 * scale)):
                 raise RankChangeSingularity(
                     "tangent has weight on a pure-pure mode pair: the state changes "
                     "rank along this direction and the continuity rule does not apply"
                 )
-        mats.append(d)
-    q = np.zeros((p, p), dtype=complex)
+        parts.append((p_re, p_im, q_re, q_im))
+    p = tangents.n_params
+    g = np.zeros((p, p))
+    u = np.zeros((p, p))
     for mu in range(p):
+        pr_m, pi_m, qr_m, qi_m = parts[mu]
         for nu in range(mu, p):
-            q[mu, nu] = 0.125 * np.sum(weight * mats[mu] * mats[nu].T)
+            pr_n, pi_n, qr_n, qi_n = parts[nu]
+            g[mu, nu] = g[nu, mu] = 0.25 * np.sum(
+                co * (pr_m * pr_n + pi_m * pi_n) + counter * (qr_m * qr_n + qi_m * qi_n)
+            )
             if nu != mu:
-                q[nu, mu] = np.conj(q[mu, nu])
-    g = np.real(q)
-    g = 0.5 * (g + g.T)
-    u = 2.0 * np.imag(q)
-    u = 0.5 * (u - u.T)
-    q_exact = g + 0.5j * u
+                u[mu, nu] = 0.5 * np.sum(
+                    co_twist * (pi_m * pr_n - pr_m * pi_n)
+                    - counter_twist * (qi_m * qr_n - qr_m * qi_n)
+                )
+                u[nu, mu] = -u[mu, nu]
     try:
         r = incompatibility_ratio(g, u)
     except SingularFisher:
         r = None
-    return GeometryResult(parameters=tangents.parameters, g=g, u=u, q=q_exact, r_ratio=r)
+    return GeometryResult(parameters=tangents.parameters, g=g, u=u, q=g + 0.5j * u, r_ratio=r)
 
 
 def incompatibility_ratio(g: np.ndarray, u: np.ndarray) -> float:
@@ -200,7 +232,8 @@ def transport_fidelity_weight(gamma) -> float:
     maximum of ``(1+g_j)(1+g_k) / (1+g_j g_k)`` over mode pairs; pairs with
     ``1 + g_j g_k -> 0`` approach the bounded limit 2.
     """
-    vals, _ = _eigenframe(gamma)
+    gs = gaussian.mode_occupations(gamma)
+    vals = np.concatenate((gs, -gs))
     num = np.outer(1.0 + vals, 1.0 + vals)
     den = 1.0 + np.outer(vals, vals)
     tiny = den < 1e-12
@@ -224,9 +257,7 @@ def qgt_gap_bound(
     """
     if delta <= 0.0:
         raise ZeroGap(f"gap bound needs a positive gap, got {delta}")
-    from .gaussian import as_gamma
-
-    g = as_gamma(gamma)
+    g = gaussian.as_gamma(gamma)
     n = g.shape[0] // 2
     p_gamma = transport_fidelity_weight(g)
     dy_norm = float(np.linalg.norm(np.asarray(dy), 2))

@@ -25,7 +25,8 @@ from .errors import (
     InstabilityDetected,
     NonUniqueSteadyState,
 )
-from .gaussian import CovarianceMatrix, as_gamma, validate
+from . import gaussian
+from .gaussian import CovarianceMatrix, EigenmodeDecomposition, as_gamma, validate
 from .geometry import GeometryResult, TangentSet
 
 UNIQUENESS_TOL = 1e-10
@@ -72,13 +73,20 @@ class ShapeMatrices:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Dissipative gap ``2 min Re x``, steady state, tangents and QGT at one
-    point; ``tangents`` and ``qgt`` are None when no direction was given."""
+    """Dissipative gap ``2 min Re x``, steady state ``G = i a`` with its
+    canonical eigenmodes, tangents and QGT at one point; ``tangents`` and
+    ``qgt`` are None when no direction was given."""
 
     gap: float
-    gamma: np.ndarray
+    a: np.ndarray
+    modes: EigenmodeDecomposition
     tangents: TangentSet | None
     qgt: GeometryResult | None
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The steady-state covariance ``G = i a`` as a complex matrix."""
+        return 1j * self.a
 
 
 @dataclass(frozen=True)
@@ -196,23 +204,25 @@ def ness_covariance(shape: ShapeMatrices) -> CovarianceMatrix:
 
 def _solve_tangents(
     solver: numerics.LyapunovSolver,
-    gamma: np.ndarray,
+    a: np.ndarray,
     parameters: Sequence[str],
     derivatives: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> TangentSet:
     """Tangents from ``X dG + dG X^T = dY - dX G - G dX^T``, all on ``solver``.
 
     With ``G = iA`` and a real ``dX`` the source is ``i [B - (P - P^T)]``
-    with ``P = dX A`` and A, ``B = Im dY`` antisymmetrized: one real GEMM.
+    with ``P = dX A`` and ``B = Im dY`` antisymmetrized: one real GEMM and
+    one real solve for ``dA``.
     """
-    a = np.imag(gamma)
-    a = 0.5 * (a - a.T)
-    d_gammas = []
+    d_a = []
     for dx, dy in derivatives:
-        b = np.imag(np.asarray(dy))
-        p = np.real(np.asarray(dx)) @ a
-        d_gammas.append(solver.solve(1j * (0.5 * (b - b.T) - (p - p.T))))
-    return geometry.make_tangents(parameters, d_gammas)
+        source = np.real(np.asarray(dx)) @ a
+        source = source.T - source
+        if np.iscomplexobj(dy):  # a real dY has no imaginary part to add
+            b = np.imag(dy)
+            source += 0.5 * (b - b.T)
+        d_a.append(solver.solve(source))
+    return TangentSet(parameters=tuple(parameters), d_a=tuple(d_a))
 
 
 def ness_tangents(
@@ -231,7 +241,8 @@ def ness_tangents(
     if parameters is None:
         parameters = [f"l{i}" for i in range(len(dxs))]
     solver = _unique_solver(shape.x, "tangents undefined")
-    return _solve_tangents(solver, as_gamma(gamma), parameters, zip(dxs, dys))
+    a = np.imag(as_gamma(gamma))
+    return _solve_tangents(solver, 0.5 * (a - a.T), parameters, zip(dxs, dys))
 
 
 def point_geometry(
@@ -239,15 +250,19 @@ def point_geometry(
     derivatives: Mapping[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> PointGeometry:
     """Gap, steady state, tangents along ``derivatives`` (parameter ->
-    ``(dX, dY)``) and their QGT, all on one factorization of ``X``.
+    ``(dX, dY)``) and their QGT, all on one factorization of ``X`` and one
+    real eigenframe of ``G``, in real arithmetic throughout.
 
     Uniqueness is the solver's own test: SingularSylvester when a pair sum
-    of the drift spectrum vanishes or the residual check fails.
+    of the drift spectrum vanishes or the residual check fails.  The
+    occupations of the frame give the ``||G|| <= 1`` check (NormExceedsOne).
     """
     solver = numerics.LyapunovSolver(shape.x)
     gap = 2.0 * float(np.min(np.real(solver.spectrum)))
-    gamma = solver.solve(shape.y)
+    a = solver.solve(np.imag(shape.y))
+    modes = gaussian.real_eigenmodes(a)
+    gaussian.check_norm(modes.gammas)
     if not derivatives:
-        return PointGeometry(gap, gamma, None, None)
-    tangents = _solve_tangents(solver, gamma, tuple(derivatives), derivatives.values())
-    return PointGeometry(gap, gamma, tangents, geometry.qgt(gamma, tangents))
+        return PointGeometry(gap, a, modes, None, None)
+    tangents = _solve_tangents(solver, a, tuple(derivatives), derivatives.values())
+    return PointGeometry(gap, a, modes, tangents, geometry.qgt(modes, tangents))

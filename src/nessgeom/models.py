@@ -484,10 +484,12 @@ def boundary_xy_shape_derivatives(params: BoundaryXYParams) -> dict[str, tuple]:
     """
     n = params.n
     dy = np.zeros((2 * n, 2 * n))
-    return {
-        "delta": (np.real(4j * _xy_kernel(n, 0.5, -0.5, 0.0)), dy),
-        "h": (np.real(4j * _xy_kernel(n, 0.0, 0.0, 1.0)), dy),
-    }
+
+    def dx(xx: float, yy: float, z: float) -> np.ndarray:
+        # a real copy, so that the complex kernel is not kept alive by a view
+        return np.ascontiguousarray(np.real(4j * _xy_kernel(n, xx, yy, z)))
+
+    return {"delta": (dx(0.5, -0.5, 0.0), dy), "h": (dx(0.0, 0.0, 1.0), dy)}
 
 
 def boundary_xy_spin_operators(params: BoundaryXYParams) -> tuple[np.ndarray, list[np.ndarray]]:

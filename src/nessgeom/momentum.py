@@ -25,7 +25,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.optimize import minimize_scalar
 
 from . import numerics
 from .errors import (
@@ -53,8 +52,12 @@ _PROJ_U = np.array([1.0, 0.6 + 0.3j])
 _PROJ_V = np.array([0.7 - 0.4j, 1.0])
 # angles at which ``rationalize`` checks the continuation against grid solves
 RATIONAL_CHECK_ANGLES = 32
-# coarse scan of ``gap_on_circle`` before the golden-section polish
+# coarse scan of ``gap_on_circle``, then batched bracket refinement: each
+# round evaluates GAP_REFINE_ANGLES angles across the bracket and keeps the
+# two neighbours of the smallest, until the bracket is GAP_PHI_TOL wide
 GAP_SCAN_ANGLES = 512
+GAP_REFINE_ANGLES = 33
+GAP_PHI_TOL = 1e-12
 
 
 def _h_blocks(blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -957,31 +960,27 @@ def _residue_sum_unit_disk(
 def gap_on_circle(model: SymbolModel) -> float:
     """Dissipative gap ``2 min_{phi,j} Re x_j(e^{i phi})`` on the circle.
 
-    Coarse grid scan polished by golden-section around the minimum.
+    Coarse grid scan, then bracket refinement around its minimum: every
+    round is one batched eigenvalue call on a finer grid across the bracket.
     """
 
-    def min_re(phi: float | np.ndarray) -> np.ndarray:
-        x = model.x_tilde(np.atleast_1d(phi))
-        eigs = np.linalg.eigvals(x)
+    def min_re(phis: np.ndarray) -> np.ndarray:
+        eigs = np.linalg.eigvals(model.x_tilde(phis))
         return np.min(np.real(eigs), axis=1)
 
     phis = np.linspace(-np.pi, np.pi, GAP_SCAN_ANGLES, endpoint=False)
     vals = min_re(phis)
-    i0 = int(np.argmin(vals))
+    i = int(np.argmin(vals))
+    best = float(vals[i])
     dphi = 2.0 * np.pi / GAP_SCAN_ANGLES
-    best = float(vals[i0])
-    try:
-        res = minimize_scalar(
-            lambda p: float(min_re(p)[0]),
-            bracket=(phis[i0] - dphi, phis[i0], phis[i0] + dphi),
-            method="golden",
-            options={"xtol": 1e-12},
-        )
-        best = min(best, float(res.fun))
-    except ValueError:
-        # flat bracket: refine on a local fine grid instead
-        fine = np.linspace(phis[i0] - dphi, phis[i0] + dphi, 257)
-        best = min(best, float(np.min(min_re(fine))))
+    lo, hi = phis[i] - dphi, phis[i] + dphi
+    last = GAP_REFINE_ANGLES - 1
+    while hi - lo > GAP_PHI_TOL:
+        grid = np.linspace(lo, hi, GAP_REFINE_ANGLES)
+        vals = min_re(grid)
+        i = int(np.argmin(vals))
+        best = min(best, float(vals[i]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, last)]
     return 2.0 * best
 
 

@@ -8,6 +8,7 @@ fits.  All tolerances are relative to input norms with an absolute floor of
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,23 +58,32 @@ def _opens_block(t: np.ndarray, i: int) -> bool:
     return i + 1 < t.shape[0] and t[i + 1, i] != 0.0
 
 
+# cos(atan2(0, w) / 2) for w < 0: the factor Python's ``complex(w) ** 0.5``
+# puts on the real part of the root of a negative discriminant, kept so that
+# the spectrum matches the scalar form bit for bit
+_COS_HALF_PI = math.cos(math.atan2(0.0, -1.0) * 0.5)
+
+
 def _quasi_triangular_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real Schur form by scanning its 1x1 / 2x2 blocks."""
-    n = t.shape[0]
-    eigs = np.empty(n, dtype=complex)
-    i = 0
-    while i < n:
-        if _opens_block(t, i):
-            a, b = t[i, i], t[i, i + 1]
-            c, d = t[i + 1, i], t[i + 1, i + 1]
-            tr, det = a + d, a * d - b * c
-            disc = complex(tr * tr / 4.0 - det) ** 0.5
-            eigs[i] = tr / 2.0 + disc
-            eigs[i + 1] = tr / 2.0 - disc
-            i += 2
-        else:
-            eigs[i] = t[i, i]
-            i += 1
+    """Eigenvalues of a real Schur form from its 1x1 / 2x2 diagonal blocks.
+
+    A 2x2 block opens at every nonzero subdiagonal entry (a real Schur form
+    never has two in a row).  Its discriminant root is taken as
+    ``complex(w) ** 0.5`` takes it: libm ``pow(|w|, 0.5)``, which is not
+    always ``sqrt``, and a real part ``root * cos(pi/2)`` when ``w < 0``.
+    """
+    eigs = np.diagonal(t).astype(complex)
+    i = np.flatnonzero(np.diagonal(t, -1))
+    a, b, c, d = t[i, i], t[i, i + 1], t[i + 1, i], t[i + 1, i + 1]
+    tr, det = a + d, a * d - b * c
+    w = tr * tr / 4.0 - det
+    root = np.array([math.pow(v, 0.5) for v in np.abs(w).tolist()])
+    neg = w < 0.0
+    disc_re = np.where(neg, root * _COS_HALF_PI, root)
+    disc_im = np.where(neg, root, 0.0)
+    half = tr / 2.0
+    eigs.real[i], eigs.imag[i] = half + disc_re, disc_im
+    eigs.real[i + 1], eigs.imag[i + 1] = half - disc_re, 0.0 - disc_im
     return eigs
 
 
@@ -111,15 +121,42 @@ def _solve_quasi_triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarra
         _solve_quasi_triangular_sylvester(a, b[:k, :k], c[:, :k])
 
 
+def _solve_antisymmetric_lyapunov(t: np.ndarray, c: np.ndarray) -> None:
+    """Overwrite the antisymmetric ``c`` with the antisymmetric ``Z`` of
+    ``t Z + Z t^T = c``, ``t`` upper quasi-triangular.
+
+    With ``t = [[T11, T12], [0, T22]]`` the lower-right block is solved by
+    recursion, the upper-right block ``Z12`` by one Sylvester solve
+    ``T11 Z12 + Z12 T22^T = C12 - T12 Z22``, the upper-left source takes the
+    skew update ``C11 - (P - P^T)`` with ``P = Z12 T12^T``, and the lower-left
+    block is ``-Z12^T``: about half the flops of the general solve.
+    """
+    n = c.shape[0]
+    if n <= _SYLVESTER_LEAF:
+        _solve_quasi_triangular_sylvester(t, t, c)
+        return
+    k = _split_index(t)
+    _solve_antisymmetric_lyapunov(t[k:, k:], c[k:, k:])
+    z12 = c[:k, k:]
+    z12 -= t[:k, k:] @ c[k:, k:]
+    _solve_quasi_triangular_sylvester(t[:k, :k], t[k:, k:], z12)
+    p = z12 @ t[:k, k:].T
+    c[:k, :k] -= p - p.T
+    _solve_antisymmetric_lyapunov(t[:k, :k], c[:k, :k])
+    c[k:, :k] = -z12.T
+
+
 class LyapunovSolver:
     """Schur-factored solver for ``X G + G X^T = Y`` with a fixed real drift.
 
     ``Y`` is Hermitian antisymmetric, hence purely imaginary, and so is
     ``G``: the solve runs in real arithmetic on ``A = Im G`` with
-    ``X A + A X^T = Im Y``.  The Bartels-Stewart back-substitution runs on
-    the real Schur form, so a defective (Jordan-like) drift needs no special
-    casing.  Factoring once and reusing the triangular solve is what makes
-    steady state plus tangent sweeps cheap.
+    ``X A + A X^T = Im Y``, and ``solve`` takes either ``Y`` or the real
+    ``Im Y`` and answers in the same form.  The Bartels-Stewart
+    back-substitution runs on the real Schur form, so a defective
+    (Jordan-like) drift needs no special casing.  Factoring once and reusing
+    the triangular solve is what makes steady state plus tangent sweeps
+    cheap.
     """
 
     def __init__(self, x: np.ndarray):
@@ -138,15 +175,17 @@ class LyapunovSolver:
         self._singular = self.pair_min <= max(1e-12 * scale, ABS_FLOOR)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
+        """``G`` for a purely imaginary ``y``; ``A = Im G`` for a real ``y = Im Y``."""
         if self._singular:
             raise SingularSylvester(
                 f"min |x_i + x_j| = {self.pair_min:.3e} below tolerance; "
                 "Lyapunov equation has no unique solution"
             )
         y = np.asarray(y)
-        b = np.imag(y)
+        imaginary = np.iscomplexobj(y)
+        b = np.imag(y) if imaginary else y
         # ||X G + G X^T - Y||^2 = ||Re Y||^2 + ||X A + A X^T - Im Y||^2
-        re_norm = np.linalg.norm(np.real(y))
+        re_norm = np.linalg.norm(np.real(y)) if imaginary else 0.0
         b_norm = np.linalg.norm(b)
         y_norm = np.hypot(re_norm, b_norm)
         if re_norm > max(1e-12 * y_norm, ABS_FLOOR):
@@ -156,19 +195,25 @@ class LyapunovSolver:
             )
         if np.linalg.norm(b + b.T) > max(1e-12 * b_norm, ABS_FLOOR):
             raise NotAntisymmetric("Lyapunov source is not antisymmetric")
-        z = self.u.T @ b @ self.u
-        _solve_quasi_triangular_sylvester(self.t, self.t, z)
-        a = self.u @ z @ self.u.T
-        a = 0.5 * (a - a.T)
+        z = self.u.T @ (b @ self.u)
+        z -= z.T
+        z *= 0.5
+        _solve_antisymmetric_lyapunov(self.t, z)
+        a = self.u @ (z @ self.u.T)
+        del z  # free the d x d scratch before the residual check
+        a -= a.T
+        a *= 0.5
         # A is antisymmetric, so A X^T = -(X A)^T
-        xa = self.x @ a
-        res = np.hypot(re_norm, np.linalg.norm(xa - xa.T - b))
+        res = self.x @ a
+        res -= res.T
+        res -= b
+        res = np.hypot(re_norm, np.linalg.norm(res))
         bound = 1e-10 * (self._x_norm * np.linalg.norm(a) + y_norm)
         if res > max(bound, ABS_FLOOR):
             raise SingularSylvester(
                 f"Lyapunov residual {res:.3e} exceeds {bound:.3e}; equation is near singular"
             )
-        return 1j * a
+        return 1j * a if imaginary else a
 
 
 def solve_continuous_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:

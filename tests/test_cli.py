@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
+import nessgeom
 from nessgeom import cli, gaussian, geometry, liouvillian, models, numerics
 from nessgeom.errors import BadSpec
 
@@ -261,3 +266,18 @@ class TestConfigAndMain:
         inside, outside = float(rows[0][1]), float(rows[1][1])
         assert abs(outside - inside) > 0.05
 
+
+def test_cells_do_not_import_scipy_optimize():
+    # scipy.optimize costs a quarter second of start-up; no cell needs it
+    code = (
+        "import sys\n"
+        "import nessgeom.cli as cli\n"
+        "cli.evaluate_point('boundary_xy', {'n': 4}, cli.FINITE_QUANTITIES)\n"
+        "cli.evaluate_point('reservoir_chain', {'lam': 0.5, 'theta': 0.3}, cli.SYMBOL_QUANTITIES)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(nessgeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -592,6 +592,18 @@ class TestGapOnCircle:
             gaps.append(momentum.gap_on_circle(model))
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=1e-6)
 
+    def test_matches_dense_scan_on_sweep_grids(self):
+        # the reservoir grid of a symbol sweep, every fourth cell of its rotated-XY
+        # grid (a dense scan of that model costs 0.2 s) and the critical field
+        # h = 1; the other parameters are the CLI defaults
+        cells = [reservoir(-1.9 + 0.2 * k, 0.0) for k in range(20)]
+        cells += [rot_xy(delta=0.5, h=h, theta=0.0, mu_minus=1.0, mu_plus=0.5)
+                  for h in [0.025 + 0.2 * k for k in range(10)] + [1.0]]
+        phis = np.linspace(-np.pi, np.pi, 1 << 16, endpoint=False)
+        for model in cells:
+            dense = 2.0 * np.min(np.real(np.linalg.eigvals(model.x_tilde(phis))))
+            assert abs(momentum.gap_on_circle(model) - dense) <= 1e-12
+
 
 class TestCriticalityPropositions:
     def test_gap_closure_without_criticality(self):

@@ -193,6 +193,52 @@ class TestBlockedSylvester:
             assert np.linalg.norm(dg.imag - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
+class TestAntisymmetricLyapunov:
+    @pytest.mark.parametrize("n", [63, 64, 65, 66, 130])
+    def test_recursion_matches_scipy(self, rng, n):
+        t = _quasi_triangular(rng, n, 3)
+        if n > LEAF:  # the middle split lands on a 2x2 block and moves past it
+            assert numerics._split_index(t) == n // 2 + 1
+        c = rand_antisym(rng, n)
+        z = c.copy()
+        numerics._solve_antisymmetric_lyapunov(t, z)
+        ref = sla.solve_continuous_lyapunov(t, c)
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.max(np.abs(z + z.T)) <= 1e-14 * np.max(np.abs(z))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 66, 130])
+    def test_solver_real_and_imaginary_forms(self, rng, n):
+        x = rng.normal(size=(n, n)) / np.sqrt(n) + 1.5 * np.eye(n)
+        b = rand_antisym(rng, n)
+        solver = numerics.LyapunovSolver(x)
+        a = solver.solve(b)
+        assert a.dtype == np.float64 and np.array_equal(a, -a.T)
+        ref = sla.solve_continuous_lyapunov(x, b)
+        assert np.linalg.norm(a - ref) <= 1e-12 * np.linalg.norm(ref)
+        g = solver.solve(1j * b)
+        assert np.array_equal(g.imag, a) and np.array_equal(g.real, np.zeros_like(a))
+
+    @pytest.mark.parametrize("ratio, singular", [(0.5, True), (4.0, False)])
+    def test_singular_sylvester_threshold(self, rng, ratio, singular):
+        # pair sum x_a + x_b = ratio * 1e-12 * max|x|: the rule is pair_min <= 1e-12 scale
+        n = 2 * LEAF + 2
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        spectrum = rng.uniform(0.5, 2.0, size=n)
+        spectrum[0] = 2.0
+        spectrum[-2:] = 0.7, -0.7 + ratio * 2e-12
+        x = (q * spectrum) @ q.T
+        solver = numerics.LyapunovSolver(x)
+        assert solver.pair_min == pytest.approx(ratio * 2e-12, rel=1e-2)
+        b = rand_antisym(rng, n)
+        if singular:
+            with pytest.raises(SingularSylvester, match="min"):
+                solver.solve(b)
+        else:
+            a = solver.solve(b)
+            res = x @ a + a @ x.T - b
+            assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(a)
+
+
 class TestEigendecompositions:
     def test_general_rotation_and_triangular(self):
         vals, cond = numerics.general_eigendecomposition(np.array([[0.0, 1.0], [-1.0, 0.0]]))
