@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .errors import BadSpec, IoFailure, NessGeomError
+from .errors import BadSpec, IoFailure, NessGeomError, NotFiniteRange
 
 _FMT = "{:.17g}"
 
@@ -33,6 +33,18 @@ def _fmt(value) -> str:
     if isinstance(value, float) and np.isinf(value):
         return "inf"
     return _FMT.format(float(value))
+
+
+def _json_value(value):
+    """A float JSON can hold as a number; inf and NaN as their ``_fmt`` text."""
+    if isinstance(value, float) and not np.isfinite(value):
+        return _fmt(value)
+    return value
+
+
+def _json_text(report: dict) -> str:
+    """Strict JSON (no ``Infinity`` or ``NaN``), sorted and indented."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # --- model adapters ---------------------------------------------------------------
@@ -236,16 +248,14 @@ def run_sweep(spec: SweepSpec) -> str:
             record = {name: _fmt(v) for name, v in zip(names, row)}
             record.update({q: _fmt(res[q]) for q in spec.quantities})
             rows.append(record)
-        text = json.dumps(
+        text = _json_text(
             {
                 "model": spec.model,
                 "fixed": {k: spec.fixed[k] for k in sorted(spec.fixed)},
                 "seed": spec.seed,
                 "rows": rows,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+            }
+        )
         _write_text(spec.out, text)
         return text
     lines = _csv_header("sweep", spec.model, spec.fixed, spec.seed)
@@ -284,25 +294,29 @@ def run_scaling(spec: ScalingSpec) -> tuple[str, str]:
             for n, res in zip(spec.sizes, results)
             if isinstance(res[q], (int, float)) and np.isfinite(res[q]) and res[q] > 0
         ]
-        if len(samples) >= 4:
-            fit = fit_power_law(samples)
-            fits[q] = {
-                "exponent": fit.exponent,
-                "prefactor": fit.prefactor,
-                "r_squared": fit.r_squared,
-                "n_range": list(fit.n_range),
-            }
-        else:
+        if len(samples) < 4:
             fits[q] = {"error": "insufficient positive samples"}
+            continue
+        try:
+            fit = fit_power_law(samples)
+        except NotFiniteRange as exc:
+            fits[q] = {"error": f"NotFiniteRange: {exc}"}
+            continue
+        fits[q] = {
+            "exponent": fit.exponent,
+            "prefactor": fit.prefactor,
+            "r_squared": fit.r_squared,
+            "n_range": list(fit.n_range),
+        }
     report = {
         "model": spec.model,
         "fixed": {k: spec.fixed[k] for k in sorted(spec.fixed)},
         "sizes": [int(n) for n in spec.sizes],
         "fit_window": [int(spec.sizes[0]), int(spec.sizes[-1])],
         "fits": fits,
-        "samples": {q: [res[q] for res in results] for q in spec.quantities},
+        "samples": {q: [_json_value(res[q]) for res in results] for q in spec.quantities},
     }
-    json_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    json_text = _json_text(report)
     if spec.out:
         base = spec.out[:-4] if spec.out.endswith(".csv") else spec.out
         _write_text(base + ".csv", csv_text)
@@ -349,7 +363,7 @@ def run_spectrum(model: str, params: dict) -> dict:
             "delta_xhat": rep.delta_xhat,
             "delta_liouville": rep.delta_liouville,
             "near_defective": rep.near_defective,
-            "condition_estimate": rep.condition_estimate,
+            "condition_estimate": _json_value(rep.condition_estimate),
             "spectrum": [[float(z.real), float(z.imag)] for z in rep.spectrum],
         }
     if model not in ("reservoir_chain", "rotated_xy"):
@@ -497,7 +511,7 @@ def main(argv=None) -> int:
             _merge_config(args, args.command)
             run = run_geometry if args.command == "geometry" else run_spectrum
             report = run(args.model or "boundary_xy", args._fixed)
-            _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+            _write_text(args.out, _json_text(report))
             return 0
         if args.command == "oracle":
             results = run_oracle_suite(

@@ -93,10 +93,6 @@ class InstabilityDetected(NessGeomError):
     pass
 
 
-class NonUniqueSteadyState(NessGeomError):
-    pass
-
-
 # --- momentum space ----------------------------------------------------------
 
 class NotFiniteRange(NessGeomError):

@@ -28,6 +28,7 @@ from .errors import (
     PureModePresent,
     TooManyModes,
 )
+from .numerics import _matmul
 
 EPS_PURE = 1e-12
 
@@ -112,7 +113,7 @@ def _schur_pairs(b: np.ndarray, w: np.ndarray, cols: slice, tol: float) -> None:
             singles.append(i)
             i += 1
     perm = np.array(pairs + singles)
-    w[:, cols] = w[:, cols] @ z[:, perm]
+    w[:, cols] = _matmul(w[:, cols], z[:, perm])
     b[cols, cols] = t[np.ix_(perm, perm)]
 
 
@@ -136,10 +137,10 @@ def real_eigenmodes(a: np.ndarray) -> EigenmodeDecomposition:
         raise DimensionMismatch(f"covariance matrix must be square of even size, got {a.shape}")
     if dim == 0:
         return EigenmodeDecomposition(q=np.zeros((0, 0)), gammas=np.zeros(0))
-    # numpy's eigh: scipy's LAPACK runs on a second OpenBLAS whose threads
-    # contend with numpy's still-spinning ones (10x slower at d = 80)
-    _, w = np.linalg.eigh(a.T @ a)
-    b = w.T @ (a @ w)
+    # scipy's eigh, on the BLAS of the solves before it (see numerics);
+    # "evd" is the divide and conquer that numpy's eigh runs
+    _, w = sla.eigh(_matmul(a.T, a), driver="evd")
+    b = _matmul(w.T, _matmul(a, w))
     tol = 1e-12 * max(1.0, np.max(np.abs(a)))
     coupled = np.maximum(
         np.maximum(np.abs(b[0::2, 0::2]), np.abs(b[0::2, 1::2])),

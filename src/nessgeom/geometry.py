@@ -38,7 +38,7 @@ from .errors import (
     SingularFisher,
     ZeroGap,
 )
-from .numerics import hermitize_antisymmetric
+from .numerics import _matmul, hermitize_antisymmetric
 
 DEGENERACY_TOL = 1e-10
 
@@ -136,7 +136,7 @@ def qgt(gamma, tangents: TangentSet, *, check_rank: bool = True) -> GeometryResu
     counter_twist = (gs[:, None] + gs[None, :]) * counter**2
     parts = []
     for d_a in tangents.d_a:
-        p_re, p_im, q_re, q_im = _plane_parts(modes.q.T @ (d_a @ modes.q))
+        p_re, p_im, q_re, q_im = _plane_parts(_matmul(modes.q.T, _matmul(d_a, modes.q)))
         if check_rank:
             scale = max(np.max(np.abs(d_a)), 1e-300)
             if np.any(degenerate & (np.hypot(p_re, p_im) > 1e-8 * scale)):

@@ -19,17 +19,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import geometry, numerics
-from .errors import (
-    DimensionMismatch,
-    EmptyJumps,
-    InstabilityDetected,
-    NonUniqueSteadyState,
-)
+from .errors import DimensionMismatch, EmptyJumps, InstabilityDetected
 from . import gaussian
 from .gaussian import CovarianceMatrix, EigenmodeDecomposition, as_gamma, validate
 from .geometry import GeometryResult, TangentSet
-
-UNIQUENESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -187,19 +180,12 @@ def gap_report(x: np.ndarray) -> GapReport:
     )
 
 
-def _unique_solver(x: np.ndarray, what: str) -> numerics.LyapunovSolver:
-    """Schur-factored solver for the drift; raises if the steady state is not unique."""
-    solver = numerics.LyapunovSolver(x)
-    scale = max(np.max(np.abs(solver.spectrum)), 1e-300)
-    if solver.pair_min <= UNIQUENESS_TOL * scale:
-        raise NonUniqueSteadyState(f"Sylvester gap vanishes: {what}")
-    return solver
-
-
 def ness_covariance(shape: ShapeMatrices) -> CovarianceMatrix:
-    """Unique steady-state covariance from the continuous Lyapunov equation."""
-    solver = _unique_solver(shape.x, "steady state not unique")
-    return validate(solver.solve(shape.y))
+    """Unique steady-state covariance from the continuous Lyapunov equation.
+
+    Raises SingularSylvester when the steady state is not unique.
+    """
+    return validate(numerics.LyapunovSolver(shape.x).solve(shape.y))
 
 
 def _solve_tangents(
@@ -216,7 +202,7 @@ def _solve_tangents(
     """
     d_a = []
     for dx, dy in derivatives:
-        source = np.real(np.asarray(dx)) @ a
+        source = numerics._matmul(np.real(np.asarray(dx)), a)
         source = source.T - source
         if np.iscomplexobj(dy):  # a real dY has no imaginary part to add
             b = np.imag(dy)
@@ -240,7 +226,7 @@ def ness_tangents(
         raise DimensionMismatch("need matching dX and dY lists")
     if parameters is None:
         parameters = [f"l{i}" for i in range(len(dxs))]
-    solver = _unique_solver(shape.x, "tangents undefined")
+    solver = numerics.LyapunovSolver(shape.x)
     a = np.imag(as_gamma(gamma))
     return _solve_tangents(solver, 0.5 * (a - a.T), parameters, zip(dxs, dys))
 

@@ -22,11 +22,53 @@ from .errors import (
     NoConvergence,
     NonPositiveValue,
     NotAntisymmetric,
+    NotFiniteRange,
     NotHermitian,
     SingularSylvester,
 )
 
 ABS_FLOOR = 1e-14
+
+# Every d x d product and norm of a chain point runs on scipy's BLAS, the
+# library its Schur factorization and ``trsyl`` must use: numpy bundles a
+# second OpenBLAS whose worker threads, once woken by a numpy GEMM or norm,
+# keep spinning and slow the next LAPACK call down by up to 40%.
+_gemm = sla.get_blas_funcs("gemm", dtype=np.float64)
+_nrm2 = sla.get_blas_funcs("nrm2", dtype=np.float64)
+
+
+def _transposed_operand(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``(m, trans)`` with ``op(m) = x^T`` for ``gemm``; C- and F-ordered
+    ``x`` need no copy, any other view is copied by the wrapper."""
+    if x.flags.f_contiguous and not x.flags.c_contiguous:
+        return x, True
+    return x.T, False
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """Real ``a @ b`` on scipy's BLAS as a C-ordered array; with ``c``, the
+    update ``c -= a @ b`` in place (``c`` must not overlap ``a`` or ``b``).
+
+    ``gemm`` is column-major, so it forms ``(a b)^T = b^T a^T``, whose
+    column-major result is ``a b`` in row-major order.
+    """
+    bt, trans_b = _transposed_operand(b)
+    at, trans_a = _transposed_operand(a)
+    if c is None:
+        return _gemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
+    if not c.size:
+        return c
+    ct = c.T
+    out = _gemm(-1.0, bt, at, beta=1.0, c=ct, trans_a=trans_b, trans_b=trans_a, overwrite_c=True)
+    if out is not ct:  # a non-contiguous c was updated on a copy
+        c[...] = out.T
+    return c
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of a real array on scipy's BLAS."""
+    v = np.ravel(a, order="K")
+    return float(_nrm2(v)) if v.size else 0.0
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
@@ -112,12 +154,12 @@ def _solve_quasi_triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarra
     if m >= n:
         k = _split_index(a)
         _solve_quasi_triangular_sylvester(a[k:, k:], b, c[k:])
-        c[:k] -= a[:k, k:] @ c[k:]
+        _matmul(a[:k, k:], c[k:], c[:k])
         _solve_quasi_triangular_sylvester(a[:k, :k], b, c[:k])
     else:
         k = _split_index(b)
         _solve_quasi_triangular_sylvester(a, b[k:, k:], c[:, k:])
-        c[:, :k] -= c[:, k:] @ b[:k, k:].T
+        _matmul(c[:, k:], b[:k, k:].T, c[:, :k])
         _solve_quasi_triangular_sylvester(a, b[:k, :k], c[:, :k])
 
 
@@ -138,9 +180,9 @@ def _solve_antisymmetric_lyapunov(t: np.ndarray, c: np.ndarray) -> None:
     k = _split_index(t)
     _solve_antisymmetric_lyapunov(t[k:, k:], c[k:, k:])
     z12 = c[:k, k:]
-    z12 -= t[:k, k:] @ c[k:, k:]
+    _matmul(t[:k, k:], c[k:, k:], z12)
     _solve_quasi_triangular_sylvester(t[:k, :k], t[k:, k:], z12)
-    p = z12 @ t[:k, k:].T
+    p = _matmul(z12, t[:k, k:].T)
     c[:k, :k] -= p - p.T
     _solve_antisymmetric_lyapunov(t[:k, :k], c[:k, :k])
     c[k:, :k] = -z12.T
@@ -162,7 +204,7 @@ class LyapunovSolver:
     def __init__(self, x: np.ndarray):
         x = np.real(_as_square(x, "x"))
         self.x = x
-        self._x_norm = np.linalg.norm(x)
+        self._x_norm = _frobenius(x)
         try:
             self.t, self.u = sla.schur(x, output="real")
         except (np.linalg.LinAlgError, ValueError) as exc:
@@ -185,30 +227,30 @@ class LyapunovSolver:
         imaginary = np.iscomplexobj(y)
         b = np.imag(y) if imaginary else y
         # ||X G + G X^T - Y||^2 = ||Re Y||^2 + ||X A + A X^T - Im Y||^2
-        re_norm = np.linalg.norm(np.real(y)) if imaginary else 0.0
-        b_norm = np.linalg.norm(b)
+        re_norm = _frobenius(np.real(y)) if imaginary else 0.0
+        b_norm = _frobenius(b)
         y_norm = np.hypot(re_norm, b_norm)
         if re_norm > max(1e-12 * y_norm, ABS_FLOOR):
             raise NotHermitian(
                 f"Lyapunov source has a real part of norm {re_norm:.3e}; "
                 "a Hermitian antisymmetric source is purely imaginary"
             )
-        if np.linalg.norm(b + b.T) > max(1e-12 * b_norm, ABS_FLOOR):
+        if _frobenius(b + b.T) > max(1e-12 * b_norm, ABS_FLOOR):
             raise NotAntisymmetric("Lyapunov source is not antisymmetric")
-        z = self.u.T @ (b @ self.u)
+        z = _matmul(self.u.T, _matmul(b, self.u))
         z -= z.T
         z *= 0.5
         _solve_antisymmetric_lyapunov(self.t, z)
-        a = self.u @ (z @ self.u.T)
+        a = _matmul(self.u, _matmul(z, self.u.T))
         del z  # free the d x d scratch before the residual check
         a -= a.T
         a *= 0.5
         # A is antisymmetric, so A X^T = -(X A)^T
-        res = self.x @ a
+        res = _matmul(self.x, a)
         res -= res.T
         res -= b
-        res = np.hypot(re_norm, np.linalg.norm(res))
-        bound = 1e-10 * (self._x_norm * np.linalg.norm(a) + y_norm)
+        res = np.hypot(re_norm, _frobenius(res))
+        bound = 1e-10 * (self._x_norm * _frobenius(a) + y_norm)
         if res > max(bound, ABS_FLOOR):
             raise SingularSylvester(
                 f"Lyapunov residual {res:.3e} exceeds {bound:.3e}; equation is near singular"
@@ -316,7 +358,10 @@ class PowerLawFit:
 
 
 def fit_power_law(samples: Sequence[tuple[int, float]]) -> PowerLawFit:
-    """Fit a power law through ``(n, value)`` samples in log-log space."""
+    """Fit a power law through ``(n, value)`` samples in log-log space.
+
+    Raises NotFiniteRange when the prefactor ``exp(intercept)`` overflows.
+    """
     samples = list(samples)
     if len(samples) < 4:
         raise NonPositiveValue(f"need at least 4 samples, got {len(samples)}")
@@ -331,6 +376,8 @@ def fit_power_law(samples: Sequence[tuple[int, float]]) -> PowerLawFit:
     ss_res = float(np.sum((ln_v - fitted) ** 2))
     ss_tot = float(np.sum((ln_v - np.mean(ln_v)) ** 2))
     r2 = 1.0 if ss_tot <= ABS_FLOOR else 1.0 - ss_res / ss_tot
+    if intercept > math.log(np.finfo(float).max):
+        raise NotFiniteRange(f"prefactor exp({intercept:.6g}) overflows a double")
     return PowerLawFit(
         exponent=float(slope),
         prefactor=float(np.exp(intercept)),

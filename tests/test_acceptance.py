@@ -140,6 +140,7 @@ def _boundary_xy_quantities(n, h, delta=1.25):
     return gap, res, gam, shape, dxs
 
 
+@pytest.mark.slow
 def test_06_table_one_desk_scale():
     # The h_c and SRMC quantities vary smoothly with n, so five sizes fix
     # their exponents (shifted five-point grids agree within 0.06).

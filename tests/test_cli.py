@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -141,6 +142,28 @@ class TestScaling:
         assert (tmp_path / "scal.csv").exists()
         assert (tmp_path / "scal.json").exists()
 
+    def test_overflowing_fit_writes_strict_json(self, tmp_path, monkeypatch):
+        # gap: exp(720 - 100 ln n), whose fitted prefactor exp(720) overflows;
+        # purity: a NaN sample next to four good ones
+        def worker(task):
+            n = task[1]["n"]
+            return {"gap": math.exp(720.0 - 100.0 * math.log(n)),
+                    "purity": math.nan if n == 80 else 1.0 / n}
+
+        monkeypatch.setattr(cli, "_worker", worker)
+        spec = cli.ScalingSpec(
+            model="boundary_xy",
+            fixed={"delta": 1.25, "h": 0.3},
+            sizes=(80, 160, 320, 640, 1280),
+            quantities=("gap", "purity"),
+            out=str(tmp_path / "scal"),
+        )
+        cli.run_scaling(spec)
+        report = json.loads((tmp_path / "scal.json").read_text(), parse_constant=pytest.fail)
+        assert report["fits"]["gap"]["error"].startswith("NotFiniteRange: ")
+        assert report["fits"]["purity"]["exponent"] == pytest.approx(-1.0)
+        assert report["samples"]["purity"][0] == "nan"
+
     def test_ascending_sizes_required(self, tmp_path):
         with pytest.raises(BadSpec):
             cli.run_scaling(
@@ -181,6 +204,14 @@ class TestConfigAndMain:
         report = json.loads(capsys.readouterr().out)
         assert report["delta"] > 0
         assert report["delta_xhat"] == pytest.approx(report["delta"], rel=1e-6)
+
+    def test_spectrum_of_a_defective_drift_is_strict_json(self, monkeypatch, capsys):
+        eig = numerics.general_eigendecomposition
+        monkeypatch.setattr(numerics, "general_eigendecomposition",
+                            lambda x: (eig(x)[0], np.inf))
+        assert cli.main(["spectrum", "--model", "boundary_xy", "--set", "n=6"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert report["condition_estimate"] == "inf" and report["near_defective"]
 
     def test_geometry_subcommand(self, tmp_path):
         out = tmp_path / "geo.json"

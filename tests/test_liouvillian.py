@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from nessgeom import gaussian, geometry, liouvillian, numerics, oracle
+from nessgeom import gaussian, geometry, liouvillian, models, numerics, oracle
 from nessgeom.errors import (
     DimensionMismatch,
     EmptyJumps,
     InstabilityDetected,
-    NonUniqueSteadyState,
+    SingularSylvester,
 )
 
 from conftest import rand_antisym, rand_stable_model
@@ -130,8 +130,22 @@ class TestNess:
             h=np.zeros((4, 4)),
             jumps=(np.array([0.5, -0.5j, 0.0, 0.0]),),
         )
-        with pytest.raises(NonUniqueSteadyState):
+        with pytest.raises(SingularSylvester):
             liouvillian.ness_covariance(liouvillian.shape_matrices(model))
+
+    def test_one_uniqueness_rule_with_point_geometry(self):
+        # n=40, delta=1: the smallest pair sum of the drift spectrum is 2.7e-11
+        # of its scale, above the solver's 1e-12 singularity threshold
+        p = models.BoundaryXYParams(delta=1.0, h=1.1304758631173196e-4, n=40)
+        shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
+        derivatives = models.boundary_xy_shape_derivatives(p)
+        point = liouvillian.point_geometry(shape, derivatives)
+        cov = liouvillian.ness_covariance(shape)
+        assert np.linalg.norm(cov.gamma.imag - point.a) <= 1e-12 * np.linalg.norm(point.a)
+        dxs, dys = zip(*derivatives.values())
+        tang = liouvillian.ness_tangents(shape, dxs, dys, cov)
+        for got, want in zip(tang.d_a, point.tangents.d_a):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestNessTangents:

@@ -338,6 +338,7 @@ class TestCorrelationLength:
         assert outer.points <= 256
         assert abs(outer.poles[0]) == pytest.approx(1.0 - 1.25e-6, abs=1e-11)
 
+    @pytest.mark.slow
     def test_decay_fit_refuses_a_window_shorter_than_xi(self):
         # at h = 1 the tail never falls through 1e-7 of its peak within 2^20
         # angles; the fit of what is left (about 1.16e6) must not be returned
@@ -592,6 +593,7 @@ class TestGapOnCircle:
             gaps.append(momentum.gap_on_circle(model))
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=1e-6)
 
+    @pytest.mark.slow
     def test_matches_dense_scan_on_sweep_grids(self):
         # the reservoir grid of a symbol sweep, every fourth cell of its rotated-XY
         # grid (a dense scan of that model costs 0.2 s) and the critical field

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,6 +12,7 @@ from nessgeom.errors import (
     NoConvergence,
     NonPositiveValue,
     NotAntisymmetric,
+    NotFiniteRange,
     NotHermitian,
     SingularSylvester,
 )
@@ -322,6 +325,11 @@ class TestPowerLawFit:
         assert abs(fit.exponent + 1.0) < 1e-12
         assert abs(fit.prefactor - 3.0) < 1e-12
         assert fit.n_range == (4, 32)
+
+    def test_overflowing_prefactor_raises(self):
+        samples = [(n, math.exp(720.0 - 100.0 * math.log(n))) for n in (80, 160, 320, 640, 1280)]
+        with pytest.raises(NotFiniteRange, match="720"):
+            numerics.fit_power_law(samples)
 
     def test_rejections(self):
         with pytest.raises(NonPositiveValue):
