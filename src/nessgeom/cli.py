@@ -3,8 +3,8 @@
 Subcommands: ``sweep`` (phase-diagram grids), ``scaling`` (finite-size
 power laws), ``geometry`` (one-point metric/curvature report), ``spectrum``
 (gap reports) and ``oracle`` (randomized cross-module equivalence suites).
-Output is CSV (with a ``#`` comment header recording model, parameters,
-version and seed) or JSON, printed with 17 significant digits so that
+Output is CSV (with a ``#`` comment header recording model, parameters
+and version) or JSON, printed with 17 significant digits so that
 rerunning a spec reproduces files byte for byte; grid points that fail
 carry the raising error's class name in their cells.
 """
@@ -156,7 +156,6 @@ class SweepSpec:
     quantities: tuple = ()
     out: str | None = None
     jobs: int = 1
-    seed: int = 0
     fmt: str = "csv"
 
     def validate(self):
@@ -192,7 +191,6 @@ class ScalingSpec:
     quantities: tuple = ()
     out: str | None = None
     jobs: int = 1
-    seed: int = 0
 
     def validate(self):
         if len(self.sizes) < 4:
@@ -208,13 +206,12 @@ class ScalingSpec:
 # --- output ------------------------------------------------------------------------
 
 
-def _csv_header(spec_kind: str, model: str, fixed: dict, seed: int) -> list[str]:
+def _csv_header(spec_kind: str, model: str, fixed: dict) -> list[str]:
     fixed_txt = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(fixed.items()))
     return [
         f"# nessgeom {spec_kind} v{__version__}",
         f"# model: {model}",
         f"# fixed: {fixed_txt}",
-        f"# seed: {seed}",
     ]
 
 
@@ -252,13 +249,12 @@ def run_sweep(spec: SweepSpec) -> str:
             {
                 "model": spec.model,
                 "fixed": {k: spec.fixed[k] for k in sorted(spec.fixed)},
-                "seed": spec.seed,
                 "rows": rows,
             }
         )
         _write_text(spec.out, text)
         return text
-    lines = _csv_header("sweep", spec.model, spec.fixed, spec.seed)
+    lines = _csv_header("sweep", spec.model, spec.fixed)
     lines.append(",".join(list(names) + list(spec.quantities)))
     for row, res in zip(points, results):
         cells = [_fmt(v) for v in row] + [_fmt(res[q]) for q in spec.quantities]
@@ -282,7 +278,7 @@ def run_scaling(spec: ScalingSpec) -> tuple[str, str]:
             results = list(pool.map(_worker, tasks, chunksize=1))
     else:
         results = [_worker(t) for t in tasks]
-    lines = _csv_header("scaling", spec.model, spec.fixed, spec.seed)
+    lines = _csv_header("scaling", spec.model, spec.fixed)
     lines.append(",".join(["n"] + list(spec.quantities)))
     for n, res in zip(spec.sizes, results):
         lines.append(",".join([str(int(n))] + [_fmt(res[q]) for q in spec.quantities]))
@@ -455,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--jobs", type=int, default=None,
                        help="worker pool width (default: available cores)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None)
 
     common(sub.add_parser("sweep", help="grid sweep to CSV"), grid=True)
@@ -489,7 +484,6 @@ def main(argv=None) -> int:
                 quantities=args._quantities,
                 out=args.out,
                 jobs=args.jobs or os.cpu_count() or 1,
-                seed=args.seed,
                 fmt=args.fmt,
             )
             run_sweep(spec)
@@ -503,7 +497,6 @@ def main(argv=None) -> int:
                 quantities=args._quantities,
                 out=args.out,
                 jobs=args.jobs or os.cpu_count() or 1,
-                seed=args.seed,
             )
             run_scaling(spec)
             return 0

@@ -89,7 +89,8 @@ def validate(gamma) -> CovarianceMatrix:
         raise NotHermitian("gamma is not Hermitian")
     if np.max(np.abs(g + g.T)) > 1e-12 * scale:
         raise NotAntisymmetric("gamma is not antisymmetric")
-    check_norm(np.abs(np.linalg.eigvalsh(g)))
+    # Hermitian and antisymmetric: g = i Im g, whose spectrum is +- the singular values of Im g
+    check_norm(sla.svdvals(np.imag(g)))
     return CovarianceMatrix(n_modes=g.shape[0] // 2, gamma=g)
 
 

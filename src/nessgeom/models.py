@@ -5,10 +5,10 @@ Dicke model in the Born-Oppenheimer treatment, boundary-driven XY chain,
 rotated XY with local dissipation, and the reservoir-only chain.
 
 Spin chains are fermionized in the global Majorana convention of
-:mod:`nessgeom.gaussian` (``sigma^z_j = -i w_{2j-1} w_{2j}``); closed-form
-momentum symbols are expressed in the same flavor frame, which differs
-from spin-up-is-occupied writeups by conjugation with sigma_x (the second
-and third Pauli components flip sign).
+:mod:`nessgeom.gaussian` (``sigma^z_j = -i w_{2j-1} w_{2j}``); the momentum
+symbols quoted by the builders are expressed in the same flavor frame,
+which differs from spin-up-is-occupied writeups by conjugation with sigma_x
+(the second and third Pauli components flip sign).
 """
 from __future__ import annotations
 
@@ -542,9 +542,10 @@ def build_reservoir_chain(lam: float, theta: float) -> SymbolModel:
 
     Jump family ``[(1+lam) l0 . w_r + l1 . w_{r+1} + lam l2 . w_{r+2}] / n(lam)``
     with ``l0 = (cos t, -sin t)``, ``l1 = l2 = i (sin t, cos t)`` and
-    ``n(lam) = 4 (lam^2 + lam + 1)``.  The attached closed-form covariance
-    symbol (written in the artifact's flavor frame) has eigenvalues
-    ``+- g(phi) sqrt(1 + lam^2 + 2 lam cos phi)``.
+    ``n(lam) = 4 (lam^2 + lam + 1)``, with exact derivative families along
+    ``lam`` and ``theta``.  The solved covariance symbol has eigenvalues
+    ``+- g(phi) sqrt(1 + lam^2 + 2 lam cos phi)``,
+    ``g = (1 + lam) / (1 + lam + lam cos phi + lam^2)``, singular at lam = -1.
     """
     nl = 4.0 * (lam**2 + lam + 1.0)
     l0 = np.array([np.cos(theta), -np.sin(theta)])
@@ -561,71 +562,11 @@ def build_reservoir_chain(lam: float, theta: float) -> SymbolModel:
     dl0 = -np.array([np.sin(theta), np.cos(theta)])
     dl1 = 1j * np.array([np.cos(theta), -np.sin(theta)])
     dfam_theta = {0: (1.0 + lam) * dl0 / nl, 1: dl1 / nl, 2: lam * dl1 / nl}
-
-    def gamma_closed(phis: np.ndarray) -> np.ndarray:
-        v = _reservoir_vector(phis, lam, theta)
-        return _pauli_assemble(v)
-
-    dgamma = {
-        "lam": lambda phis: _pauli_assemble(_reservoir_vector_dlam(phis, lam, theta)),
-        "theta": lambda phis: _pauli_assemble(_reservoir_vector_dtheta(phis, lam, theta)),
-    }
     return SymbolModel(
         h_blocks={},
         jumps=[fam],
         params={"lam": lam, "theta": theta},
-        gamma_symbol=gamma_closed,
-        dgamma_symbols=dgamma,
         dl={"lam": [dfam_lam], "theta": [dfam_theta]},
-    )
-
-
-def _pauli_assemble(v: np.ndarray) -> np.ndarray:
-    """(3, m) Pauli components -> (m, 2, 2) Hermitian symbols."""
-    return (
-        v[0][:, None, None] * _SX + v[1][:, None, None] * _SY + v[2][:, None, None] * _SZ
-    )
-
-
-def _reservoir_vector(phis, lam, theta):
-    phis = np.atleast_1d(phis)
-    with np.errstate(invalid="ignore"):  # 0/0 at lam = -1, phi = 0 stays NaN
-        g = (1.0 + lam) / (1.0 + lam + lam * np.cos(phis) + lam**2)
-    s1 = np.sin(phis) + lam * np.sin(2.0 * phis)
-    c1 = np.cos(phis) + lam * np.cos(2.0 * phis)
-    return np.array([g * s1 * np.cos(2 * theta), -g * c1, g * s1 * np.sin(2 * theta)])
-
-
-def _reservoir_vector_dlam(phis, lam, theta):
-    phis = np.atleast_1d(phis)
-    p = 1.0 + lam + lam * np.cos(phis) + lam**2
-    with np.errstate(invalid="ignore"):
-        g = (1.0 + lam) / p
-        dg = (p - (1.0 + lam) * (1.0 + np.cos(phis) + 2.0 * lam)) / p**2
-    s1 = np.sin(phis) + lam * np.sin(2.0 * phis)
-    c1 = np.cos(phis) + lam * np.cos(2.0 * phis)
-    ds1 = np.sin(2.0 * phis)
-    dc1 = np.cos(2.0 * phis)
-    return np.array(
-        [
-            (dg * s1 + g * ds1) * np.cos(2 * theta),
-            -(dg * c1 + g * dc1),
-            (dg * s1 + g * ds1) * np.sin(2 * theta),
-        ]
-    )
-
-
-def _reservoir_vector_dtheta(phis, lam, theta):
-    phis = np.atleast_1d(phis)
-    with np.errstate(invalid="ignore"):
-        g = (1.0 + lam) / (1.0 + lam + lam * np.cos(phis) + lam**2)
-    s1 = np.sin(phis) + lam * np.sin(2.0 * phis)
-    return np.array(
-        [
-            -2.0 * g * s1 * np.sin(2 * theta),
-            np.zeros_like(phis),
-            2.0 * g * s1 * np.cos(2 * theta),
-        ]
     )
 
 
@@ -639,14 +580,16 @@ def build_rotated_xy_dissipative(
 ) -> SymbolModel:
     """Rotated XY ring with weak local loss/gain reservoirs.
 
-    The finite coupling ``epsilon`` enters the drift at order epsilon^2;
-    the attached closed-form covariance symbol is the weak-coupling limit
+    The finite coupling ``epsilon`` enters the drift at order epsilon^2,
+    and the solved covariance symbol moves with it; its weak-coupling limit
+    epsilon -> 0 is
 
         gamma~ = g(phi) [ t cos(th) sx + sy - t sin(th) sz ],
         g = q u^2 / (u^2 + delta^2 s^2),   t = delta s / u,   u = cos phi - h,
 
     with ``q = (mu_-^2 - mu_+^2) / (mu_-^2 + mu_+^2)`` (flavor frame as in
-    the reservoir chain; the spin-frame writeup flips sy, sz).
+    the reservoir chain; the spin-frame writeup flips sy, sz).  The model
+    carries exact derivative blocks along every parameter.
     """
     if mu_minus**2 + mu_plus**2 <= 0.0:
         raise DimensionMismatch("need a nonzero reservoir rate")
@@ -685,55 +628,11 @@ def build_rotated_xy_dissipative(
         "mu_plus": [{}, {0: epsilon * c_plus}],
         "epsilon": [{0: mu_minus * c_minus}, {0: mu_plus * c_plus}],
     }
-    q_pol = (mu_minus**2 - mu_plus**2) / (mu_minus**2 + mu_plus**2)
-
-    def closed(phis: np.ndarray) -> np.ndarray:
-        return _pauli_assemble(_rotated_xy_vector(phis, delta, h, theta, q_pol))
-
-    dgamma = {
-        "delta": lambda p: _pauli_assemble(_rotated_xy_dvec(p, delta, h, theta, q_pol, "delta")),
-        "h": lambda p: _pauli_assemble(_rotated_xy_dvec(p, delta, h, theta, q_pol, "h")),
-        "theta": lambda p: _pauli_assemble(_rotated_xy_dvec(p, delta, h, theta, q_pol, "theta")),
-    }
     return SymbolModel(
         h_blocks=blocks,
         jumps=jumps,
         params={"delta": delta, "h": h, "theta": theta,
                 "mu_minus": mu_minus, "mu_plus": mu_plus, "epsilon": epsilon},
-        gamma_symbol=closed,
-        dgamma_symbols=dgamma,
         dh=dh,
         dl=dl,
     )
-
-
-def _rotated_xy_vector(phis, delta, h, theta, q_pol):
-    # the site-flavor rotation by theta conjugates the symbol with
-    # exp(-i theta sigma_y), a rotation by 2 theta of the (x, z) components
-    phis = np.atleast_1d(phis)
-    s, u = np.sin(phis), np.cos(phis) - h
-    dd = u**2 + delta**2 * s**2
-    with np.errstate(invalid="ignore"):  # 0/0 at h = 1, phi = 0 stays NaN
-        g = q_pol * u**2 / dd
-        gt = q_pol * delta * s * u / dd
-    return np.array([gt * np.cos(2 * theta), g, -gt * np.sin(2 * theta)])
-
-
-def _rotated_xy_dvec(phis, delta, h, theta, q_pol, which: str):
-    if which == "theta":
-        v = _rotated_xy_vector(phis, delta, h, theta, q_pol)
-        return np.array([2.0 * v[2], np.zeros_like(v[1]), -2.0 * v[0]])
-    phis = np.atleast_1d(phis)
-    s, u = np.sin(phis), np.cos(phis) - h
-    dd = u**2 + delta**2 * s**2
-    with np.errstate(invalid="ignore"):
-        if which == "delta":
-            dg = -2.0 * q_pol * u**2 * delta * s**2 / dd**2
-            dgt = q_pol * s * u * (u**2 - delta**2 * s**2) / dd**2
-        elif which == "h":
-            # chain rule through u' = -1
-            dg = -2.0 * q_pol * u * delta**2 * s**2 / dd**2
-            dgt = q_pol * delta * s * (u**2 - delta**2 * s**2) / dd**2
-        else:
-            raise DimensionMismatch(f"unknown parameter {which!r}")
-    return np.array([dgt * np.cos(2 * theta), dg, -dgt * np.sin(2 * theta)])

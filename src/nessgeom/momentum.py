@@ -45,7 +45,8 @@ ORIGIN_TOL = 1e-9
 ISLAND_TOL = 1e-10
 ISLAND_MAX_POINTS = 1 << 12
 HANKEL_RANK_TOL = 1e-8
-# Newton steps on det xhat for roots of unresolved islands (linear at a double root)
+# Newton steps on det xhat for the island roots once an island is unresolved
+# (linear at a double root)
 NEWTON_STEPS = 60
 # fixed generic projection of the 2x2 island moments onto scalars
 _PROJ_U = np.array([1.0, 0.6 + 0.3j])
@@ -91,6 +92,12 @@ def _bath_blocks(left: Sequence[Mapping], right: Sequence[Mapping]) -> dict[int,
     return blocks
 
 
+def _contract(powers: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``powers @ stack`` without BLAS: on a 2-core machine a numpy GEMM here
+    made the batched 4x4 solves after it 3-4x slower at 1,024 points."""
+    return np.einsum("nu,uk->nk", powers, stack)
+
+
 @dataclass
 class SymbolModel:
     """Momentum-space description of a translationally invariant chain.
@@ -100,13 +107,17 @@ class SymbolModel:
     blocks, ``dl[name]`` has one family per jump family (absent offsets and
     absent names are zero).  The bath derivative ``dm_blocks[name]`` follows
     by the product rule, ``dm = (dl, l) + (l, dl)`` in ``_bath_blocks``.
+
+    Every symbol value comes from ``symbols``, which contracts one power
+    table ``z^{-u}`` (u = -span .. span) with stacks of the drift blocks
+    ``x(u) = 4 [i h(u) + Re m(u)]``, the source blocks ``y(u) = -8 i Im m(u)``
+    and the same blocks of their derivatives, built once per set of
+    parameter names on first use.
     """
 
     h_blocks: Mapping[int, np.ndarray]
     jumps: Sequence[Mapping[int, np.ndarray]]
     params: dict = field(default_factory=dict)
-    gamma_symbol: Callable[[np.ndarray], np.ndarray] | None = None
-    dgamma_symbols: Mapping[str, Callable[[np.ndarray], np.ndarray]] | None = None
     dh: Mapping[str, Mapping[int, np.ndarray]] = field(default_factory=dict)
     dl: Mapping[str, Sequence[Mapping[int, np.ndarray]]] = field(default_factory=dict)
     m_blocks: Mapping[int, np.ndarray] = field(init=False)
@@ -119,6 +130,12 @@ class SymbolModel:
         if any(len(f) != len(self.jumps) for f in self.dl.values()):
             raise DimensionMismatch("dl needs one family per jump family")
         self.m_blocks = _bath_blocks(self.jumps, self.jumps)
+        # the table spans every offset a block or a derivative block can take
+        span = [self.reach] + [abs(u) for b in self.dh.values() for u in b]
+        span += [abs(v - u) for fams in self.dl.values()
+                 for dfam, fam in zip(fams, self.jumps) for u in dfam for v in fam]
+        self._offsets = np.arange(-max(span), max(span) + 1)
+        self._stacks: dict[tuple[str, ...], np.ndarray] = {}
         self._spot_check()
 
     @cached_property
@@ -130,75 +147,58 @@ class SymbolModel:
     @property
     def reach(self) -> int:
         """Largest block offset entering the drift symbol."""
-        hs = [abs(u) for u in self.h_blocks] or [0]
-        ms = [abs(u) for u in self.m_blocks] or [0]
-        return max(max(hs), max(ms))
+        return max([abs(u) for u in (*self.h_blocks, *self.m_blocks)], default=0)
 
-    def _transform(self, blocks: Mapping[int, np.ndarray], phis: np.ndarray) -> np.ndarray:
-        phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        out = np.zeros((phis.size, 2, 2), dtype=complex)
+    def _stacked(self, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Blocks as rows of a (len(offsets), 4) stack; absent offsets are zero."""
+        out = np.zeros((self._offsets.size, 4), dtype=complex)
         for u, b in blocks.items():
-            out += np.exp(-1j * phis * u)[:, None, None] * b
+            out[u - self._offsets[0]] = b.reshape(4)
         return out
 
-    def h_tilde(self, phis) -> np.ndarray:
-        return self._transform(self.h_blocks, phis)
+    def _drift_and_source(self, h_blocks, m_blocks) -> np.ndarray:
+        """(len(offsets), 3, 4) stack of the drift blocks ``x(u)``, the same
+        blocks at ``-u`` (for ``x(1/z)``) and the source blocks ``y(u)``."""
+        m = self._stacked(m_blocks)
+        x = 4.0 * (1j * self._stacked(h_blocks) + m.real)
+        return np.stack([x, x[::-1], -8j * m.imag], axis=1)
 
-    def m_tilde(self, phis) -> np.ndarray:
-        return self._transform(self.m_blocks, phis)
+    def _stacks_along(self, along: tuple[str, ...]) -> np.ndarray:
+        """The stacks of the symbols and of their derivatives along ``along``,
+        as one (len(offsets), 3 (1 + len(along)) 4) array, built on first use."""
+        if along not in self._stacks:
+            for name in along:
+                if name not in self.dh and name not in self.dl:
+                    raise DimensionMismatch(f"model carries no derivative blocks for {name!r}")
+            blocks = [(self.h_blocks, self.m_blocks)] + [
+                (self.dh.get(name, {}), self.dm_blocks.get(name, {})) for name in along
+            ]
+            stack = np.stack([self._drift_and_source(*b) for b in blocks], axis=2)
+            self._stacks[along] = stack.reshape(self._offsets.size, -1)
+        return self._stacks[along]
 
-    def _laurent(self, blocks: Mapping[int, np.ndarray], z: np.ndarray) -> np.ndarray:
-        """Analytic continuation ``sum_u f(u) z^{-u}`` off the unit circle."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.zeros((z.size, 2, 2), dtype=complex)
-        for u, b in blocks.items():
-            out += (z ** (-u))[:, None, None] * b
-        return out
+    def symbols(self, z, along: Sequence[str] = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(x(z), x(1/z), y(z))``, each of shape (1 + len(along), n, 2, 2).
 
-    def _x_at(self, h_blocks, m_blocks, z) -> np.ndarray:
-        re_blocks = {u: np.real(b) for u, b in m_blocks.items()}
-        return 4.0 * (1j * self._laurent(h_blocks, z) + self._laurent(re_blocks, z))
-
-    def _y_at(self, m_blocks, z) -> np.ndarray:
-        im_blocks = {u: np.imag(b) for u, b in m_blocks.items()}
-        return -8j * self._laurent(im_blocks, z)
-
-    def x_at(self, z) -> np.ndarray:
-        return self._x_at(self.h_blocks, self.m_blocks, z)
-
-    def y_at(self, z) -> np.ndarray:
-        return self._y_at(self.m_blocks, z)
-
-    def _derivative_blocks(self, name: str) -> tuple[Mapping, Mapping]:
-        if name not in self.dh and name not in self.dl:
-            raise DimensionMismatch(f"model carries no derivative blocks for {name!r}")
-        return self.dh.get(name, {}), self.dm_blocks.get(name, {})
-
-    def dx_at(self, name: str, z) -> np.ndarray:
-        """``d x(z) / d name`` from the exact derivative blocks."""
-        return self._x_at(*self._derivative_blocks(name), z)
-
-    def dy_at(self, name: str, z) -> np.ndarray:
-        """``d y(z) / d name`` from the exact derivative blocks."""
-        return self._y_at(self._derivative_blocks(name)[1], z)
-
-    def x_tilde(self, phis) -> np.ndarray:
-        re_blocks = {u: np.real(b) for u, b in self.m_blocks.items()}
-        return 4.0 * (1j * self.h_tilde(phis) + self._transform(re_blocks, phis))
-
-    def y_tilde(self, phis) -> np.ndarray:
-        im_blocks = {u: np.imag(b) for u, b in self.m_blocks.items()}
-        return -8j * self._transform(im_blocks, phis)
+        Index 0 holds the drift and source symbols continued to the points
+        ``z`` (on the unit circle ``z = e^{i phi}``, where ``x(1/z) =
+        x~(-phi)``); index k + 1 holds their derivatives along ``along[k]``.
+        """
+        powers = np.atleast_1d(np.asarray(z, dtype=complex))[:, None] ** -self._offsets
+        vals = _contract(powers, self._stacks_along(tuple(along)))
+        return tuple(vals.reshape(len(vals), 3, -1, 2, 2).transpose(1, 2, 0, 3, 4))
 
     def _spot_check(self, n_angles: int = 16) -> None:
         phis = np.linspace(-np.pi, np.pi, n_angles, endpoint=False)
-        h_p = self.h_tilde(phis)
-        h_m = self.h_tilde(-phis)
+        powers = np.exp(1j * phis)[:, None] ** -self._offsets  # reversed: z^u
+        h = self._stacked(self.h_blocks)
+        h_p = _contract(powers, h).reshape(-1, 2, 2)
+        h_m = _contract(powers[:, ::-1], h).reshape(-1, 2, 2)
         if np.max(np.abs(h_p + np.transpose(h_m, (0, 2, 1)))) > 1e-10 * max(
             1.0, np.max(np.abs(h_p))
         ):
             raise DimensionMismatch("h symbol violates h~(phi) = -h~(-phi)^T")
-        m_p = self.m_tilde(phis)
+        m_p = _contract(powers, self._stacked(self.m_blocks)).reshape(-1, 2, 2)
         herm_dev = np.max(np.abs(m_p - np.conj(np.transpose(m_p, (0, 2, 1)))))
         if herm_dev > 1e-10 * max(1.0, np.max(np.abs(m_p))):
             raise DimensionMismatch("m symbol is not Hermitian pointwise")
@@ -207,23 +207,15 @@ class SymbolModel:
             raise DimensionMismatch("m symbol is not PSD pointwise")
 
 
-def symbol_shape(model: SymbolModel, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and source symbols at one angle (or batch of angles)."""
-    x = model.x_tilde(phi)
-    y = model.y_tilde(phi)
-    if np.isscalar(phi):
-        return x[0], y[0]
-    return x, y
-
-
 def _xhat(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-    """Batched 4x4 vectorized drift ``x+ (x) 1 + 1 (x) x-`` of ``x+ g + g x-^T``."""
-    eye = np.eye(2)
-    # add before reshaping: numpy sums into an owned temporary in place,
-    # saving a 16 n complex buffer (256 MB at 2^20 angles)
-    return (
-        np.einsum("nab,cd->nacbd", xp, eye) + np.einsum("ab,ncd->nacbd", eye, xm)
-    ).reshape(-1, 4, 4)
+    """Batched 4x4 vectorized drift ``x+ (x) 1 + 1 (x) x-`` of ``x+ g + g x-^T``,
+    written into one buffer block by block."""
+    out = np.zeros((xp.shape[0], 2, 2, 2, 2), dtype=complex)
+    for c in range(2):
+        out[:, :, c, :, c] = xp
+    for a in range(2):
+        out[:, a, :, a, :] += xm
+    return out.reshape(-1, 4, 4)
 
 
 def _solve_blocks(xhat: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
@@ -237,17 +229,34 @@ def _solve_blocks(xhat: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
     return np.moveaxis(vec, -1, 0).reshape(len(rhs), -1, 2, 2)
 
 
+def _solve_symbol(model: SymbolModel, z: np.ndarray, along: Sequence[str] = ()) -> tuple:
+    """``((x(z), x(1/z), y(z)), gamma~, dgamma~)`` at the points ``z``.
+
+    gamma~ solves ``x(z) g + g x(1/z)^T = y(z)``; with parameter names, the
+    exact tangents
+
+        x(z) dg + dg x(1/z)^T = dy(z) - dx(z) g - g dx(1/z)^T
+
+    are solved on the same 4x4 system, ``dg`` of shape (len(along), n, 2, 2)
+    (None without names).
+    """
+    x, x_inv, y = model.symbols(z, along)
+    xhat = _xhat(x[0], x_inv[0])
+    gam = _solve_blocks(xhat, y[0])[0]
+    dgam = None
+    if along:
+        dx_g = np.einsum("knab,nbc->knac", x[1:], gam)
+        dgam = _solve_blocks(xhat, *(y[1:] - dx_g - np.einsum("nab,kncb->knac", gam, x_inv[1:])))
+    return (x[0], x_inv[0], y[0]), gam, dgam
+
+
 def symbol_covariance(model: SymbolModel, phi) -> np.ndarray:
-    """Covariance symbol gamma~(phi) from the 2x2 Lyapunov equation."""
+    """Covariance symbol gamma~(phi) from the 2x2 Lyapunov equation on the
+    unit circle, checked by its residual."""
     phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    xp = model.x_tilde(phis)
-    xm = model.x_tilde(-phis)
-    y = model.y_tilde(phis)
-    gam = _solve_blocks(_xhat(xp, xm), y)[0]
-    res = np.einsum("nab,nbc->nac", xp, gam) + np.einsum(
-        "nab,ncb->nac", gam, xm
-    ) - y
-    scale = max(np.max(np.abs(y)), np.max(np.abs(xp)) * max(np.max(np.abs(gam)), 1e-300), 1e-300)
+    (x, x_inv, y), gam, _ = _solve_symbol(model, np.exp(1j * phis))
+    res = np.einsum("nab,nbc->nac", x, gam) + np.einsum("nab,ncb->nac", gam, x_inv) - y
+    scale = max(np.max(np.abs(y)), np.max(np.abs(x)) * max(np.max(np.abs(gam)), 1e-300), 1e-300)
     if np.max(np.abs(res)) > 1e-12 * scale:
         raise CriticalAngle(
             f"symbol Lyapunov residual {np.max(np.abs(res)):.3e} too large (critical angle?)"
@@ -255,14 +264,6 @@ def symbol_covariance(model: SymbolModel, phi) -> np.ndarray:
     if np.isscalar(phi):
         return gam[0]
     return gam
-
-
-def gamma_grid(model: SymbolModel, phis: np.ndarray) -> np.ndarray:
-    """gamma~ on a grid: closed form when the model carries one, else solves."""
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if model.gamma_symbol is not None:
-        return np.asarray(model.gamma_symbol(phis))
-    return symbol_covariance(model, phis)
 
 
 # --- rational continuation ----------------------------------------------------
@@ -309,10 +310,11 @@ def _symbol_coefficients(model: SymbolModel) -> tuple[np.ndarray, np.ndarray, in
         m *= 2
     m *= 2
     phis = 2.0 * np.pi * np.arange(m) / m
-    xhat = _xhat(model.x_tilde(phis), model.x_tilde(-phis))
+    x, x_inv, y = model.symbols(np.exp(1j * phis))
+    xhat = _xhat(x[0], x_inv[0])
     d_vals = np.linalg.det(xhat)
     # adjugate through cofactors so critical angles (singular xhat) stay exact
-    eta_vals = (_adjugate4(xhat) @ model.y_tilde(phis).reshape(m, 4, 1))[:, :, 0]
+    eta_vals = (_adjugate4(xhat) @ y[0].reshape(m, 4, 1))[:, :, 0]
     zk = np.exp(1j * phis) ** k_shift
     d_poly = (np.fft.fft(d_vals * zk) / m)[: deg + 1]
     eta_poly = (np.fft.fft(eta_vals * zk[:, None], axis=0) / m)[: deg + 1]
@@ -475,7 +477,8 @@ def _symbol_scale(rational: RationalSymbol) -> float:
 
 def _det_xhat(model: SymbolModel, z: np.ndarray) -> np.ndarray:
     """``det xhat(z)`` by local assembly: the roots of ``d(z)``, well conditioned."""
-    return np.linalg.det(_xhat(model.x_at(z), model.x_at(1.0 / z)))
+    x, x_inv, _ = model.symbols(z)
+    return np.linalg.det(_xhat(x[0], x_inv[0]))
 
 
 @dataclass(frozen=True)
@@ -599,12 +602,12 @@ def pole_structure(rational: RationalSymbol) -> tuple[list[Island], np.ndarray]:
         return out, groups
 
     out, groups = islands(roots)
-    stuck = [i for isl, g in zip(out, groups) if not isl.resolved for i in g]
-    if stuck:
-        # rounding scatters near-multiple roots of the polynomial; Newton on
-        # the locally evaluated det xhat brings them back before a retry
+    if not all(isl.resolved for isl in out):
+        # rounding scatters near-multiple roots of the polynomial; Newton on the
+        # locally evaluated det xhat brings every island root back before a retry
+        members = [i for g in groups for i in g]
         roots = roots.copy()
-        roots[stuck] = _newton_roots(model, roots[stuck])
+        roots[members] = _newton_roots(model, roots[members])
         out, _ = islands(roots)
     return out, roots
 
@@ -642,9 +645,7 @@ def _xi_by_decay(rational: RationalSymbol) -> float:
         try:
             # pointwise solves stay well conditioned at a near-critical
             # pinch, where the polynomial ratio hits its cancellation floor
-            vals = _solve_blocks(
-                _xhat(model.x_tilde(phis), model.x_tilde(-phis)), model.y_tilde(phis)
-            )[0]
+            vals = _solve_symbol(model, np.exp(1j * phis))[1]
         except CriticalAngle:
             return np.inf
         blocks = np.fft.ifft(vals, axis=0)  # gamma(r), r = 0 .. n_fft-1
@@ -742,28 +743,14 @@ def real_space_correlation(rational: RationalSymbol, r: int) -> np.ndarray:
     return total
 
 
-def real_space_correlation_quadrature(model: SymbolModel, r: int, tol: float = 1e-10) -> np.ndarray:
-    """Independent check: ``gamma(r) = (1/2 pi) int gamma~(phi) e^{i phi r} dphi``."""
-    out = np.zeros((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            def integrand(phis, a=a, b=b):
-                return gamma_grid(model, phis)[:, a, b] * np.exp(1j * phis * r)
-
-            out[a, b] = numerics.periodic_quadrature(integrand, tol) / (2.0 * np.pi)
-    return out
-
-
 # --- mean Uhlmann curvature per site -------------------------------------------
 
 
 def _muc_terms(gam: np.ndarray, dmu: np.ndarray, dnu: np.ndarray) -> tuple:
     """Numerator ``(i/4) Tr{ g~ [d_mu g~, d_nu g~] }`` and ``1 - det g~`` of the
-    MUC density, batched over points; a NaN symbol passes through silently."""
+    MUC density, batched over points."""
     comm = np.einsum("nab,nbc->nac", dmu, dnu) - np.einsum("nab,nbc->nac", dnu, dmu)
-    with np.errstate(invalid="ignore"):
-        one_minus = 1.0 - np.linalg.det(gam)
-    return 0.25j * np.einsum("nab,nba->n", gam, comm), one_minus
+    return 0.25j * np.einsum("nab,nba->n", gam, comm), 1.0 - np.linalg.det(gam)
 
 
 def muc_integrand(
@@ -776,32 +763,14 @@ def muc_integrand(
         u(phi) = (i/4) Tr{ g~ [d_mu g~, d_nu g~] } / (1 - det g~)^2,
 
     set to zero where ``det g~ = 1`` (two pure eigenmodes: the continuity
-    branch, not a singularity).  ``g~`` and its parameter derivatives are
-    the model's closed forms when it carries them for the pair, otherwise
-    the exact tangents of ``gamma_at_points`` on the unit circle.
-    Where the density is not finite, the model's own Lyapunov solve
-    decides: a singular drift there raises ``CriticalAngle``, a regular
-    one marks a removable 0/0 of the closed form, which the continuity
-    branch also sets to zero."""
+    branch, not a singularity).  ``g~`` and its exact tangents come from
+    ``gamma_at_points`` on the unit circle; a singular drift symbol on the
+    grid raises ``CriticalAngle``."""
     model = builder(**params)
-    closed = model.dgamma_symbols or {}
-    if all(name in closed for name in pair):
-
-        def terms(phis: np.ndarray) -> tuple:
-            return gamma_grid(model, phis), *(closed[name](phis) for name in pair)
-
-    else:
-
-        def terms(phis: np.ndarray) -> tuple:
-            gam, tangents = gamma_at_points(model, np.exp(1j * phis), pair)
-            return gam, *tangents
 
     def u_of(phis: np.ndarray) -> np.ndarray:
-        phis = np.atleast_1d(phis)
-        num, one_minus = _muc_terms(*terms(phis))
-        bad = ~(np.isfinite(num) & np.isfinite(one_minus))
-        if np.any(bad) and not np.all(np.isfinite(symbol_covariance(model, phis[bad]))):
-            raise CriticalAngle("MUC density is not finite: critical angle on the grid")
+        gam, tangents = gamma_at_points(model, np.exp(1j * np.atleast_1d(phis)), pair)
+        num, one_minus = _muc_terms(gam, *tangents)
         ok = np.abs(one_minus) > 1e-12
         return np.where(ok, num / np.where(ok, one_minus**2, 1.0), 0.0)
 
@@ -837,26 +806,12 @@ def gamma_at_points(model: SymbolModel, z: np.ndarray, along: Sequence[str] = ()
     Solving ``x(z) g + g x(1/z)^T = y(z)`` pointwise avoids the valley
     amplification that global polynomial numerators suffer near multiple
     roots, so values stay accurate wherever the system is regular.  With
-    parameter names, the exact tangents
-
-        x(z) dg + dg x(1/z)^T = dy(z) - dx(z) g - g dx(1/z)^T
-
-    are solved on the same 4x4 system from the model's derivative blocks,
-    and ``(g, dg)`` is returned with ``dg`` of shape (len(along), n, 2, 2).
+    parameter names, the exact tangents are solved on the same 4x4 system
+    from the model's derivative blocks (see ``_solve_symbol``), and
+    ``(g, dg)`` is returned with ``dg`` of shape (len(along), n, 2, 2).
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zi = 1.0 / z
-    xhat = _xhat(model.x_at(z), model.x_at(zi))
-    gam = _solve_blocks(xhat, model.y_at(z))[0]
-    if not along:
-        return gam
-    sources = [
-        model.dy_at(name, z)
-        - np.einsum("nab,nbc->nac", model.dx_at(name, z), gam)
-        - np.einsum("nab,ncb->nac", gam, model.dx_at(name, zi))
-        for name in along
-    ]
-    return gam, _solve_blocks(xhat, *sources)
+    _, gam, dgam = _solve_symbol(model, z, along)
+    return (gam, dgam) if along else gam
 
 
 def _muc_residue(builder, params, pair) -> float:
@@ -965,7 +920,7 @@ def gap_on_circle(model: SymbolModel) -> float:
     """
 
     def min_re(phis: np.ndarray) -> np.ndarray:
-        eigs = np.linalg.eigvals(model.x_tilde(phis))
+        eigs = np.linalg.eigvals(model.symbols(np.exp(1j * phis))[0][0])
         return np.min(np.real(eigs), axis=1)
 
     phis = np.linspace(-np.pi, np.pi, GAP_SCAN_ANGLES, endpoint=False)

@@ -213,7 +213,7 @@ class TestReservoirChainRing:
         model = build_reservoir_chain(lam, theta)
         nl = 4.0 * (lam**2 + lam + 1.0)
         for phi in (0.0, 0.9, 2.2):
-            eigs = np.sort(np.real(np.linalg.eigvals(model.x_tilde(phi)[0])))
+            eigs = np.sort(np.real(np.linalg.eigvals(model.symbols(np.exp(1j * phi))[0][0, 0])))
             x1 = 4.0 * (1.0 + lam) ** 2 / nl**2
             x2 = 4.0 * (1.0 + 2.0 * lam * np.cos(phi) + lam**2) / nl**2
             np.testing.assert_allclose(eigs, sorted([x1, x2]), atol=1e-12)

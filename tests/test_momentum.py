@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nessgeom import cli, momentum, numerics
 from nessgeom.errors import CriticalAngle, DimensionMismatch, NoConvergence, NotFiniteRange
 from nessgeom.models import build_reservoir_chain, build_rotated_xy_dissipative
+
+import symbol_oracles
 
 
 def reservoir(lam=0.5, theta=0.3):
@@ -29,13 +33,13 @@ class TestSymbolShape:
         model = momentum.SymbolModel(
             h_blocks={0: np.array([[0.0, -0.5j], [0.5j, 0.0]])}, jumps=[]
         )
-        _, y = momentum.symbol_shape(model, 0.7)
+        _, _, y = model.symbols(np.exp(0.7j))
         np.testing.assert_allclose(y, 0.0, atol=1e-14)
 
     def test_real_even_bath_means_no_source(self):
         # a single real on-site jump: m real symmetric, phi-independent
         model = momentum.SymbolModel(h_blocks={}, jumps=[{0: np.array([1.0, 0.5])}])
-        _, y = momentum.symbol_shape(model, 1.1)
+        _, _, y = model.symbols(np.exp(1.1j))
         np.testing.assert_allclose(y, 0.0, atol=1e-14)
 
     def test_reservoir_drift_eigenvalues(self):
@@ -43,7 +47,7 @@ class TestSymbolShape:
         model = reservoir(lam, theta)
         nl = 4.0 * (lam**2 + lam + 1.0)
         for phi in (0.0, 0.9, 2.2):
-            x, _ = momentum.symbol_shape(model, phi)
+            x = model.symbols(np.exp(1j * phi))[0][0, 0]
             eigs = np.sort(np.real(np.linalg.eigvals(x)))
             expect = sorted(
                 [4 * (1 + lam) ** 2 / nl**2, 4 * (1 + 2 * lam * np.cos(phi) + lam**2) / nl**2]
@@ -64,15 +68,16 @@ class TestSymbolCovariance:
         model = reservoir(0.5, 0.3)
         phis = np.array([0.3, 1.4, -2.0])
         np.testing.assert_allclose(
-            momentum.symbol_covariance(model, phis), model.gamma_symbol(phis), atol=1e-12
+            momentum.symbol_covariance(model, phis),
+            symbol_oracles.reservoir_gamma(0.5, 0.3, phis),
+            atol=1e-12,
         )
 
     def test_rotated_xy_weak_coupling_limit(self):
         model = rot_xy(**ROT_PARAMS, epsilon=1e-4)
         phis = np.array([0.3, 1.2, 2.5, -0.8])
-        dev = np.max(
-            np.abs(momentum.symbol_covariance(model, phis) - model.gamma_symbol(phis))
-        )
+        limit = symbol_oracles.rotated_xy_gamma(**ROT_PARAMS, phis=phis)
+        dev = np.max(np.abs(momentum.symbol_covariance(model, phis) - limit))
         assert dev < 1e-6
 
     def test_det_bounded_by_one(self):
@@ -147,7 +152,7 @@ class TestExactTangents:
         phis = np.linspace(-np.pi, np.pi, 64, endpoint=False) + 0.0123
         names = ("lam", "theta")
         _, tangents = momentum.gamma_at_points(model, np.exp(1j * phis), names)
-        closed = np.array([model.dgamma_symbols[n](phis) for n in names])
+        closed = np.array([symbol_oracles.reservoir_dgamma(n, **params, phis=phis) for n in names])
         scale = max(1.0, np.max(np.abs(closed)))
         assert np.max(np.abs(tangents - closed)) <= 1e-12 * scale
 
@@ -161,7 +166,8 @@ class TestExactTangents:
         phis = np.linspace(-np.pi, np.pi, 64, endpoint=False) + 0.0123
         names = ("delta", "h", "theta")
         _, tangents = momentum.gamma_at_points(model, np.exp(1j * phis), names)
-        closed = np.array([model.dgamma_symbols[n](phis) for n in names])
+        limit = {k: params[k] for k in ("delta", "h", "theta", "mu_minus", "mu_plus")}
+        closed = np.array([symbol_oracles.rotated_xy_dgamma(n, **limit, phis=phis) for n in names])
         scale = max(1.0, np.max(np.abs(closed)))
         assert np.max(np.abs(tangents - closed)) <= 2.0 * epsilon**2 * scale
 
@@ -183,7 +189,6 @@ class TestExactTangents:
             )
 
         pars = {"a": 0.6, "b": 0.7}
-        assert builder(**pars).gamma_symbol is None
         uq = momentum.muc_per_site(builder, pars, ("a", "b"), mode="quadrature", tol=1e-12)
         ur = momentum.muc_per_site(builder, pars, ("a", "b"), mode="residue")
         assert abs(uq) > 1e-3
@@ -295,7 +300,8 @@ class TestCorrelationLength:
 
         def det_re(x):
             z = np.array([x])
-            return np.linalg.det(momentum._xhat(model.x_at(z), model.x_at(1.0 / z)))[0].real
+            x, x_inv, _ = model.symbols(z)
+            return np.linalg.det(momentum._xhat(x[0], x_inv[0]))[0].real
 
         lo, hi = 1.0 - 1e-5, 1.0 - 1e-7
         f_lo = det_re(lo)
@@ -378,7 +384,7 @@ class TestRealSpaceCorrelation:
         rat = momentum.rationalize(model)
         for r in (0, 1, 3, 8):
             res = momentum.real_space_correlation(rat, r)
-            quad = momentum.real_space_correlation_quadrature(model, r)
+            quad = symbol_oracles.real_space_correlation_quadrature(model, r)
             assert np.max(np.abs(res - quad)) < 1e-8
 
     def test_exponential_decay_slope(self):
@@ -396,7 +402,7 @@ class TestRealSpaceCorrelation:
         cl = momentum.correlation_length(rat)
         assert cl.xi > 50.0  # slow decay flagged by a large correlation length
         g5 = momentum.real_space_correlation(rat, 5)
-        quad5 = momentum.real_space_correlation_quadrature(model, 5, tol=1e-9)
+        quad5 = symbol_oracles.real_space_correlation_quadrature(model, 5, tol=1e-9)
         assert np.max(np.abs(g5 - quad5)) < 1e-6
 
     def test_negative_r_rejected(self):
@@ -499,6 +505,9 @@ class TestMucPerSite:
             assert 0 < sum(points) <= 4096, (lam, sum(points))
 
     def test_rotated_xy_delta_h_vanishes(self, rng):
+        # the (delta, h) curvature vanishes in the weak-coupling limit; at
+        # finite epsilon it is O(epsilon^2) (-5.6e-8 at epsilon = 1e-3 on the
+        # first sample, in both modes), so the limit is read at epsilon = 1e-6
         for _ in range(5):
             pars = {
                 "delta": float(rng.uniform(0.2, 1.5)),
@@ -506,6 +515,7 @@ class TestMucPerSite:
                 "theta": float(rng.uniform(0, np.pi)),
                 "mu_minus": 1.0,
                 "mu_plus": 0.4,
+                "epsilon": 1e-6,
             }
             val = momentum.muc_per_site(rot_xy, pars, ("delta", "h"), mode="quadrature")
             assert abs(val) < 1e-10
@@ -518,16 +528,34 @@ class TestMucPerSite:
             vals[h] = momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="quadrature")
         assert abs(vals[1.05] - vals[0.95]) > 0.05
 
-    def test_closed_form_removable_point_is_not_critical(self):
-        # at h = 1 the weak-coupling closed form is 0/0 at phi = 0 while the
-        # finite-epsilon drift stays regular: the quadrature keeps the
-        # continuity branch there and agrees with a grid that misses phi = 0
+    def test_rotated_xy_critical_field_is_not_critical(self):
+        # at h = 1 the Hamiltonian symbol vanishes at phi = 0, but the
+        # finite-epsilon drift stays regular there: no CriticalAngle
         pars = dict(ROT_PARAMS, h=1.0)
-        val = momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="quadrature")
         u_of = momentum.muc_integrand(rot_xy, pars, ("h", "theta"))
-        shifted = numerics.periodic_quadrature(lambda p: u_of(p + 0.01), 1e-10)
-        assert np.isfinite(val)
-        assert val == pytest.approx(np.real(shifted) / (2.0 * np.pi), rel=1e-6)
+        assert np.all(np.isfinite(u_of(np.array([0.0, 1e-6, 0.3]))))
+        assert np.isfinite(momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="quadrature"))
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3])
+    def test_rotated_xy_quadrature_follows_epsilon(self, epsilon):
+        # the quadrature reads the solved symbol at the cell's epsilon, not
+        # its epsilon -> 0 limit (which gives -3.9e-18 for every epsilon)
+        params = {"delta": 0.5, "h": 0.5, "theta": 0.3, "epsilon": epsilon}
+        quad, res = (
+            cli.evaluate_point("rotated_xy", dict(params, muc_mode=mode), ("muc",))["muc"]
+            for mode in ("quadrature", "residue")
+        )
+        assert abs(res) > 1e-6
+        assert quad == pytest.approx(res, rel=1e-8)
+
+    def test_reservoir_near_critical_coupling_names_the_angle(self):
+        # at lam = -1 + 1e-9 the drift symbol is singular at phi = 0 in
+        # floating point: the quadrature raises CriticalAngle and divides by
+        # nothing on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CriticalAngle):
+                cli.evaluate_point("reservoir_chain", {"lam": -1.0 + 1e-9, "theta": 0.3}, ("muc",))
 
     def test_reservoir_jump_across_critical_coupling(self):
         u_lo = momentum.muc_per_site(
@@ -603,7 +631,8 @@ class TestGapOnCircle:
                   for h in [0.025 + 0.2 * k for k in range(10)] + [1.0]]
         phis = np.linspace(-np.pi, np.pi, 1 << 16, endpoint=False)
         for model in cells:
-            dense = 2.0 * np.min(np.real(np.linalg.eigvals(model.x_tilde(phis))))
+            x = model.symbols(np.exp(1j * phis))[0][0]
+            dense = 2.0 * np.min(np.real(np.linalg.eigvals(x)))
             assert abs(momentum.gap_on_circle(model) - dense) <= 1e-12
 
 
