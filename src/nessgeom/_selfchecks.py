@@ -62,8 +62,8 @@ def check_boundary_xy_anchor(seed, cases, convention_flip=False):
     params = BoundaryXYParams(delta=1.25, h=0.3, n=3)
     model = build_boundary_driven_xy(params)
     shape = liouvillian.shape_matrices(model)
-    y = -shape.y if convention_flip else shape.y
-    gamma = numerics.solve_continuous_lyapunov(shape.x, y)
+    b = -shape.b if convention_flip else shape.b
+    gamma = 1j * numerics.LyapunovSolver(shape.x).solve(b)
     h_dense, jump_ops = boundary_xy_spin_operators(params)
     ness = oracle.dense_lindblad_ness(h_dense, jump_ops)
     dev = float(np.max(np.abs(gamma - gaussian.gamma_from_dense(ness.rho))))
@@ -153,17 +153,16 @@ def check_qgt_gap_bound(seed, cases):
         n = int(rng.integers(2, 4))
         model = _random_stable_model(rng, n)
         shape = liouvillian.shape_matrices(model)
-        rep = liouvillian.gap_report(shape.x)
-        if rep.delta <= 1e-3:
-            continue
-        cov = liouvillian.ness_covariance(shape)
+        state = rng.bit_generator.state
         d_h = 1j * _rand_antisym(rng, 2 * n, 0.3)
         dx = np.real(4j * d_h)
-        dy = np.zeros_like(shape.y)
-        tang = liouvillian.ness_tangents(shape, [dx], [dy], cov.gamma)
-        res = geometry.qgt(cov.gamma, tang)
+        db = np.zeros_like(shape.b)
+        point = liouvillian.point_geometry(shape, {"l0": (dx, db)})
+        if point.gap <= 1e-3:
+            rng.bit_generator.state = state  # a skipped case draws no direction
+            continue
         lhs, rhs, holds = geometry.qgt_gap_bound(
-            res.q[0, 0], cov.gamma, shape.x, shape.y, dx, dy, rep.delta
+            point.qgt.q[0, 0], point.gamma, shape.x, shape.b, dx, db, point.gap
         )
         ok &= holds
     return ok, "|Q|/n <= 2 P Delta^-2 (|dY| + 2|dX|)^2 on random stable models"
@@ -225,10 +224,10 @@ def check_lyapunov_residual(seed, cases):
     for _ in range(cases):
         model = _random_stable_model(rng, int(rng.integers(2, 6)))
         shape = liouvillian.shape_matrices(model)
-        gamma = numerics.solve_continuous_lyapunov(shape.x, shape.y)
-        res = np.linalg.norm(shape.x @ gamma + gamma @ shape.x.T - shape.y)
+        a = numerics.LyapunovSolver(shape.x).solve(shape.b)
+        res = np.linalg.norm(shape.x @ a + a @ shape.x.T - shape.b)
         bound = 1e-10 * (
-            np.linalg.norm(shape.x) * np.linalg.norm(gamma) + np.linalg.norm(shape.y)
+            np.linalg.norm(shape.x) * np.linalg.norm(a) + np.linalg.norm(shape.b)
         )
         worst = max(worst, float(res / max(bound, 1e-300)))
     return worst <= 1.0, f"residual within {worst:.2f}x of the 1e-10 scaled bound"

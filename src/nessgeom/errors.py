@@ -39,6 +39,10 @@ class NonPositiveValue(NessGeomError):
     pass
 
 
+class NotReal(NessGeomError):
+    """A real-arithmetic kernel was handed a complex array."""
+
+
 # --- covariance matrices ----------------------------------------------------
 
 class NotAntisymmetric(NessGeomError):

@@ -245,23 +245,24 @@ def qgt_gap_bound(
     q_value: complex,
     gamma,
     x: np.ndarray,
-    y: np.ndarray,
+    b: np.ndarray,
     dx: np.ndarray,
-    dy: np.ndarray,
+    db: np.ndarray,
     delta: float,
 ) -> tuple[float, float, bool]:
     """Check ``|Q_mn| / n <= 2 P_G Delta^-2 (||dY|| + 2 ||dX||)^2``.
 
     ``q_value`` is the QGT component for the direction whose shape-matrix
-    derivatives are ``dx, dy``; ``delta`` is the dissipative gap.
+    derivatives are ``dx`` and ``db = Im dY`` (``||dY|| = ||dB||``);
+    ``delta`` is the dissipative gap.
     """
     if delta <= 0.0:
         raise ZeroGap(f"gap bound needs a positive gap, got {delta}")
     g = gaussian.as_gamma(gamma)
     n = g.shape[0] // 2
     p_gamma = transport_fidelity_weight(g)
-    dy_norm = float(np.linalg.norm(np.asarray(dy), 2))
+    db_norm = float(np.linalg.norm(np.asarray(db), 2))
     dx_norm = float(np.linalg.norm(np.asarray(dx), 2))
     lhs = float(np.abs(q_value)) / n
-    rhs = 2.0 * p_gamma / delta**2 * (dy_norm + 2.0 * dx_norm) ** 2
+    rhs = 2.0 * p_gamma / delta**2 * (db_norm + 2.0 * dx_norm) ** 2
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-8))

@@ -7,9 +7,11 @@ equation ``X G + G X^T = Y`` are
 
     X = 4 [ i H + Re(M) ],      Y = -8 i Im(M),     M = sum_a l_a l_a^dag.
 
-The signs are pinned by the one-time calibration that a single lossy mode
-(jump ``c = (w_1 - i w_2)/2``) must relax to the vacuum with
-``<c^dag c> = 0``; the dense Lindblad oracle is the arbiter.
+H is purely imaginary, so X is real, and so is ``B = Im Y``: the steady
+state ``G = iA`` solves ``X A + A X^T = B`` in real arithmetic.  The signs
+are pinned by the one-time calibration that a single lossy mode (jump
+``c = (w_1 - i w_2)/2``) must relax to the vacuum with ``<c^dag c> = 0``;
+the dense Lindblad oracle is the arbiter.
 """
 from __future__ import annotations
 
@@ -53,15 +55,16 @@ class QuadraticLindbladModel:
 
 @dataclass(frozen=True)
 class ShapeMatrices:
-    """Drift x, source y and bath matrix m of the Lyapunov fixed point."""
+    """Real drift ``x`` and real antisymmetric source ``b = Im Y`` of the
+    Lyapunov fixed point ``X A + A X^T = B``."""
 
     x: np.ndarray
-    y: np.ndarray
-    m: np.ndarray
+    b: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.x.shape[0]
+    def y(self) -> np.ndarray:
+        """The purely imaginary source ``Y = i b`` as a complex matrix."""
+        return 1j * self.b
 
 
 @dataclass(frozen=True)
@@ -94,86 +97,60 @@ class GapReport:
     near_defective: bool
 
 
-def bath_matrix(jumps: Sequence[np.ndarray]) -> np.ndarray:
-    """PSD bath matrix ``M = sum_a l_a (x) l_a^dag``."""
-    jumps = [np.asarray(l, dtype=complex).reshape(-1) for l in jumps]
-    if not jumps:
-        raise EmptyJumps("at least one jump vector is required")
-    d = jumps[0].size
-    for l in jumps:
-        if l.size != d:
-            raise DimensionMismatch("jump vectors must have equal length")
-    m = np.zeros((d, d), dtype=complex)
-    for l in jumps:
-        m += np.outer(l, l.conj())
-    return m
-
-
 def shape_matrices(model: QuadraticLindbladModel) -> ShapeMatrices:
-    """Assemble (X, Y, M) from the model; validates all invariants."""
-    m = bath_matrix(model.jumps)
-    x = np.real(4.0 * (1j * model.h + np.real(m)))
-    y = numerics.hermitize_antisymmetric(-8j * np.imag(m))
-    sym = x + x.T - 8.0 * np.real(m)
-    if np.max(np.abs(sym)) > 1e-10 * max(1.0, np.max(np.abs(x))):
-        raise DimensionMismatch("x + x^T != 8 Re(M); inconsistent assembly")
-    # L L^dag and the k x k Gram matrix L^dag L of the jump vectors share
-    # their nonzero spectrum, so the PSD check needs no d x d eigensolve
-    jumps = np.stack(model.jumps, axis=1)
-    gram = jumps.conj().T @ jumps
-    if np.min(np.linalg.eigvalsh(gram)) < -1e-10 * max(1.0, np.max(np.abs(m))):
-        raise InstabilityDetected("bath matrix has a significantly negative eigenvalue")
-    return ShapeMatrices(x=x, y=y, m=m)
+    """Assemble the real drift ``X = 4 [Re M - Im H]`` and source
+    ``B = Im Y = -8 Im M`` (antisymmetrized) in real arithmetic.
 
-
-def _conjugate_pair_gaps(eigs: np.ndarray) -> float:
-    """Minimum of ``Re(x_p + x_p~)`` over conjugate-matched pairs.
-
-    Complex eigenvalues are matched with their conjugate partners; real
-    eigenvalues are self-conjugate and contribute ``2 Re x``.  Singleton
-    occupations of a real eigenvalue belong to the odd-parity sector and do
-    not enter physical relaxation, which is what makes the three gap
-    notions collapse onto each other.
+    Each jump ``l = u + iv`` adds ``Re(l l^dag) = u u^T + v v^T`` and
+    ``Im(l l^dag) = v u^T - u v^T`` on its support, in model order, so no
+    complex d x d array is formed.  M is PSD and X + X^T = 8 Re M by
+    construction, given the Hermitian antisymmetric H the model checks.
     """
-    eigs = np.asarray(eigs)
-    scale = max(np.max(np.abs(eigs)), 1e-300)
-    unmatched = list(range(eigs.size))
-    best = np.inf
-    while unmatched:
-        i = unmatched.pop(0)
-        if abs(np.imag(eigs[i])) <= 1e-10 * scale:
-            best = min(best, 2.0 * float(np.real(eigs[i])))
-            continue
-        partner = None
-        target = np.conj(eigs[i])
-        dists = [(abs(eigs[j] - target), j) for j in unmatched]
-        if dists:
-            dist, j = min(dists)
-            if dist <= 1e-8 * scale:
-                partner = j
-        if partner is not None:
-            unmatched.remove(partner)
-            best = min(best, float(np.real(eigs[i] + eigs[partner])))
-        else:
-            best = min(best, 2.0 * float(np.real(eigs[i])))
-    return best
+    if not model.jumps:
+        raise EmptyJumps("at least one jump vector is required")
+    d = model.h.shape[0]
+    x = np.zeros((d, d))
+    b = np.zeros((d, d))
+    for l in model.jumps:
+        support = np.flatnonzero(l)
+        u, v = l.real[support], l.imag[support]
+        block = np.ix_(support, support)
+        x[block] += np.outer(u, u) + np.outer(v, v)
+        b[block] += np.outer(v, u) - np.outer(u, v)
+    x -= model.h.imag
+    x *= 4.0
+    b *= -8.0
+    b = b - b.T
+    b *= 0.5
+    return ShapeMatrices(x=x, b=b)
 
 
 def gap_report(x: np.ndarray) -> GapReport:
-    """Dissipative gap, Sylvester gap and Liouvillian gap of the drift."""
-    eigs, cond = numerics.general_eigendecomposition(np.real(x))
-    scale = max(np.max(np.abs(eigs)), 1e-300)
-    if np.min(np.real(eigs)) < -1e-8 * scale:
-        raise InstabilityDetected(
-            f"drift spectrum has Re x = {np.min(np.real(eigs)):.3e} < 0; model unstable"
-        )
-    delta = 2.0 * float(np.min(np.real(eigs)))
-    delta_xhat = float(np.min(np.abs(eigs[:, None] + eigs[None, :])))
-    delta_liou = _conjugate_pair_gaps(eigs)
+    """Dissipative gap, Sylvester gap and Liouvillian gap of the drift, all
+    read from one real Schur factorization ``X = U T U^T``.
+
+    The Sylvester gap ``min |x_i + x_j|`` is the solver's ``pair_min``.
+    For the Liouvillian gap each 2x2 block of ``T`` is one conjugate pair,
+    whose sum is the block's trace, and each 1x1 block a real eigenvalue
+    ``x`` contributing ``2x`` (its singleton occupations belong to the
+    odd-parity sector), which is why the three notions coincide.  ``U`` is
+    orthogonal, so the eigenvector condition of ``T`` is that of ``X``.
+    """
+    solver = numerics.LyapunovSolver(x)
+    eigs = solver.spectrum
+    lowest = float(np.min(np.real(eigs)))
+    if lowest < -1e-8 * max(np.max(np.abs(eigs)), 1e-300):
+        raise InstabilityDetected(f"drift spectrum has Re x = {lowest:.3e} < 0; model unstable")
+    diag = np.diagonal(solver.t)
+    pairs = np.flatnonzero(np.diagonal(solver.t, -1))
+    single = np.ones(diag.size, dtype=bool)
+    single[pairs] = single[pairs + 1] = False
+    pair_sums = np.concatenate((2.0 * diag[single], diag[pairs] + diag[pairs + 1]))
+    _, cond = numerics.general_eigendecomposition(solver.t)
     return GapReport(
-        delta=delta,
-        delta_xhat=delta_xhat,
-        delta_liouville=delta_liou,
+        delta=2.0 * lowest,
+        delta_xhat=solver.pair_min,
+        delta_liouville=float(np.min(pair_sums)),
         spectrum=np.sort_complex(eigs),
         condition_estimate=cond,
         near_defective=bool(cond > 1e8),
@@ -185,7 +162,7 @@ def ness_covariance(shape: ShapeMatrices) -> CovarianceMatrix:
 
     Raises SingularSylvester when the steady state is not unique.
     """
-    return validate(numerics.LyapunovSolver(shape.x).solve(shape.y))
+    return validate(1j * numerics.LyapunovSolver(shape.x).solve(shape.b))
 
 
 def _solve_tangents(
@@ -194,19 +171,17 @@ def _solve_tangents(
     parameters: Sequence[str],
     derivatives: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> TangentSet:
-    """Tangents from ``X dG + dG X^T = dY - dX G - G dX^T``, all on ``solver``.
+    """Tangents from ``X dA + dA X^T = dB - dX A - A dX^T``, all on ``solver``.
 
-    With ``G = iA`` and a real ``dX`` the source is ``i [B - (P - P^T)]``
-    with ``P = dX A`` and ``B = Im dY`` antisymmetrized: one real GEMM and
-    one real solve for ``dA``.
+    Each direction is a real pair ``(dX, dB)`` with ``dB = Im dY``; the
+    source is ``dB - (P - P^T)`` with ``P = dX A``: one real GEMM and one
+    real solve for ``dA``.
     """
     d_a = []
-    for dx, dy in derivatives:
-        source = numerics._matmul(np.real(np.asarray(dx)), a)
+    for dx, db in derivatives:
+        source = numerics._matmul(numerics._real(dx, "dX"), a)
         source = source.T - source
-        if np.iscomplexobj(dy):  # a real dY has no imaginary part to add
-            b = np.imag(dy)
-            source += 0.5 * (b - b.T)
+        source += numerics._real(db, "dB")
         d_a.append(solver.solve(source))
     return TangentSet(parameters=tuple(parameters), d_a=tuple(d_a))
 
@@ -214,30 +189,30 @@ def _solve_tangents(
 def ness_tangents(
     shape: ShapeMatrices,
     dxs: Sequence[np.ndarray],
-    dys: Sequence[np.ndarray],
+    dbs: Sequence[np.ndarray],
     gamma,
     parameters: Sequence[str] | None = None,
 ) -> TangentSet:
-    """Steady-state tangents from ``X dG + dG X^T = dY - dX G - G dX^T``.
+    """Steady-state tangents along the real directions ``(dX, dB = Im dY)``.
 
     Every tangent is solved on one Schur factorization of ``X``.
     """
-    if len(dxs) != len(dys):
-        raise DimensionMismatch("need matching dX and dY lists")
+    if len(dxs) != len(dbs):
+        raise DimensionMismatch("need matching dX and dB lists")
     if parameters is None:
         parameters = [f"l{i}" for i in range(len(dxs))]
     solver = numerics.LyapunovSolver(shape.x)
     a = np.imag(as_gamma(gamma))
-    return _solve_tangents(solver, 0.5 * (a - a.T), parameters, zip(dxs, dys))
+    return _solve_tangents(solver, 0.5 * (a - a.T), parameters, zip(dxs, dbs))
 
 
 def point_geometry(
     shape: ShapeMatrices,
     derivatives: Mapping[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> PointGeometry:
-    """Gap, steady state, tangents along ``derivatives`` (parameter ->
-    ``(dX, dY)``) and their QGT, all on one factorization of ``X`` and one
-    real eigenframe of ``G``, in real arithmetic throughout.
+    """Gap, steady state, tangents along ``derivatives`` (parameter -> the
+    real pair ``(dX, dB = Im dY)``) and their QGT, all on one factorization
+    of ``X`` and one real eigenframe of ``G``, in real arithmetic throughout.
 
     Uniqueness is the solver's own test: SingularSylvester when a pair sum
     of the drift spectrum vanishes or the residual check fails.  The
@@ -245,7 +220,7 @@ def point_geometry(
     """
     solver = numerics.LyapunovSolver(shape.x)
     gap = 2.0 * float(np.min(np.real(solver.spectrum)))
-    a = solver.solve(np.imag(shape.y))
+    a = solver.solve(shape.b)
     modes = gaussian.real_eigenmodes(a)
     gaussian.check_norm(modes.gammas)
     if not derivatives:

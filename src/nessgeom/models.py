@@ -475,21 +475,21 @@ def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel
 
 
 def boundary_xy_shape_derivatives(params: BoundaryXYParams) -> dict[str, tuple]:
-    """Exact ``(dX, dY)`` of the boundary-driven chain along ``delta`` and ``h``.
+    """Exact real ``(dX, dB)`` of the boundary-driven chain along ``delta`` and ``h``.
 
     ``X = 4 [iH + Re M]`` with H affine in (delta, h) through the couplings
     ``((1+delta)/2, (1-delta)/2, h)``, and the bath M set by the rates
-    alone, so ``dY = 0`` and ``dX = 4i dH`` with dH the kernel of the
+    alone, so ``dB = Im dY = 0`` and ``dX = 4i dH`` with dH the kernel of the
     coupling slopes.
     """
     n = params.n
-    dy = np.zeros((2 * n, 2 * n))
+    db = np.zeros((2 * n, 2 * n))
 
     def dx(xx: float, yy: float, z: float) -> np.ndarray:
         # a real copy, so that the complex kernel is not kept alive by a view
         return np.ascontiguousarray(np.real(4j * _xy_kernel(n, xx, yy, z)))
 
-    return {"delta": (dx(0.5, -0.5, 0.0), dy), "h": (dx(0.0, 0.0, 1.0), dy)}
+    return {"delta": (dx(0.5, -0.5, 0.0), db), "h": (dx(0.0, 0.0, 1.0), db)}
 
 
 def boundary_xy_spin_operators(params: BoundaryXYParams) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -24,6 +24,7 @@ from .errors import (
     NotAntisymmetric,
     NotFiniteRange,
     NotHermitian,
+    NotReal,
     SingularSylvester,
 )
 
@@ -69,6 +70,15 @@ def _frobenius(a: np.ndarray) -> float:
     """Frobenius norm of a real array on scipy's BLAS."""
     v = np.ravel(a, order="K")
     return float(_nrm2(v)) if v.size else 0.0
+
+
+def _real(a, name: str) -> np.ndarray:
+    """``a`` as a real array; NotReal for a complex one, whose imaginary part
+    a real-arithmetic kernel would otherwise drop."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise NotReal(f"{name} must be real, got a {a.dtype} array")
+    return a
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
@@ -189,16 +199,15 @@ def _solve_antisymmetric_lyapunov(t: np.ndarray, c: np.ndarray) -> None:
 
 
 class LyapunovSolver:
-    """Schur-factored solver for ``X G + G X^T = Y`` with a fixed real drift.
+    """Schur-factored solver for ``X A + A X^T = B`` with a fixed real drift.
 
-    ``Y`` is Hermitian antisymmetric, hence purely imaginary, and so is
-    ``G``: the solve runs in real arithmetic on ``A = Im G`` with
-    ``X A + A X^T = Im Y``, and ``solve`` takes either ``Y`` or the real
-    ``Im Y`` and answers in the same form.  The Bartels-Stewart
-    back-substitution runs on the real Schur form, so a defective
-    (Jordan-like) drift needs no special casing.  Factoring once and reusing
-    the triangular solve is what makes steady state plus tangent sweeps
-    cheap.
+    ``G = iA`` solves ``X G + G X^T = Y`` for the Hermitian antisymmetric,
+    hence purely imaginary, source ``Y = iB``, so the solve runs in real
+    arithmetic on the real antisymmetric ``B`` and ``A``.  The
+    Bartels-Stewart back-substitution runs on the real Schur form, so a
+    defective (Jordan-like) drift needs no special casing.  Factoring once
+    and reusing the triangular solve is what makes steady state plus tangent
+    sweeps cheap.
     """
 
     def __init__(self, x: np.ndarray):
@@ -216,25 +225,15 @@ class LyapunovSolver:
         )
         self._singular = self.pair_min <= max(1e-12 * scale, ABS_FLOOR)
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """``G`` for a purely imaginary ``y``; ``A = Im G`` for a real ``y = Im Y``."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The real antisymmetric ``A`` for the real antisymmetric source ``b``."""
         if self._singular:
             raise SingularSylvester(
                 f"min |x_i + x_j| = {self.pair_min:.3e} below tolerance; "
                 "Lyapunov equation has no unique solution"
             )
-        y = np.asarray(y)
-        imaginary = np.iscomplexobj(y)
-        b = np.imag(y) if imaginary else y
-        # ||X G + G X^T - Y||^2 = ||Re Y||^2 + ||X A + A X^T - Im Y||^2
-        re_norm = _frobenius(np.real(y)) if imaginary else 0.0
+        b = _real(b, "Lyapunov source b")
         b_norm = _frobenius(b)
-        y_norm = np.hypot(re_norm, b_norm)
-        if re_norm > max(1e-12 * y_norm, ABS_FLOOR):
-            raise NotHermitian(
-                f"Lyapunov source has a real part of norm {re_norm:.3e}; "
-                "a Hermitian antisymmetric source is purely imaginary"
-            )
         if _frobenius(b + b.T) > max(1e-12 * b_norm, ABS_FLOOR):
             raise NotAntisymmetric("Lyapunov source is not antisymmetric")
         z = _matmul(self.u.T, _matmul(b, self.u))
@@ -249,13 +248,13 @@ class LyapunovSolver:
         res = _matmul(self.x, a)
         res -= res.T
         res -= b
-        res = np.hypot(re_norm, _frobenius(res))
-        bound = 1e-10 * (self._x_norm * _frobenius(a) + y_norm)
+        res = _frobenius(res)
+        bound = 1e-10 * (self._x_norm * _frobenius(a) + b_norm)
         if res > max(bound, ABS_FLOOR):
             raise SingularSylvester(
                 f"Lyapunov residual {res:.3e} exceeds {bound:.3e}; equation is near singular"
             )
-        return 1j * a if imaginary else a
+        return a
 
 
 def solve_continuous_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -266,6 +265,11 @@ def solve_continuous_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    NotHermitian
+        when ``y`` has a real part (a Hermitian antisymmetric matrix is
+        purely imaginary).
+    NotAntisymmetric
+        when ``Im y`` is not antisymmetric.
     SingularSylvester
         when ``min_{ij} |x_i + x_j|`` is below tolerance (the equation has
         no unique solution) or the residual check fails.
@@ -274,7 +278,13 @@ def solve_continuous_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = _as_square(y, "y")
     if x.shape != y.shape:
         raise DimensionMismatch(f"x {x.shape} and y {y.shape} differ")
-    return LyapunovSolver(x).solve(y)
+    re_norm, b = _frobenius(np.real(y)), np.imag(y)
+    if re_norm > max(1e-12 * np.hypot(re_norm, _frobenius(b)), ABS_FLOOR):
+        raise NotHermitian(
+            f"Lyapunov source has a real part of norm {re_norm:.3e}; "
+            "a Hermitian antisymmetric source is purely imaginary"
+        )
+    return 1j * LyapunovSolver(x).solve(b)
 
 
 def general_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, float]:

@@ -39,12 +39,12 @@ def test_01_oracle_equivalence():
 
 def test_02_convention_anchor():
     p = models.BoundaryXYParams(delta=1.25, h=0.3, n=3)
-    cov = liouvillian.ness_covariance(
+    point = liouvillian.point_geometry(
         liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
     )
     h_dense, jump_ops = models.boundary_xy_spin_operators(p)
     ness = oracle.dense_lindblad_ness(h_dense, jump_ops)
-    dev = float(np.max(np.abs(cov.gamma - gaussian.gamma_from_dense(ness.rho))))
+    dev = float(np.max(np.abs(point.gamma - gaussian.gamma_from_dense(ness.rho))))
     _report(2, "convention anchor", dev <= 1e-8,
             f"boundary XY n=3 dense vs Lyapunov entrywise dev = {dev:.2e} <= 1e-8")
 
@@ -121,7 +121,7 @@ def _boundary_xy_quantities(n, h, delta=1.25):
     shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(pars))
     solver = numerics.LyapunovSolver(shape.x)
     gap = 2.0 * float(np.min(np.real(solver.spectrum)))
-    gam = numerics.hermitize_antisymmetric(solver.solve(shape.y))
+    a = solver.solve(shape.b)
     eps = 1e-6
     dgs, dxs = [], []
     for (up, dn) in (((delta + eps, h), (delta - eps, h)), ((delta, h + eps), (delta, h - eps))):
@@ -132,10 +132,11 @@ def _boundary_xy_quantities(n, h, delta=1.25):
             models.build_boundary_driven_xy(models.BoundaryXYParams(dn[0], dn[1], n))
         )
         dx = (s_up.x - s_dn.x) / (2 * eps)
-        dy = (s_up.y - s_dn.y) / (2 * eps)
-        rhs = numerics.hermitize_antisymmetric(dy - dx @ gam - gam @ dx.T)
-        dgs.append(numerics.hermitize_antisymmetric(solver.solve(rhs)))
+        db = (s_up.b - s_dn.b) / (2 * eps)
+        rhs = db - dx @ a - a @ dx.T
+        dgs.append(1j * solver.solve(0.5 * (rhs - rhs.T)))
         dxs.append(dx)
+    gam = 1j * a
     res = geometry.qgt(gam, geometry.make_tangents(("delta", "h"), dgs))
     return gap, res, gam, shape, dxs
 
@@ -275,19 +276,19 @@ def test_09_bounds():
         n = int(rng.integers(2, 4))
         model = rand_stable_model(rng, n)
         shape = liouvillian.shape_matrices(model)
-        rep = liouvillian.gap_report(shape.x)
-        if rep.delta <= 1e-3:
-            continue
-        cov = liouvillian.ness_covariance(shape)
+        state = rng.bit_generator.state
         dxs = [np.real(4j * 1j * rand_antisym(rng, 2 * n, 0.3)) for _ in range(2)]
-        dys = [numerics.hermitize_antisymmetric(1j * rand_antisym(rng, 2 * n, 0.3)) for _ in range(2)]
-        tang = liouvillian.ness_tangents(shape, dxs, dys, cov.gamma)
-        res = geometry.qgt(cov.gamma, tang)
+        dbs = [rand_antisym(rng, 2 * n, 0.3) for _ in range(2)]
+        point = liouvillian.point_geometry(shape, dict(zip(("l0", "l1"), zip(dxs, dbs))))
+        if point.gap <= 1e-3:
+            rng.bit_generator.state = state  # a skipped case draws no directions
+            continue
+        res = point.qgt
         if res.r_ratio is not None:
             r_ok &= -1e-8 <= res.r_ratio <= 1.0 + 1e-8
         for mu in range(2):
             lhs, rhs, holds = geometry.qgt_gap_bound(
-                res.q[mu, mu], cov.gamma, shape.x, shape.y, dxs[mu], dys[mu], rep.delta
+                res.q[mu, mu], point.gamma, shape.x, shape.b, dxs[mu], dbs[mu], point.gap
             )
             bound_ok &= holds
             bound_checked += 1
@@ -295,7 +296,7 @@ def test_09_bounds():
     gap, res, gam, shape, dxs = _boundary_xy_quantities(40, 0.3)
     for mu in range(2):
         lhs, rhs, holds = geometry.qgt_gap_bound(
-            res.q[mu, mu], gam, shape.x, shape.y, dxs[mu], np.zeros_like(shape.y), gap
+            res.q[mu, mu], gam, shape.x, shape.b, dxs[mu], np.zeros_like(shape.b), gap
         )
         bound_ok &= holds
         bound_checked += 1

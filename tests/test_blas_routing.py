@@ -94,7 +94,7 @@ def test_point_geometry_matches_scipy(n):
     shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
     derivatives = models.boundary_xy_shape_derivatives(p)
     point = liouvillian.point_geometry(shape, derivatives)
-    a = sla.solve_continuous_lyapunov(shape.x, np.imag(shape.y))
+    a = sla.solve_continuous_lyapunov(shape.x, shape.b)
     a = 0.5 * (a - a.T)
     assert np.linalg.norm(point.a - a) <= 1e-11 * np.linalg.norm(a)
     gap = 2.0 * np.min(np.real(np.linalg.eigvals(shape.x)))
@@ -109,12 +109,14 @@ def test_point_geometry_matches_scipy(n):
     assert gaussian.purity(point.modes) == pytest.approx(gaussian.purity(1j * a), rel=1e-6)
 
 
-# every function of a chain point that multiplies or takes norms of d x d arrays
+# every function of a chain point that assembles, multiplies or takes norms of d x d arrays
 ROUTED = (
     numerics.LyapunovSolver.__init__,
     numerics.LyapunovSolver.solve,
     numerics._solve_quasi_triangular_sylvester,
     numerics._solve_antisymmetric_lyapunov,
+    liouvillian.shape_matrices,
+    liouvillian.gap_report,
     liouvillian._solve_tangents,
     liouvillian.point_geometry,
     gaussian.real_eigenmodes,

@@ -34,7 +34,7 @@ def sweep_spec(tmp_path, **overrides):
 
 
 def _reference_gmax(n, delta, h):
-    """gmax with scipy's Lyapunov solver on the real form ``X A + A X^T = Im Y``
+    """gmax with scipy's Lyapunov solver on the real form ``X A + A X^T = B``
     and shape derivatives by unit-step central differences (exact: affine)."""
 
     def shape(dd, hh):
@@ -42,7 +42,7 @@ def _reference_gmax(n, delta, h):
         return liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
 
     s = shape(delta, h)
-    a = solve_continuous_lyapunov(s.x, np.imag(s.y))
+    a = solve_continuous_lyapunov(s.x, s.b)
     a = 0.5 * (a - a.T)
     dgs = []
     for up, dn in (((delta + 1, h), (delta - 1, h)), ((delta, h + 1), (delta, h - 1))):
@@ -205,6 +205,17 @@ class TestConfigAndMain:
         report = json.loads(capsys.readouterr().out)
         assert report["delta"] > 0
         assert report["delta_xhat"] == pytest.approx(report["delta"], rel=1e-6)
+
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_spectrum_delta_is_the_geometry_gap(self, n, tmp_path, capsys):
+        # both subcommands read the gap from the same Schur factorization
+        point = ["--model", "boundary_xy", "--set", f"n={n}", "--set", "delta=1.25",
+                 "--set", "h=0.3"]
+        assert cli.main(["spectrum", *point]) == 0
+        spectrum = json.loads(capsys.readouterr().out)
+        out = tmp_path / "geo.json"
+        assert cli.main(["geometry", *point, "--out", str(out)]) == 0
+        assert spectrum["delta"] == json.loads(out.read_text())["gap"]
 
     def test_spectrum_of_a_defective_drift_is_strict_json(self, monkeypatch, capsys):
         eig = numerics.general_eigendecomposition

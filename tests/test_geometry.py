@@ -202,11 +202,11 @@ class TestFiniteDifferenceTangents:
         shape = liouvillian.shape_matrices(model)
         cov = liouvillian.ness_covariance(shape)
         dx = np.real(4j * 1j * rand_antisym(rng, 6, 0.2))
-        analytic = liouvillian.ness_tangents(shape, [dx], [np.zeros_like(shape.y)], cov.gamma)
+        analytic = liouvillian.ness_tangents(shape, [dx], [np.zeros_like(shape.b)], cov.gamma)
 
         def gamma_of(lam):
             x = shape.x + lam[0] * dx
-            return numerics.solve_continuous_lyapunov(x, shape.y)
+            return numerics.solve_continuous_lyapunov(x, 1j * shape.b)
 
         fd = geometry.tangents_finite_difference(gamma_of, np.zeros(1))
         assert np.max(np.abs(fd.d_gamma[0] - analytic.d_gamma[0])) < 1e-6
@@ -244,11 +244,11 @@ class TestGapBound:
                 continue
             cov = liouvillian.ness_covariance(shape)
             dx = np.real(4j * 1j * rand_antisym(rng, 4, 0.3))
-            dy = np.zeros_like(shape.y)
-            tang = liouvillian.ness_tangents(shape, [dx], [dy], cov.gamma)
+            db = np.zeros_like(shape.b)
+            tang = liouvillian.ness_tangents(shape, [dx], [db], cov.gamma)
             res = geometry.qgt(cov.gamma, tang)
             lhs, rhs, holds = geometry.qgt_gap_bound(
-                res.q[0, 0], cov.gamma, shape.x, shape.y, dx, dy, rep.delta
+                res.q[0, 0], cov.gamma, shape.x, shape.b, dx, db, rep.delta
             )
             assert holds, (lhs, rhs)
             held += 1
@@ -306,7 +306,7 @@ class TestEndToEnd:
         def gamma_of(lam):
             p = models.BoundaryXYParams(delta=lam[0], h=lam[1], n=n)
             s = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
-            return numerics.solve_continuous_lyapunov(s.x, s.y)
+            return numerics.solve_continuous_lyapunov(s.x, 1j * s.b)
 
         tang = geometry.tangents_finite_difference(gamma_of, np.array([delta, h]))
         res_fd = geometry.qgt(gamma_of(np.array([delta, h])), tang)

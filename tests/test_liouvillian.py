@@ -3,9 +3,9 @@ import pytest
 
 from nessgeom import gaussian, geometry, liouvillian, models, numerics, oracle
 from nessgeom.errors import (
-    DimensionMismatch,
     EmptyJumps,
     InstabilityDetected,
+    NotReal,
     SingularSylvester,
 )
 
@@ -22,35 +22,50 @@ def dense_from_model(model):
     return h_dense, jump_ops
 
 
+def bath_matrix(jumps):
+    """``M = sum_a l_a l_a^dag`` in complex arithmetic, the reference for
+    the real assembly of ``shape_matrices``."""
+    return sum(np.outer(l, np.conj(l)) for l in jumps)
+
+
 class TestBathAndShapes:
     def test_single_unit_vector(self):
-        m = liouvillian.bath_matrix([np.array([1.0, 0.0])])
-        np.testing.assert_allclose(m, np.diag([1.0, 0.0]))
+        # M = e_1 e_1^T: X = 4 Re M, and a real M has no source
+        model = liouvillian.QuadraticLindbladModel(
+            n_modes=1, h=np.zeros((2, 2)), jumps=(np.array([1.0, 0.0]),)
+        )
+        s = liouvillian.shape_matrices(model)
+        np.testing.assert_array_equal(s.x, np.diag([4.0, 0.0]))
+        np.testing.assert_array_equal(s.b, np.zeros((2, 2)))
 
     def test_real_jumps_have_real_bath(self, rng):
-        jumps = [rng.normal(size=4) for _ in range(3)]
-        m = liouvillian.bath_matrix(jumps)
-        assert np.max(np.abs(np.imag(m))) < 1e-14
+        jumps = tuple(rng.normal(size=4) for _ in range(3))
+        model = liouvillian.QuadraticLindbladModel(n_modes=2, h=np.zeros((4, 4)), jumps=jumps)
+        assert np.max(np.abs(liouvillian.shape_matrices(model).b)) < 1e-14
 
     def test_empty_rejected(self):
+        model = liouvillian.QuadraticLindbladModel(n_modes=1, h=np.zeros((2, 2)), jumps=())
         with pytest.raises(EmptyJumps):
-            liouvillian.bath_matrix([])
+            liouvillian.shape_matrices(model)
 
     def test_shape_invariants(self, rng):
         model = rand_stable_model(rng, 3)
         s = liouvillian.shape_matrices(model)
-        np.testing.assert_allclose(s.x + s.x.T, 8 * np.real(s.m), atol=1e-10)
-        np.testing.assert_allclose(s.y, s.y.conj().T, atol=1e-12)
-        np.testing.assert_allclose(s.y, -s.y.T, atol=1e-12)
-        assert np.min(np.linalg.eigvalsh(s.m)) > -1e-10
-        assert np.max(np.abs(np.imag(s.x))) == 0.0
+        m = bath_matrix(model.jumps)
+        assert s.x.dtype == s.b.dtype == np.float64
+        np.testing.assert_allclose(s.x + s.x.T, 8 * np.real(m), atol=1e-10)
+        np.testing.assert_allclose(s.x, np.real(4 * (1j * model.h + np.real(m))), atol=1e-13)
+        np.testing.assert_allclose(s.b, -8 * np.imag(m), atol=1e-13)
+        assert np.array_equal(s.b, -s.b.T)
+        assert np.array_equal(s.y, 1j * s.b)
+        assert np.min(np.linalg.eigvalsh(m)) > -1e-10
 
     def test_hamiltonian_free_real_jumps_maximally_mixed(self, rng):
         # enough real jumps to make the drift full rank: unique Gamma = 0
         jumps = tuple(rng.normal(size=6) for _ in range(6))
         model = liouvillian.QuadraticLindbladModel(n_modes=3, h=np.zeros((6, 6)), jumps=jumps)
         s = liouvillian.shape_matrices(model)
-        np.testing.assert_allclose(s.y, 0.0, atol=1e-14)
+        np.testing.assert_allclose(s.b, 0.0, atol=1e-14)
         cov = liouvillian.ness_covariance(s)
         np.testing.assert_allclose(cov.gamma, 0.0, atol=1e-12)
 
@@ -85,6 +100,21 @@ class TestGapReport:
         assert rep.delta == pytest.approx(2.0)
         assert rep.delta_xhat == pytest.approx(2.0)
         assert rep.delta_liouville == pytest.approx(2.0)
+
+    def test_conjugate_pair_is_one_schur_block(self):
+        # eigenvalues 0.3 +- 2i and 0.7: the pair sums to 0.6 below 2 * 0.7
+        rot = np.array([[0.3, 2.0, 0.0], [-2.0, 0.3, 0.0], [0.0, 0.0, 0.7]])
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        rep = liouvillian.gap_report(q @ rot @ q.T)
+        assert rep.delta_liouville == pytest.approx(0.6, rel=1e-13)
+        assert rep.delta == pytest.approx(0.6, rel=1e-13)
+        assert rep.delta_xhat == pytest.approx(0.6, rel=1e-13)
+        np.testing.assert_allclose(
+            rep.spectrum, np.sort_complex([0.3 - 2j, 0.3 + 2j, 0.7]), atol=1e-13
+        )
+        assert rep.condition_estimate == pytest.approx(
+            numerics.general_eigendecomposition(q @ rot @ q.T)[1], rel=1e-8
+        )
 
     def test_instability_detected(self):
         with pytest.raises(InstabilityDetected):
@@ -142,8 +172,8 @@ class TestNess:
         point = liouvillian.point_geometry(shape, derivatives)
         cov = liouvillian.ness_covariance(shape)
         assert np.linalg.norm(cov.gamma.imag - point.a) <= 1e-12 * np.linalg.norm(point.a)
-        dxs, dys = zip(*derivatives.values())
-        tang = liouvillian.ness_tangents(shape, dxs, dys, cov)
+        dxs, dbs = zip(*derivatives.values())
+        tang = liouvillian.ness_tangents(shape, dxs, dbs, cov)
         for got, want in zip(tang.d_a, point.tangents.d_a):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -163,7 +193,7 @@ class TestNessTangents:
         shape = liouvillian.shape_matrices(model)
         cov = liouvillian.ness_covariance(shape)
         # family Y -> (1 + lam) Y: dGamma solves X G' + G' X^T = Y
-        tang = liouvillian.ness_tangents(shape, [np.zeros((4, 4))], [shape.y], cov.gamma)
+        tang = liouvillian.ness_tangents(shape, [np.zeros((4, 4))], [shape.b], cov.gamma)
         np.testing.assert_allclose(tang.d_gamma[0], cov.gamma, atol=1e-10)
 
     def test_matches_finite_differences(self, rng):
@@ -171,12 +201,12 @@ class TestNessTangents:
         shape = liouvillian.shape_matrices(model)
         cov = liouvillian.ness_covariance(shape)
         dx = np.real(4j * 1j * rand_antisym(rng, 6, 0.2))
-        dy = numerics.hermitize_antisymmetric(1j * rand_antisym(rng, 6, 0.2))
-        analytic = liouvillian.ness_tangents(shape, [dx], [dy], cov.gamma)
+        db = rand_antisym(rng, 6, 0.2)
+        analytic = liouvillian.ness_tangents(shape, [dx], [db], cov.gamma)
 
         def gamma_of(lam):
             return numerics.solve_continuous_lyapunov(
-                shape.x + lam[0] * dx, shape.y + lam[0] * dy
+                shape.x + lam[0] * dx, 1j * (shape.b + lam[0] * db)
             )
 
         fd = geometry.tangents_finite_difference(gamma_of, np.zeros(1))
@@ -187,10 +217,10 @@ class TestPointGeometry:
     def test_matches_ness_covariance_and_tangents(self, rng):
         shape = liouvillian.shape_matrices(rand_stable_model(rng, 3))
         dx = np.real(4j * 1j * rand_antisym(rng, 6, 0.2))
-        dy = numerics.hermitize_antisymmetric(1j * rand_antisym(rng, 6, 0.2))
-        point = liouvillian.point_geometry(shape, {"a": (dx, dy), "b": (dx.T, 0 * dy)})
+        db = rand_antisym(rng, 6, 0.2)
+        point = liouvillian.point_geometry(shape, {"a": (dx, db), "b": (dx.T, 0 * db)})
         cov = liouvillian.ness_covariance(shape)
-        tang = liouvillian.ness_tangents(shape, [dx, dx.T], [dy, 0 * dy], cov.gamma, ("a", "b"))
+        tang = liouvillian.ness_tangents(shape, [dx, dx.T], [db, 0 * db], cov.gamma, ("a", "b"))
         assert point.gap == pytest.approx(liouvillian.gap_report(shape.x).delta, rel=1e-10)
         np.testing.assert_allclose(point.gamma, cov.gamma, atol=1e-13)
         assert point.tangents.parameters == tang.parameters == ("a", "b")
@@ -198,6 +228,17 @@ class TestPointGeometry:
             np.testing.assert_allclose(got, want, atol=1e-13)
         res = geometry.qgt(cov.gamma, tang)
         np.testing.assert_allclose(point.qgt.q, res.q, atol=1e-12)
+
+    def test_complex_direction_rejected(self, rng):
+        shape = liouvillian.shape_matrices(rand_stable_model(rng, 2))
+        dx = rand_antisym(rng, 4, 0.2)
+        db = 1j * rand_antisym(rng, 4, 0.2)
+        with pytest.raises(NotReal, match="dB"):
+            liouvillian.point_geometry(shape, {"a": (dx, db)})
+        with pytest.raises(NotReal, match="dB"):
+            liouvillian.ness_tangents(shape, [dx], [db], 1j * np.zeros((4, 4)))
+        with pytest.raises(NotReal, match="dX"):
+            liouvillian.point_geometry(shape, {"a": (1j * dx, np.zeros((4, 4)))})
 
     def test_no_directions_solve_only_the_steady_state(self, rng):
         point = liouvillian.point_geometry(liouvillian.shape_matrices(rand_stable_model(rng, 2)))
@@ -272,10 +313,13 @@ class TestSpectrumAgainstClosedForms:
 
         p = BoundaryXYParams(delta=1.25, h=0.3, n=4)
         model = build_boundary_driven_xy(p)
-        m = liouvillian.bath_matrix(model.jumps)
+        s = liouvillian.shape_matrices(model)
         by_hand = np.zeros((8, 8), dtype=complex)
         for l in model.jumps:
             by_hand += np.outer(l, l.conj())
-        np.testing.assert_allclose(m, by_hand, atol=1e-15)
-        # nonzero support only on the edge sites
-        assert np.max(np.abs(m[2:6, :])) == 0.0
+        # the real assembly on each jump's support matches the complex sum bit for bit
+        assert np.array_equal(s.x, np.real(4.0 * (1j * model.h + np.real(by_hand))))
+        assert np.array_equal(s.b, np.imag(numerics.hermitize_antisymmetric(-8j * np.imag(by_hand))))
+        # the bath (and so the source) has support only on the edge sites
+        assert np.max(np.abs(by_hand[2:6, :])) == 0.0
+        assert np.max(np.abs(s.b[2:6, :])) == 0.0

@@ -14,6 +14,7 @@ from nessgeom.errors import (
     NotAntisymmetric,
     NotFiniteRange,
     NotHermitian,
+    NotReal,
     SingularSylvester,
 )
 
@@ -70,10 +71,10 @@ class TestLyapunov:
         x = x @ x.T + 0.5 * np.eye(6)
         solver = numerics.LyapunovSolver(x)
         for _ in range(3):
-            y = 1j * rand_antisym(rng, 6)
+            b = rand_antisym(rng, 6)
             np.testing.assert_allclose(
-                numerics.hermitize_antisymmetric(solver.solve(y)),
-                numerics.solve_continuous_lyapunov(x, y),
+                1j * solver.solve(b),
+                numerics.solve_continuous_lyapunov(x, 1j * b),
                 atol=1e-12,
             )
 
@@ -148,10 +149,10 @@ class TestBlockedSylvester:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, n)) / np.sqrt(n) + 1.5 * np.eye(n)
         b = rand_antisym(rng, n)
-        g = numerics.LyapunovSolver(x).solve(1j * b)
+        a = numerics.LyapunovSolver(x).solve(b)
         ref = sla.solve_continuous_lyapunov(x, b)
-        assert np.linalg.norm(g.imag - ref) <= 1e-11 * np.linalg.norm(ref)
-        assert np.array_equal(g.real, np.zeros_like(b))
+        assert np.linalg.norm(a - ref) <= 1e-11 * np.linalg.norm(ref)
+        assert a.dtype == np.float64
 
     def test_near_singular_pair_sum_raises(self, rng):
         n = LEAF + 7
@@ -160,26 +161,37 @@ class TestBlockedSylvester:
         spectrum[-2:] = 0.7, -0.7 + 1e-14  # x_i + x_j ~ 1e-14
         x = (q * spectrum) @ q.T
         with pytest.raises(SingularSylvester):
-            numerics.LyapunovSolver(x).solve(1j * rand_antisym(rng, n))
+            numerics.LyapunovSolver(x).solve(rand_antisym(rng, n))
 
     def test_source_with_real_part_raises(self, rng):
         x = np.eye(4) + 0.1 * rand_antisym(rng, 4)
         y = 1j * rand_antisym(rng, 4) + 1e-6 * rand_antisym(rng, 4)
         with pytest.raises(NotHermitian):
-            numerics.LyapunovSolver(x).solve(y)
+            numerics.solve_continuous_lyapunov(x, y)
 
     def test_source_with_symmetric_part_raises(self, rng):
         x = np.eye(4) + 0.1 * rand_antisym(rng, 4)
-        y = 1j * (rand_antisym(rng, 4) + 1e-6 * np.eye(4))
+        b = rand_antisym(rng, 4) + 1e-6 * np.eye(4)
         with pytest.raises(NotAntisymmetric):
-            numerics.LyapunovSolver(x).solve(y)
+            numerics.LyapunovSolver(x).solve(b)
+        with pytest.raises(NotAntisymmetric):
+            numerics.solve_continuous_lyapunov(x, 1j * b)
+
+    def test_complex_source_rejected(self, rng):
+        # a complex b is refused by name, with no ComplexWarning and no
+        # silently dropped imaginary part, even when that part is zero
+        x = np.eye(4) + 0.1 * rand_antisym(rng, 4)
+        solver = numerics.LyapunovSolver(x)
+        for b in (1j * rand_antisym(rng, 4), rand_antisym(rng, 4).astype(complex)):
+            with pytest.raises(NotReal):
+                solver.solve(b)
 
     def test_tangents_share_one_factorization(self, rng, monkeypatch):
         model = rand_stable_model(rng, 4)
         shape = liouvillian.shape_matrices(model)
         gamma = liouvillian.ness_covariance(shape).gamma
         dxs = [rng.normal(size=(8, 8)) for _ in range(3)]
-        dys = [1j * rand_antisym(rng, 8) for _ in range(3)]
+        dbs = [rand_antisym(rng, 8) for _ in range(3)]
         inits = []
         init = numerics.LyapunovSolver.__init__
 
@@ -188,10 +200,10 @@ class TestBlockedSylvester:
             init(self, x)
 
         monkeypatch.setattr(numerics.LyapunovSolver, "__init__", counting_init)
-        tang = liouvillian.ness_tangents(shape, dxs, dys, gamma)
+        tang = liouvillian.ness_tangents(shape, dxs, dbs, gamma)
         assert len(inits) == 1
-        for dx, dy, dg in zip(dxs, dys, tang.d_gamma):
-            rhs = dy - dx @ gamma - gamma @ dx.T
+        for dx, db, dg in zip(dxs, dbs, tang.d_gamma):
+            rhs = 1j * db - dx @ gamma - gamma @ dx.T
             ref = sla.solve_continuous_lyapunov(shape.x, np.imag(rhs))
             assert np.linalg.norm(dg.imag - ref) <= 1e-11 * np.linalg.norm(ref)
 
@@ -218,7 +230,7 @@ class TestAntisymmetricLyapunov:
         assert a.dtype == np.float64 and np.array_equal(a, -a.T)
         ref = sla.solve_continuous_lyapunov(x, b)
         assert np.linalg.norm(a - ref) <= 1e-12 * np.linalg.norm(ref)
-        g = solver.solve(1j * b)
+        g = numerics.solve_continuous_lyapunov(x, 1j * b)
         assert np.array_equal(g.imag, a) and np.array_equal(g.real, np.zeros_like(a))
 
     @pytest.mark.parametrize("ratio, singular", [(0.5, True), (4.0, False)])
