@@ -162,7 +162,7 @@ def check_qgt_gap_bound(seed, cases):
             rng.bit_generator.state = state  # a skipped case draws no direction
             continue
         lhs, rhs, holds = geometry.qgt_gap_bound(
-            point.qgt.q[0, 0], point.gamma, shape.x, shape.b, dx, db, point.gap
+            point.qgt.q[0, 0], point.gamma, dx, db, point.gap
         )
         ok &= holds
     return ok, "|Q|/n <= 2 P Delta^-2 (|dY| + 2|dX|)^2 on random stable models"

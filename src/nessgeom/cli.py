@@ -14,7 +14,6 @@ import argparse
 import configparser
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -226,6 +225,17 @@ def _write_text(path: str | None, text: str):
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _run_cells(tasks: list, jobs: int, chunksize: int) -> list[dict]:
+    """Each task's row, in order; on ``jobs`` worker processes when ``jobs > 1``."""
+    if jobs <= 1:
+        return [_worker(t) for t in tasks]
+    # imported here: the pool loads multiprocessing, which a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_worker, tasks, chunksize=chunksize))
+
+
 def run_sweep(spec: SweepSpec) -> str:
     spec.validate()
     names, points = spec.grid()
@@ -234,11 +244,7 @@ def run_sweep(spec: SweepSpec) -> str:
         params = dict(spec.fixed)
         params.update({name: float(v) for name, v in zip(names, row)})
         tasks.append((spec.model, params, spec.quantities))
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_worker, tasks, chunksize=8))
-    else:
-        results = [_worker(t) for t in tasks]
+    results = _run_cells(tasks, spec.jobs, chunksize=8)
     if spec.fmt == "json":
         rows = []
         for row, res in zip(points, results):
@@ -273,11 +279,7 @@ def run_scaling(spec: ScalingSpec) -> tuple[str, str]:
         params = dict(spec.fixed)
         params["n"] = int(n)
         tasks.append((spec.model, params, spec.quantities))
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_worker, tasks, chunksize=1))
-    else:
-        results = [_worker(t) for t in tasks]
+    results = _run_cells(tasks, spec.jobs, chunksize=1)
     lines = _csv_header("scaling", spec.model, spec.fixed)
     lines.append(",".join(["n"] + list(spec.quantities)))
     for n, res in zip(spec.sizes, results):

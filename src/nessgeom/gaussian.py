@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatch,
@@ -29,6 +28,9 @@ from .errors import (
     TooManyModes,
 )
 from .numerics import _matmul
+
+# scipy.linalg is imported inside the functions that call it, so that the
+# symbol path, which never does, starts without it (see numerics)
 
 EPS_PURE = 1e-12
 
@@ -90,7 +92,9 @@ def validate(gamma) -> CovarianceMatrix:
     if np.max(np.abs(g + g.T)) > 1e-12 * scale:
         raise NotAntisymmetric("gamma is not antisymmetric")
     # Hermitian and antisymmetric: g = i Im g, whose spectrum is +- the singular values of Im g
-    check_norm(sla.svdvals(np.imag(g)))
+    from scipy.linalg import svdvals
+
+    check_norm(svdvals(np.imag(g)))
     return CovarianceMatrix(n_modes=g.shape[0] // 2, gamma=g)
 
 
@@ -101,7 +105,9 @@ def _schur_pairs(b: np.ndarray, w: np.ndarray, cols: slice, tol: float) -> None:
     The 2x2 blocks come first; the 1x1 (zero) eigenvalues follow in pairs,
     which stays orthogonal through degenerate and zero modes.
     """
-    t, z = sla.schur(b[cols, cols], output="real")
+    from scipy.linalg import schur
+
+    t, z = schur(b[cols, cols], output="real")
     m = t.shape[0]
     pairs: list[int] = []
     singles: list[int] = []
@@ -140,7 +146,9 @@ def real_eigenmodes(a: np.ndarray) -> EigenmodeDecomposition:
         return EigenmodeDecomposition(q=np.zeros((0, 0)), gammas=np.zeros(0))
     # scipy's eigh, on the BLAS of the solves before it (see numerics);
     # "evd" is the divide and conquer that numpy's eigh runs
-    _, w = sla.eigh(_matmul(a.T, a), driver="evd")
+    from scipy.linalg import eigh
+
+    _, w = eigh(_matmul(a.T, a), driver="evd")
     b = _matmul(w.T, _matmul(a, w))
     tol = 1e-12 * max(1.0, np.max(np.abs(a)))
     coupled = np.maximum(

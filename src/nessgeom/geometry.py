@@ -244,8 +244,6 @@ def transport_fidelity_weight(gamma) -> float:
 def qgt_gap_bound(
     q_value: complex,
     gamma,
-    x: np.ndarray,
-    b: np.ndarray,
     dx: np.ndarray,
     db: np.ndarray,
     delta: float,

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DegeneracyOnLoop,
@@ -344,6 +343,8 @@ class DickeParams:
 
 
 def _dicke_solve(params: DickeParams, points: int) -> tuple[np.ndarray, np.ndarray, float]:
+    from scipy.linalg import eigh_tridiagonal  # deferred: only the Dicke model needs scipy
+
     q_max = params.grid_extent()
     q = np.linspace(-q_max, q_max, points)
     dq = q[1] - q[0]
@@ -519,19 +520,6 @@ def boundary_xy_spin_operators(params: BoundaryXYParams) -> tuple[np.ndarray, li
         if km > 0:
             jumps.append(np.sqrt(km) * site_op(sminus, site))
     return h_dense, jumps
-
-
-def boundary_xy_zz_correlation(gamma, j: int, k: int) -> float:
-    """Connected ``<sigma^z_j sigma^z_k>`` from Wick contractions (1-based sites)."""
-    from .gaussian import as_gamma
-
-    g = as_gamma(gamma)
-    n = g.shape[0] // 2
-    if not (1 <= j < k <= n):
-        raise DimensionMismatch(f"need 1 <= j < k <= {n}")
-    a, b, c, d = 2 * j - 2, 2 * j - 1, 2 * k - 2, 2 * k - 1
-    cross = g[a, c] * g[b, d] - g[a, d] * g[b, c]
-    return float(np.real(cross))
 
 
 # --- translationally invariant dissipative models ---------------------------------

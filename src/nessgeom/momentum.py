@@ -937,32 +937,3 @@ def gap_on_circle(model: SymbolModel) -> float:
         best = min(best, float(vals[i]))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, last)]
     return 2.0 * best
-
-
-def to_lindblad_model(model: SymbolModel, n_cells: int):
-    """Wrap the chain onto a ring of ``n_cells`` as a finite Lindblad model.
-
-    Requires the ring to be longer than twice the block reach so that
-    wrapped couplings do not collide.
-    """
-    from .liouvillian import QuadraticLindbladModel
-
-    reach_h = max([abs(u) for u in model.h_blocks] or [0])
-    reach_j = max([abs(u) for fam in model.jumps for u in fam] or [0])
-    if n_cells <= 2 * max(reach_h, reach_j):
-        raise DimensionMismatch(f"ring of {n_cells} cells too short for the block reach")
-    d = 2 * n_cells
-    h = np.zeros((d, d), dtype=complex)
-    for u, blk in model.h_blocks.items():
-        for r in range(n_cells):
-            s = (r + u) % n_cells
-            h[2 * r : 2 * r + 2, 2 * s : 2 * s + 2] += blk
-    jumps = []
-    for fam in model.jumps:
-        for r in range(n_cells):
-            vec = np.zeros(d, dtype=complex)
-            for u, l2 in fam.items():
-                s = (r + u) % n_cells
-                vec[2 * s : 2 * s + 2] += l2
-            jumps.append(vec)
-    return QuadraticLindbladModel(n_modes=n_cells, h=0.5 * (h - h.T), jumps=tuple(jumps))

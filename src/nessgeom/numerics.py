@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ConvergenceFailure,
@@ -34,8 +33,31 @@ ABS_FLOOR = 1e-14
 # library its Schur factorization and ``trsyl`` must use: numpy bundles a
 # second OpenBLAS whose worker threads, once woken by a numpy GEMM or norm,
 # keep spinning and slow the next LAPACK call down by up to 40%.
-_gemm = sla.get_blas_funcs("gemm", dtype=np.float64)
-_nrm2 = sla.get_blas_funcs("nrm2", dtype=np.float64)
+#
+# scipy.linalg takes about 0.3 s to import and the symbol path never calls
+# it, so it is imported on the first dense call: until then each handle
+# below is a stub that binds all three and runs the real routine, and after
+# that the globals are scipy's own wrappers.
+
+
+def _bind_scipy_handles() -> None:
+    global _gemm, _nrm2, _trsyl
+    import scipy.linalg as sla
+
+    _gemm = sla.get_blas_funcs("gemm", dtype=np.float64)
+    _nrm2 = sla.get_blas_funcs("nrm2", dtype=np.float64)
+    _trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
+
+
+def _first_call(name: str) -> Callable:
+    def stub(*args, **kwargs):
+        _bind_scipy_handles()
+        return globals()[name](*args, **kwargs)
+
+    return stub
+
+
+_gemm, _nrm2, _trsyl = _first_call("_gemm"), _first_call("_nrm2"), _first_call("_trsyl")
 
 
 def _transposed_operand(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -97,8 +119,6 @@ def hermitize_antisymmetric(a: np.ndarray) -> np.ndarray:
 # Leaf order of the recursive triangular Sylvester solve: below it one
 # unblocked ``trsyl`` call is cheaper than another level of GEMM updates.
 _SYLVESTER_LEAF = 64
-
-_trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
 
 
 def _opens_block(t: np.ndarray, i: int) -> bool:
@@ -211,6 +231,8 @@ class LyapunovSolver:
     """
 
     def __init__(self, x: np.ndarray):
+        import scipy.linalg as sla
+
         x = np.real(_as_square(x, "x"))
         self.x = x
         self._x_norm = _frobenius(x)
@@ -294,6 +316,8 @@ def general_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, float]:
     matrix; values ``>~ 1e8`` flag a nearly defective (Jordan-like)
     spectrum.
     """
+    import scipy.linalg as sla
+
     a = _as_square(a)
     try:
         vals, vecs = sla.eig(np.asarray(a, dtype=float))

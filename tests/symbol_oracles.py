@@ -5,10 +5,15 @@ The covariance symbols of ``models.build_reservoir_chain`` (exact) and of
 epsilon -> 0), with their parameter derivatives, written as Pauli
 components in the flavor frame of :mod:`nessgeom.models`.  The library
 solves every symbol; these forms are independent oracles for those solves.
+Also the finite ring a symbol model wraps onto, and the boundary-XY zz
+correlation by Wick contraction, which only the tests read.
 """
 import numpy as np
 
 from nessgeom import momentum, numerics
+from nessgeom.errors import DimensionMismatch
+from nessgeom.gaussian import as_gamma
+from nessgeom.liouvillian import QuadraticLindbladModel
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -134,3 +139,41 @@ def real_space_correlation_quadrature(model, r: int, tol: float = 1e-10) -> np.n
 
             out[a, b] = numerics.periodic_quadrature(integrand, tol) / (2.0 * np.pi)
     return out
+
+
+def to_lindblad_model(model: momentum.SymbolModel, n_cells: int) -> QuadraticLindbladModel:
+    """Wrap the chain onto a ring of ``n_cells`` as a finite Lindblad model.
+
+    Requires the ring to be longer than twice the block reach so that
+    wrapped couplings do not collide.
+    """
+    reach_h = max([abs(u) for u in model.h_blocks] or [0])
+    reach_j = max([abs(u) for fam in model.jumps for u in fam] or [0])
+    if n_cells <= 2 * max(reach_h, reach_j):
+        raise DimensionMismatch(f"ring of {n_cells} cells too short for the block reach")
+    d = 2 * n_cells
+    h = np.zeros((d, d), dtype=complex)
+    for u, blk in model.h_blocks.items():
+        for r in range(n_cells):
+            s = (r + u) % n_cells
+            h[2 * r : 2 * r + 2, 2 * s : 2 * s + 2] += blk
+    jumps = []
+    for fam in model.jumps:
+        for r in range(n_cells):
+            vec = np.zeros(d, dtype=complex)
+            for u, l2 in fam.items():
+                s = (r + u) % n_cells
+                vec[2 * s : 2 * s + 2] += l2
+            jumps.append(vec)
+    return QuadraticLindbladModel(n_modes=n_cells, h=0.5 * (h - h.T), jumps=tuple(jumps))
+
+
+def boundary_xy_zz_correlation(gamma, j: int, k: int) -> float:
+    """Connected ``<sigma^z_j sigma^z_k>`` from Wick contractions (1-based sites)."""
+    g = as_gamma(gamma)
+    n = g.shape[0] // 2
+    if not (1 <= j < k <= n):
+        raise DimensionMismatch(f"need 1 <= j < k <= {n}")
+    a, b, c, d = 2 * j - 2, 2 * j - 1, 2 * k - 2, 2 * k - 1
+    cross = g[a, c] * g[b, d] - g[a, d] * g[b, c]
+    return float(np.real(cross))

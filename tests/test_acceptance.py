@@ -288,7 +288,7 @@ def test_09_bounds():
             r_ok &= -1e-8 <= res.r_ratio <= 1.0 + 1e-8
         for mu in range(2):
             lhs, rhs, holds = geometry.qgt_gap_bound(
-                res.q[mu, mu], point.gamma, shape.x, shape.b, dxs[mu], dbs[mu], point.gap
+                res.q[mu, mu], point.gamma, dxs[mu], dbs[mu], point.gap
             )
             bound_ok &= holds
             bound_checked += 1
@@ -296,7 +296,7 @@ def test_09_bounds():
     gap, res, gam, shape, dxs = _boundary_xy_quantities(40, 0.3)
     for mu in range(2):
         lhs, rhs, holds = geometry.qgt_gap_bound(
-            res.q[mu, mu], gam, shape.x, shape.b, dxs[mu], np.zeros_like(shape.b), gap
+            res.q[mu, mu], gam, dxs[mu], np.zeros_like(shape.b), gap
         )
         bound_ok &= holds
         bound_checked += 1

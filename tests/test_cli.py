@@ -68,6 +68,16 @@ class TestSweep:
         parallel = cli.run_sweep(sweep_spec(tmp_path, jobs=2))
         assert serial == parallel
 
+    def test_parallel_symbol_sweep_matches_serial(self, tmp_path):
+        def spec(jobs):
+            return cli.SweepSpec(
+                model="reservoir_chain", fixed={"theta": 0.3}, axes=[("lam", 0.4, 0.6, 0.1)],
+                quantities=("gap", "muc", "xi"), out=str(tmp_path / f"rc{jobs}.csv"), jobs=jobs,
+            )
+
+        assert cli.run_sweep(spec(2)) == cli.run_sweep(spec(1))
+        assert (tmp_path / "rc2.csv").read_bytes() == (tmp_path / "rc1.csv").read_bytes()
+
     def test_error_lands_in_cell(self, tmp_path):
         # a failing grid point must not abort the sweep, and every cell of it
         # carries the originating error's class name
@@ -142,6 +152,17 @@ class TestScaling:
         assert "exponent" in report["fits"]["gap"]
         assert (tmp_path / "scal.csv").exists()
         assert (tmp_path / "scal.json").exists()
+
+    def test_parallel_matches_serial(self, tmp_path):
+        def spec(jobs):
+            return cli.ScalingSpec(
+                model="boundary_xy", fixed={"delta": 1.25, "h": 0.3}, sizes=(8, 12, 16, 20),
+                quantities=cli.FINITE_QUANTITIES, out=str(tmp_path / f"scal{jobs}"), jobs=jobs,
+            )
+
+        assert cli.run_scaling(spec(2)) == cli.run_scaling(spec(1))
+        for ext in (".csv", ".json"):
+            assert (tmp_path / f"scal2{ext}").read_bytes() == (tmp_path / f"scal1{ext}").read_bytes()
 
     def test_overflowing_fit_writes_strict_json(self, tmp_path, monkeypatch):
         # gap: exp(720 - 100 ln n), whose fitted prefactor exp(720) overflows;
@@ -310,6 +331,13 @@ class TestConfigAndMain:
         assert abs(outside - inside) > 0.05
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's nessgeom."""
+    src = str(Path(nessgeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_cells_do_not_import_scipy_optimize():
     # scipy.optimize costs a quarter second of start-up; no cell needs it
     code = (
@@ -319,11 +347,43 @@ def test_cells_do_not_import_scipy_optimize():
         "cli.evaluate_point('reservoir_chain', {'lam': 0.5, 'theta': 0.3}, cli.SYMBOL_QUANTITIES)\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
-    src = str(Path(nessgeom.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = _fresh_python(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+BOUNDARY_XY_ROW = (
+    "print(json.dumps(cli.evaluate_point("
+    "'boundary_xy', {'n': 6, 'delta': 1.25, 'h': 0.3}, cli.FINITE_QUANTITIES)))\n"
+)
+
+
+def test_symbol_cells_start_on_numpy_alone(tmp_path):
+    # scipy.linalg and the process pool cost about 0.3 s of start-up that the
+    # symbol path never uses; a chain cell after them binds scipy's handles
+    # on its first dense call and must read as it does in a fresh process
+    out = str(tmp_path / "rc.csv")
+    code = (
+        "import json, sys\n"
+        "import nessgeom.cli as cli\n"
+        "cli.evaluate_point('reservoir_chain', {'lam': 0.5, 'theta': 0.3}, cli.SYMBOL_QUANTITIES)\n"
+        "cli.evaluate_point('reservoir_chain', {'lam': 0.5, 'theta': 0.3, 'muc_mode': 'residue'},"
+        " cli.SYMBOL_QUANTITIES)\n"
+        "cli.evaluate_point('rotated_xy', {'h': 1.3, 'theta': 0.7}, cli.SYMBOL_QUANTITIES)\n"
+        "assert cli.main(['sweep', '--model', 'reservoir_chain', '--set', 'theta=0.3',"
+        f" '--grid', 'lam=0.4:0.6:0.1', '--quantities', 'gap,muc,xi', '--out', {out!r},"
+        " '--jobs', '1']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process')))\n"
+        + BOUNDARY_XY_ROW
+    )
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    loaded, row = run.stdout.splitlines()
+    assert json.loads(loaded) == []
+    fresh = _fresh_python("import json\nimport nessgeom.cli as cli\n" + BOUNDARY_XY_ROW)
+    assert fresh.returncode == 0, fresh.stderr
+    assert row == fresh.stdout.strip()
 
 
 def test_traced_names_resolve_on_the_package(monkeypatch):

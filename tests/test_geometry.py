@@ -223,15 +223,14 @@ class TestGapBound:
     def test_zero_qgt_holds(self, rng):
         gamma = rand_gamma(rng, 2)
         lhs, rhs, holds = geometry.qgt_gap_bound(
-            0.0, gamma, np.eye(4), np.zeros((4, 4)), 0.1 * np.eye(4), np.zeros((4, 4)), 1.0
+            0.0, gamma, 0.1 * np.eye(4), np.zeros((4, 4)), 1.0
         )
         assert holds and lhs == 0.0
 
     def test_zero_gap_rejected(self, rng):
         with pytest.raises(ZeroGap):
             geometry.qgt_gap_bound(
-                1.0, rand_gamma(rng, 2), np.eye(4), np.zeros((4, 4)),
-                np.eye(4), np.zeros((4, 4)), 0.0,
+                1.0, rand_gamma(rng, 2), np.eye(4), np.zeros((4, 4)), 0.0,
             )
 
     def test_random_stable_models(self, rng):
@@ -248,7 +247,7 @@ class TestGapBound:
             tang = liouvillian.ness_tangents(shape, [dx], [db], cov.gamma)
             res = geometry.qgt(cov.gamma, tang)
             lhs, rhs, holds = geometry.qgt_gap_bound(
-                res.q[0, 0], cov.gamma, shape.x, shape.b, dx, db, rep.delta
+                res.q[0, 0], cov.gamma, dx, db, rep.delta
             )
             assert holds, (lhs, rhs)
             held += 1

@@ -10,6 +10,7 @@ from nessgeom.errors import (
 )
 
 from conftest import rand_antisym, rand_stable_model
+import symbol_oracles
 
 
 def dense_from_model(model):
@@ -261,10 +262,9 @@ class TestReservoirChainRing:
 
     def test_uncoupled_reservoir_ring_gap(self):
         # at lam = 0 both drift eigenvalues are flat at 1/4: delta = 1/2
-        from nessgeom import momentum
         from nessgeom.models import build_reservoir_chain
 
-        ring = momentum.to_lindblad_model(build_reservoir_chain(0.0, 0.9), 8)
+        ring = symbol_oracles.to_lindblad_model(build_reservoir_chain(0.0, 0.9), 8)
         rep = liouvillian.gap_report(liouvillian.shape_matrices(ring).x)
         assert rep.delta == pytest.approx(0.5, abs=1e-12)
 
@@ -273,7 +273,7 @@ class TestReservoirChainRing:
         from nessgeom.models import build_reservoir_chain
 
         model = build_reservoir_chain(0.5, 0.3)
-        ring = momentum.to_lindblad_model(model, 5)
+        ring = symbol_oracles.to_lindblad_model(model, 5)
         cov = liouvillian.ness_covariance(liouvillian.shape_matrices(ring))
         phik = 2 * np.pi * np.arange(5) / 5
         gk = momentum.symbol_covariance(model, phik)
@@ -288,12 +288,12 @@ class TestSpectrumAgainstClosedForms:
     def test_ring_drift_spectrum_matches_symbol_eigenvalues(self):
         # the block-circulant drift's full spectrum is the union of the
         # 2x2 symbol eigenvalues over the discrete momenta
-        from nessgeom import momentum, numerics
+        from nessgeom import numerics
         from nessgeom.models import build_reservoir_chain
 
         lam, theta, n = 0.7, 0.4, 9
         model = build_reservoir_chain(lam, theta)
-        ring = momentum.to_lindblad_model(model, n)
+        ring = symbol_oracles.to_lindblad_model(model, n)
         shape = liouvillian.shape_matrices(ring)
         eigs, cond = numerics.general_eigendecomposition(shape.x)
         assert cond < 1e8

@@ -243,7 +243,7 @@ class TestBoundaryXY:
             dense_val = np.real(
                 np.trace(rho @ sz_j @ sz_k) - np.trace(rho @ sz_j) * np.trace(rho @ sz_k)
             )
-            assert models.boundary_xy_zz_correlation(cov.gamma, j, k) == pytest.approx(
+            assert symbol_oracles.boundary_xy_zz_correlation(cov.gamma, j, k) == pytest.approx(
                 dense_val, abs=1e-10
             )
 
@@ -266,7 +266,7 @@ class TestBoundaryXY:
         mid = p.n // 2
         rs = np.arange(4, 20)
         vals = np.array(
-            [abs(models.boundary_xy_zz_correlation(cov.gamma, mid, mid + int(r))) for r in rs]
+            [abs(symbol_oracles.boundary_xy_zz_correlation(cov.gamma, mid, mid + int(r))) for r in rs]
         )
         slope = -np.polyfit(rs, np.log(vals), 1)[0]
         hc = p.h_critical

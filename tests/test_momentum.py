@@ -580,7 +580,7 @@ class TestMucPerSite:
         n = 14
 
         def gamma_of(p):
-            ring = momentum.to_lindblad_model(reservoir(p[0], p[1]), n)
+            ring = symbol_oracles.to_lindblad_model(reservoir(p[0], p[1]), n)
             return liouvillian.ness_covariance(liouvillian.shape_matrices(ring)).gamma
 
         tang = geometry.tangents_finite_difference(gamma_of, np.array([lam, theta]))
@@ -597,7 +597,7 @@ class TestMucPerSite:
         for n in (10, 14):
             def gamma_of(p, n=n):
                 m = models_rotated(pars["delta"], p[0], p[1])
-                ring = momentum.to_lindblad_model(m, n)
+                ring = symbol_oracles.to_lindblad_model(m, n)
                 return liouvillian.ness_covariance(liouvillian.shape_matrices(ring)).gamma
 
             pt = np.array([pars["h"], pars["theta"]])
@@ -657,13 +657,13 @@ class TestCriticalityPropositions:
 class TestRingWrap:
     def test_short_ring_rejected(self):
         with pytest.raises(DimensionMismatch):
-            momentum.to_lindblad_model(reservoir(0.5, 0.3), 4)
+            symbol_oracles.to_lindblad_model(reservoir(0.5, 0.3), 4)
 
     def test_ring_symbol_identity(self):
         model = reservoir(0.5, 0.3)
         from nessgeom import liouvillian
 
-        ring = momentum.to_lindblad_model(model, 6)
+        ring = symbol_oracles.to_lindblad_model(model, 6)
         cov = liouvillian.ness_covariance(liouvillian.shape_matrices(ring))
         phik = 2 * np.pi * np.arange(6) / 6
         gk = momentum.symbol_covariance(model, phik)
