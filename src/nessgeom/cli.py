@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -50,6 +51,30 @@ def _json_text(report: dict) -> str:
 
 FINITE_QUANTITIES = ("gap", "gmax", "detg", "muc", "R", "purity")
 SYMBOL_QUANTITIES = ("gap", "muc", "xi")
+# symbol models: the ``models`` builder (its signature names the parameters
+# and holds their defaults) and the default MUC pair
+SYMBOL_MODELS = {
+    "reservoir_chain": ("build_reservoir_chain", "lam:theta"),
+    "rotated_xy": ("build_rotated_xy_dissipative", "h:theta"),
+}
+
+
+def _check_keys(model_name: str, keys) -> None:
+    """Refuse a key the model does not take: a field of ``BoundaryXYParams``,
+    or a symbol builder's parameter or one of the MUC keys."""
+    from . import models
+
+    if model_name == "boundary_xy":
+        accepted = tuple(f.name for f in fields(models.BoundaryXYParams))
+    elif model_name in SYMBOL_MODELS:
+        builder = getattr(models, SYMBOL_MODELS[model_name][0])
+        accepted = (*inspect.signature(builder).parameters, "muc_pair", "muc_mode")
+    else:
+        raise BadSpec(f"unknown model {model_name!r}")
+    for key in keys:
+        if key not in accepted:
+            raise BadSpec(f"model {model_name!r} takes no parameter {key!r} "
+                          f"(accepted: {', '.join(accepted)})")
 
 
 def _boundary_xy_params(params: dict):
@@ -84,35 +109,13 @@ def _boundary_xy_point(params: dict, quantities: tuple[str, ...]) -> dict:
 
 
 def _symbol_point(model_name: str, params: dict, quantities: tuple[str, ...]) -> dict:
-    from . import momentum
-    from .models import build_reservoir_chain, build_rotated_xy_dissipative
+    from . import models, momentum
 
-    if model_name == "reservoir_chain":
-        builder_params = {"lam": float(params.get("lam", 0.0)),
-                          "theta": float(params.get("theta", 0.0))}
-
-        def builder(**kw):
-            return build_reservoir_chain(kw["lam"], kw["theta"])
-
-        default_pair = ("lam", "theta")
-    else:
-        builder_params = {
-            "delta": float(params.get("delta", 0.5)),
-            "h": float(params.get("h", 0.5)),
-            "theta": float(params.get("theta", 0.0)),
-            "mu_minus": float(params.get("mu_minus", 1.0)),
-            "mu_plus": float(params.get("mu_plus", 0.5)),
-        }
-        epsilon = float(params.get("epsilon", 1e-3))
-
-        def builder(**kw):
-            return build_rotated_xy_dissipative(
-                kw["delta"], kw["h"], kw["theta"], kw["mu_minus"], kw["mu_plus"], epsilon
-            )
-
-        default_pair = ("h", "theta")
-    pair = tuple(str(params.get("muc_pair", ":".join(default_pair))).split(":"))
-    model = builder(**builder_params)
+    builder_name, default_pair = SYMBOL_MODELS[model_name]
+    # looked up at call time, so that a wrapper installed on ``models`` sees the call
+    builder = getattr(models, builder_name)
+    model = builder(**{k: float(params[k]) for k in inspect.signature(builder).parameters
+                       if k in params})
     out: dict = {}
     if "gap" in quantities:
         out["gap"] = momentum.gap_on_circle(model)
@@ -120,8 +123,9 @@ def _symbol_point(model_name: str, params: dict, quantities: tuple[str, ...]) ->
         rat = momentum.rationalize(model)
         out["xi"] = momentum.correlation_length(rat).xi
     if "muc" in quantities:
+        pair = tuple(str(params.get("muc_pair", default_pair)).split(":"))
         out["muc"] = momentum.muc_per_site(
-            builder, builder_params, pair, mode=str(params.get("muc_mode", "quadrature"))
+            model, pair, mode=str(params.get("muc_mode", "quadrature"))
         )
     return out
 
@@ -129,7 +133,7 @@ def _symbol_point(model_name: str, params: dict, quantities: tuple[str, ...]) ->
 def evaluate_point(model_name: str, params: dict, quantities: tuple[str, ...]) -> dict:
     if model_name == "boundary_xy":
         return _boundary_xy_point(params, quantities)
-    if model_name in ("reservoir_chain", "rotated_xy"):
+    if model_name in SYMBOL_MODELS:
         return _symbol_point(model_name, params, quantities)
     raise BadSpec(f"unknown model {model_name!r}")
 
@@ -158,8 +162,7 @@ class SweepSpec:
     fmt: str = "csv"
 
     def validate(self):
-        if self.model not in ("boundary_xy", "reservoir_chain", "rotated_xy"):
-            raise BadSpec(f"unknown model {self.model!r}")
+        _check_keys(self.model, [*self.fixed, *(a[0] for a in self.axes)])
         if not self.axes:
             raise BadSpec("sweep needs at least one --grid axis")
         if not self.quantities:
@@ -200,6 +203,7 @@ class ScalingSpec:
             raise BadSpec("scaling needs --quantities")
         if self.model != "boundary_xy":
             raise BadSpec("finite-size scaling is defined for the boundary_xy model")
+        _check_keys(self.model, self.fixed)
 
 
 # --- output ------------------------------------------------------------------------
@@ -346,12 +350,14 @@ def run_oracle_suite(seed: int = 0, cases: int = 10, convention_flip: bool = Fal
 def run_geometry(model: str, params: dict) -> dict:
     if model != "boundary_xy":
         raise BadSpec("geometry report is defined for the boundary_xy model")
+    _check_keys(model, params)
     return _boundary_xy_point(params, ("gap", "gmax", "detg", "muc", "R", "purity"))
 
 
 def run_spectrum(model: str, params: dict) -> dict:
     from . import liouvillian, models
 
+    _check_keys(model, params)
     if model == "boundary_xy":
         p = _boundary_xy_params(params)
         shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
@@ -364,8 +370,6 @@ def run_spectrum(model: str, params: dict) -> dict:
             "condition_estimate": _json_value(rep.condition_estimate),
             "spectrum": [[float(z.real), float(z.imag)] for z in rep.spectrum],
         }
-    if model not in ("reservoir_chain", "rotated_xy"):
-        raise BadSpec(f"unknown model {model!r}")
     out = _symbol_point(model, params, ("gap",))
     return {"gap_on_circle": out["gap"]}
 

@@ -525,7 +525,7 @@ def boundary_xy_spin_operators(params: BoundaryXYParams) -> tuple[np.ndarray, li
 # --- translationally invariant dissipative models ---------------------------------
 
 
-def build_reservoir_chain(lam: float, theta: float) -> SymbolModel:
+def build_reservoir_chain(lam: float = 0.0, theta: float = 0.0) -> SymbolModel:
     """Ring of fermions driven only by a three-site engineered reservoir.
 
     Jump family ``[(1+lam) l0 . w_r + l1 . w_{r+1} + lam l2 . w_{r+2}] / n(lam)``
@@ -553,17 +553,16 @@ def build_reservoir_chain(lam: float, theta: float) -> SymbolModel:
     return SymbolModel(
         h_blocks={},
         jumps=[fam],
-        params={"lam": lam, "theta": theta},
         dl={"lam": [dfam_lam], "theta": [dfam_theta]},
     )
 
 
 def build_rotated_xy_dissipative(
-    delta: float,
-    h: float,
-    theta: float,
-    mu_minus: float,
-    mu_plus: float,
+    delta: float = 0.5,
+    h: float = 0.5,
+    theta: float = 0.0,
+    mu_minus: float = 1.0,
+    mu_plus: float = 0.5,
     epsilon: float = 1e-3,
 ) -> SymbolModel:
     """Rotated XY ring with weak local loss/gain reservoirs.
@@ -619,8 +618,6 @@ def build_rotated_xy_dissipative(
     return SymbolModel(
         h_blocks=blocks,
         jumps=jumps,
-        params={"delta": delta, "h": h, "theta": theta,
-                "mu_minus": mu_minus, "mu_plus": mu_plus, "epsilon": epsilon},
         dh=dh,
         dl=dl,
     )

@@ -117,7 +117,6 @@ class SymbolModel:
 
     h_blocks: Mapping[int, np.ndarray]
     jumps: Sequence[Mapping[int, np.ndarray]]
-    params: dict = field(default_factory=dict)
     dh: Mapping[str, Mapping[int, np.ndarray]] = field(default_factory=dict)
     dl: Mapping[str, Sequence[Mapping[int, np.ndarray]]] = field(default_factory=dict)
     m_blocks: Mapping[int, np.ndarray] = field(init=False)
@@ -746,41 +745,37 @@ def real_space_correlation(rational: RationalSymbol, r: int) -> np.ndarray:
 # --- mean Uhlmann curvature per site -------------------------------------------
 
 
-def _muc_terms(gam: np.ndarray, dmu: np.ndarray, dnu: np.ndarray) -> tuple:
-    """Numerator ``(i/4) Tr{ g~ [d_mu g~, d_nu g~] }`` and ``1 - det g~`` of the
-    MUC density, batched over points."""
-    comm = np.einsum("nab,nbc->nac", dmu, dnu) - np.einsum("nab,nbc->nac", dnu, dmu)
-    return 0.25j * np.einsum("nab,nba->n", gam, comm), 1.0 - np.linalg.det(gam)
+def _muc_density(model: SymbolModel, pair: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+    """``u(z) = (i/4) Tr{ g~ [d_mu g~, d_nu g~] } / (1 - det g~)^2`` at the
+    points ``z``, set to zero where ``det g~ = 1`` (two pure eigenmodes: the
+    continuity branch, not a singularity).  ``g~`` and its exact tangents
+    come from ``gamma_at_points``; ``pair`` must be two parameter names."""
+    pair = tuple(pair)
+    if len(pair) != 2:
+        raise DimensionMismatch(f"MUC needs a pair of parameter names, got {pair!r}")
 
-
-def muc_integrand(
-    builder: Callable[..., SymbolModel],
-    params: Mapping[str, float],
-    pair: tuple[str, str],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The angle-resolved MUC density
-
-        u(phi) = (i/4) Tr{ g~ [d_mu g~, d_nu g~] } / (1 - det g~)^2,
-
-    set to zero where ``det g~ = 1`` (two pure eigenmodes: the continuity
-    branch, not a singularity).  ``g~`` and its exact tangents come from
-    ``gamma_at_points`` on the unit circle; a singular drift symbol on the
-    grid raises ``CriticalAngle``."""
-    model = builder(**params)
-
-    def u_of(phis: np.ndarray) -> np.ndarray:
-        gam, tangents = gamma_at_points(model, np.exp(1j * np.atleast_1d(phis)), pair)
-        num, one_minus = _muc_terms(gam, *tangents)
+    def u_at(z: np.ndarray) -> np.ndarray:
+        gam, (dmu, dnu) = gamma_at_points(model, z, pair)
+        comm = np.einsum("nab,nbc->nac", dmu, dnu) - np.einsum("nab,nbc->nac", dnu, dmu)
+        num = 0.25j * np.einsum("nab,nba->n", gam, comm)
+        one_minus = 1.0 - np.linalg.det(gam)
         ok = np.abs(one_minus) > 1e-12
         return np.where(ok, num / np.where(ok, one_minus**2, 1.0), 0.0)
 
-    return u_of
+    return u_at
+
+
+def muc_integrand(model: SymbolModel, pair: tuple[str, str]) -> Callable[[np.ndarray], np.ndarray]:
+    """The angle-resolved MUC density ``u(phi)`` of ``_muc_density`` on the
+    unit circle; a singular drift symbol on the grid raises ``CriticalAngle``."""
+    u_at = _muc_density(model, pair)
+    return lambda phis: u_at(np.exp(1j * np.atleast_1d(phis)))
 
 
 def muc_per_site(
-    builder: Callable[..., SymbolModel],
-    params: Mapping[str, float],
+    model: SymbolModel,
     pair: tuple[str, str],
+    *,
     mode: str = "quadrature",
     tol: float = 1e-8,
 ) -> float:
@@ -789,15 +784,16 @@ def muc_per_site(
     ``mode='quadrature'`` integrates the angle density with point-doubling
     (NoConvergence near critical manifolds carries the last estimate);
     ``mode='residue'`` sums residues of the analytic continuation
-    ``z^{-1} u(z)`` over the unit disk, an entirely independent pipeline.
+    ``z^{-1} u(z)`` over the unit disk: the same density, integrated by an
+    independent pipeline.  ``pair`` other than two names raises
+    ``DimensionMismatch``.
     """
     if mode == "quadrature":
-        u_of = muc_integrand(builder, params, pair)
-        val = numerics.periodic_quadrature(u_of, tol) / (2.0 * np.pi)
+        val = numerics.periodic_quadrature(muc_integrand(model, pair), tol) / (2.0 * np.pi)
         return float(np.real(val))
     if mode != "residue":
         raise DimensionMismatch(f"unknown MUC mode {mode!r}")
-    return _muc_residue(builder, params, pair)
+    return _muc_residue(model, pair)
 
 
 def gamma_at_points(model: SymbolModel, z: np.ndarray, along: Sequence[str] = ()):
@@ -814,21 +810,15 @@ def gamma_at_points(model: SymbolModel, z: np.ndarray, along: Sequence[str] = ()
     return (gam, dgam) if along else gam
 
 
-def _muc_residue(builder, params, pair) -> float:
+def _muc_residue(model: SymbolModel, pair: tuple[str, str]) -> float:
     """Residue form of the MUC per site.
 
     Pole candidates come from the exact center-point polynomials d(z) and
     ``d^2 - det(eta)``; the density u(z) itself is evaluated locally by
     complex-point solves with their exact tangents.
     """
-    model = builder(**params)
+    u_at = _muc_density(model, pair)
     eta, d, _ = _symbol_coefficients(model)
-
-    def u_at(z: np.ndarray) -> np.ndarray:
-        gam, tangents = gamma_at_points(model, z, pair)
-        num, one_minus_det = _muc_terms(gam, *tangents)
-        return num / one_minus_det**2
-
     det_eta = npoly.polysub(
         npoly.polymul(eta[:, 0], eta[:, 3]), npoly.polymul(eta[:, 1], eta[:, 2])
     )

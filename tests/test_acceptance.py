@@ -202,15 +202,9 @@ def test_07_translational_propositions():
     ).xi
     minus_ok = xi_minus > 1e3
     # MUC jump across lam = -1
-    res_builder = lambda **kw: models.build_reservoir_chain(kw["lam"], kw["theta"])
-    u_lo = momentum.muc_per_site(res_builder, {"lam": -1.05, "theta": 0.3}, ("lam", "theta"))
-    u_hi = momentum.muc_per_site(res_builder, {"lam": -0.95, "theta": 0.3}, ("lam", "theta"))
+    u_lo = momentum.muc_per_site(models.build_reservoir_chain(-1.05, 0.3), ("lam", "theta"))
+    u_hi = momentum.muc_per_site(models.build_reservoir_chain(-0.95, 0.3), ("lam", "theta"))
     jump_ok = abs(u_hi - u_lo) > 0.1
-
-    def rot(epsilon=1e-3, **kw):
-        return models.build_rotated_xy_dissipative(
-            kw["delta"], kw["h"], kw["theta"], kw["mu_minus"], kw["mu_plus"], epsilon
-        )
 
     # U_dh vanishes in the weak-coupling limit; at finite epsilon it is
     # O(epsilon^2) (worst of these points 5.5e-7 at epsilon = 1e-3, 5.5e-13
@@ -226,11 +220,13 @@ def test_07_translational_propositions():
             "mu_plus": 0.4,
             "epsilon": 1e-6,
         }
-        u_dh_worst = max(u_dh_worst, abs(momentum.muc_per_site(rot, pars, ("delta", "h"))))
+        model = models.build_rotated_xy_dissipative(**pars)
+        u_dh_worst = max(u_dh_worst, abs(momentum.muc_per_site(model, ("delta", "h"))))
     dh_ok = u_dh_worst <= 1e-10
     base = {"delta": 0.5, "theta": 0.7, "mu_minus": 1.0, "mu_plus": 0.4}
-    u_in = momentum.muc_per_site(rot, {**base, "h": 0.95}, ("h", "theta"))
-    u_out = momentum.muc_per_site(rot, {**base, "h": 1.05}, ("h", "theta"))
+    rot = models.build_rotated_xy_dissipative
+    u_in = momentum.muc_per_site(rot(**base, h=0.95), ("h", "theta"))
+    u_out = momentum.muc_per_site(rot(**base, h=1.05), ("h", "theta"))
     ht_ok = abs(u_out - u_in) > 0.05
     ok = plus_ok and minus_ok and jump_ok and dh_ok and ht_ok
     _report(7, "translational propositions", ok,

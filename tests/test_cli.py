@@ -1,3 +1,4 @@
+import functools
 import importlib
 import importlib.util
 import json
@@ -18,6 +19,11 @@ from nessgeom.errors import BadSpec
 # n=40, delta=1: the smallest pair sum of the drift spectrum is 2.7e-11 of
 # its scale, above the solver's 1e-12 singularity threshold
 NEAR_SINGULAR = (40, 1.0, 1.1304758631173196e-4)
+
+
+RESERVOIR_KEYS = "lam, theta, muc_pair, muc_mode"
+ROTATED_KEYS = "delta, h, theta, mu_minus, mu_plus, epsilon, muc_pair, muc_mode"
+BOUNDARY_XY_KEYS = "delta, h, n, kappa_l_plus, kappa_l_minus, kappa_r_plus, kappa_r_minus"
 
 
 def sweep_spec(tmp_path, **overrides):
@@ -108,6 +114,31 @@ class TestSweep:
             ("reservoir_chain", {"lam": -1.0, "theta": 0.0, "muc_mode": "residue"}, ("muc",))
         )
         assert row == {"muc": "CriticalAngle"}
+
+    @pytest.mark.parametrize("pair", ["lam", "lam:theta:lam"])
+    def test_muc_pair_of_other_than_two_names_is_named(self, pair):
+        row = cli._worker(
+            ("reservoir_chain", {"lam": 0.5, "theta": 0.3, "muc_pair": pair}, ("muc",))
+        )
+        assert row == {"muc": "DimensionMismatch"}
+
+    @pytest.mark.parametrize("model_name, builder_name", [
+        ("reservoir_chain", "build_reservoir_chain"),
+        ("rotated_xy", "build_rotated_xy_dissipative"),
+    ])
+    def test_one_build_per_symbol_cell(self, monkeypatch, model_name, builder_name):
+        build = getattr(models, builder_name)
+        calls = []
+
+        @functools.wraps(build)
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(models, builder_name, counted)
+        row = cli.evaluate_point(model_name, {"theta": 0.3}, ("gap", "xi", "muc"))
+        assert all(np.isfinite(v) for v in row.values())
+        assert calls == [{"theta": 0.3}]
 
     def test_bad_specs_rejected(self, tmp_path):
         with pytest.raises(BadSpec):
@@ -286,6 +317,39 @@ class TestConfigAndMain:
         solves.clear()
         cli.evaluate_point("boundary_xy", {"n": 6}, ("gap", "muc"))
         assert len(solves) == 3  # and one tangent per direction
+
+    @pytest.mark.parametrize("argv, key, accepted", [
+        (["sweep", "--model", "reservoir_chain", "--set", "theeta=0.3",
+          "--grid", "lam=0.5:0.5:1", "--quantities", "gap"], "theeta", RESERVOIR_KEYS),
+        (["sweep", "--model", "reservoir_chain", "--grid", "lamm=0.5:0.5:1",
+          "--quantities", "gap"], "lamm", RESERVOIR_KEYS),
+        (["sweep", "--model", "rotated_xy", "--set", "eps=0.1", "--grid", "h=0.5:0.5:1",
+          "--quantities", "gap"], "eps", ROTATED_KEYS),
+        (["sweep", "--model", "boundary_xy", "--set", "n=6", "--set", "muc_mode=residue",
+          "--grid", "h=0.3:0.3:1", "--quantities", "gap"], "muc_mode", BOUNDARY_XY_KEYS),
+        (["scaling", "--model", "boundary_xy", "--set", "kappa=0.2", "--sizes", "4,6,8,10",
+          "--quantities", "gap"], "kappa", BOUNDARY_XY_KEYS),
+        (["geometry", "--model", "boundary_xy", "--set", "n=6", "--set", "hh=0.3"],
+         "hh", BOUNDARY_XY_KEYS),
+        (["spectrum", "--model", "reservoir_chain", "--set", "lambda=0.5"],
+         "lambda", RESERVOIR_KEYS),
+    ], ids=["sweep-set", "sweep-grid", "rotated-set", "boundary-muc-key", "scaling", "geometry",
+            "spectrum"])
+    def test_unknown_parameter_keys_rejected(self, tmp_path, capsys, argv, key, accepted):
+        # an ignored key would print the default's values under a header
+        # that records the key
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"no parameter {key!r}" in err and f"(accepted: {accepted})" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[sweep]\nmodel = boundary_xy\nset = n=6, delt=1.0\n"
+                       "grid = h=0.3:0.3:0.1\nquantities = gap\n", encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        assert "no parameter 'delt'" in capsys.readouterr().err
 
     def test_oracle_exit_codes(self, capsys):
         assert cli.main(["oracle", "--seed", "3", "--cases", "2"]) == 0

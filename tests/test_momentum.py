@@ -183,14 +183,13 @@ class TestExactTangents:
             return momentum.SymbolModel(
                 h_blocks={0: a * k0, 1: k1, -1: -k1.T},
                 jumps=[{0: c_minus, 1: b * c_next}, {0: 0.4 * c_plus}],
-                params={"a": a, "b": b},
                 dh={"a": {0: k0}},
                 dl={"b": [{1: c_next}, {}]},
             )
 
-        pars = {"a": 0.6, "b": 0.7}
-        uq = momentum.muc_per_site(builder, pars, ("a", "b"), mode="quadrature", tol=1e-12)
-        ur = momentum.muc_per_site(builder, pars, ("a", "b"), mode="residue")
+        model = builder(a=0.6, b=0.7)
+        uq = momentum.muc_per_site(model, ("a", "b"), mode="quadrature", tol=1e-12)
+        ur = momentum.muc_per_site(model, ("a", "b"), mode="residue")
         assert abs(uq) > 1e-3
         assert abs(uq - ur) < 1e-10
 
@@ -239,8 +238,7 @@ class TestRationalize:
         with pytest.raises(NotFiniteRange):
             momentum.rationalize(model)
         with pytest.raises(NotFiniteRange):
-            momentum.muc_per_site(lambda **p: model, {"a": 0.0, "b": 0.0}, ("a", "b"),
-                                  mode="residue")
+            momentum.muc_per_site(model, ("a", "b"), mode="residue")
 
 
 class TestAdjugate:
@@ -421,21 +419,17 @@ class TestMucPerSite:
             theta = float(rng.uniform(0.0, np.pi))
             pars = {"lam": lam, "theta": theta}
             uq = momentum.muc_per_site(
-                lambda **kw: reservoir(kw["lam"], kw["theta"]), pars, ("lam", "theta"),
-                mode="quadrature", tol=1e-10,
+                reservoir(**pars), ("lam", "theta"), mode="quadrature", tol=1e-10
             )
-            ur = momentum.muc_per_site(
-                lambda **kw: reservoir(kw["lam"], kw["theta"]), pars, ("lam", "theta"),
-                mode="residue",
-            )
+            ur = momentum.muc_per_site(reservoir(**pars), ("lam", "theta"), mode="residue")
             worst = max(worst, abs(uq - ur))
         assert worst < 1e-6
 
     def test_modes_agree_at_spec_reference_point(self):
         # u_{h theta} of the rotated XY at (delta, h) = (0.5, 0.5)
         pars = dict(ROT_PARAMS)
-        uq = momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="quadrature", tol=1e-10)
-        ur = momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="residue")
+        uq = momentum.muc_per_site(rot_xy(**pars), ("h", "theta"), mode="quadrature", tol=1e-10)
+        ur = momentum.muc_per_site(rot_xy(**pars), ("h", "theta"), mode="residue")
         assert abs(uq - ur) < 1e-6
 
     def test_modes_agree_twenty_noncritical_points(self, rng):
@@ -448,13 +442,9 @@ class TestMucPerSite:
                 continue
             pars = {"lam": lam, "theta": float(rng.uniform(0.0, np.pi))}
             uq = momentum.muc_per_site(
-                lambda **kw: reservoir(kw["lam"], kw["theta"]), pars, ("lam", "theta"),
-                mode="quadrature", tol=1e-9,
+                reservoir(**pars), ("lam", "theta"), mode="quadrature", tol=1e-9
             )
-            ur = momentum.muc_per_site(
-                lambda **kw: reservoir(kw["lam"], kw["theta"]), pars, ("lam", "theta"),
-                mode="residue",
-            )
+            ur = momentum.muc_per_site(reservoir(**pars), ("lam", "theta"), mode="residue")
             worst = max(worst, abs(uq - ur))
             count += 1
         for i in range(10):
@@ -467,8 +457,8 @@ class TestMucPerSite:
                 "mu_plus": 0.4,
             }
             pair = ("delta", "theta") if inside else ("h", "theta")
-            uq = momentum.muc_per_site(rot_xy, pars, pair, mode="quadrature", tol=1e-9)
-            ur = momentum.muc_per_site(rot_xy, pars, pair, mode="residue")
+            uq = momentum.muc_per_site(rot_xy(**pars), pair, mode="quadrature", tol=1e-9)
+            ur = momentum.muc_per_site(rot_xy(**pars), pair, mode="residue")
             worst = max(worst, abs(uq - ur))
         assert worst < 1e-6
 
@@ -478,10 +468,9 @@ class TestMucPerSite:
         # tangents keep the density smooth enough for the 1e-13 stopping test
         for theta in (0.0, 0.3, 1.1):
             pars = {"lam": lam, "theta": theta}
-            uq = momentum.muc_per_site(build_reservoir_chain, pars, ("lam", "theta"),
-                                       mode="quadrature", tol=1e-10)
-            ur = momentum.muc_per_site(build_reservoir_chain, pars, ("lam", "theta"),
-                                       mode="residue")
+            model = build_reservoir_chain(**pars)
+            uq = momentum.muc_per_site(model, ("lam", "theta"), mode="quadrature", tol=1e-10)
+            ur = momentum.muc_per_site(model, ("lam", "theta"), mode="residue")
             assert abs(uq - ur) < 1e-10, (lam, theta, uq, ur)
 
     def test_residue_grid_point_budget(self, monkeypatch):
@@ -504,6 +493,14 @@ class TestMucPerSite:
             cli.evaluate_point("reservoir_chain", {"lam": lam, "muc_mode": "residue"}, ("muc",))
             assert 0 < sum(points) <= 4096, (lam, sum(points))
 
+    @pytest.mark.parametrize("pair", [("lam",), ("lam", "theta", "lam")])
+    def test_pair_of_other_than_two_names_rejected(self, pair):
+        with pytest.raises(DimensionMismatch):
+            momentum.muc_integrand(reservoir(), pair)
+        for mode in ("quadrature", "residue"):
+            with pytest.raises(DimensionMismatch):
+                momentum.muc_per_site(reservoir(), pair, mode=mode)
+
     def test_rotated_xy_delta_h_vanishes(self, rng):
         # the (delta, h) curvature vanishes in the weak-coupling limit; at
         # finite epsilon it is O(epsilon^2) (-5.6e-8 at epsilon = 1e-3 on the
@@ -517,7 +514,7 @@ class TestMucPerSite:
                 "mu_plus": 0.4,
                 "epsilon": 1e-6,
             }
-            val = momentum.muc_per_site(rot_xy, pars, ("delta", "h"), mode="quadrature")
+            val = momentum.muc_per_site(rot_xy(**pars), ("delta", "h"), mode="quadrature")
             assert abs(val) < 1e-10
 
     def test_rotated_xy_h_theta_jump(self):
@@ -525,16 +522,18 @@ class TestMucPerSite:
         for h in (0.95, 1.05):
             pars = dict(ROT_PARAMS)
             pars["h"] = h
-            vals[h] = momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="quadrature")
+            vals[h] = momentum.muc_per_site(rot_xy(**pars), ("h", "theta"), mode="quadrature")
         assert abs(vals[1.05] - vals[0.95]) > 0.05
 
     def test_rotated_xy_critical_field_is_not_critical(self):
         # at h = 1 the Hamiltonian symbol vanishes at phi = 0, but the
         # finite-epsilon drift stays regular there: no CriticalAngle
         pars = dict(ROT_PARAMS, h=1.0)
-        u_of = momentum.muc_integrand(rot_xy, pars, ("h", "theta"))
+        u_of = momentum.muc_integrand(rot_xy(**pars), ("h", "theta"))
         assert np.all(np.isfinite(u_of(np.array([0.0, 1e-6, 0.3]))))
-        assert np.isfinite(momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="quadrature"))
+        assert np.isfinite(
+            momentum.muc_per_site(rot_xy(**pars), ("h", "theta"), mode="quadrature")
+        )
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.3])
     def test_rotated_xy_quadrature_follows_epsilon(self, epsilon):
@@ -558,14 +557,8 @@ class TestMucPerSite:
                 cli.evaluate_point("reservoir_chain", {"lam": -1.0 + 1e-9, "theta": 0.3}, ("muc",))
 
     def test_reservoir_jump_across_critical_coupling(self):
-        u_lo = momentum.muc_per_site(
-            lambda **kw: reservoir(kw["lam"], kw["theta"]),
-            {"lam": -1.05, "theta": 0.3}, ("lam", "theta"), mode="quadrature",
-        )
-        u_hi = momentum.muc_per_site(
-            lambda **kw: reservoir(kw["lam"], kw["theta"]),
-            {"lam": -0.95, "theta": 0.3}, ("lam", "theta"), mode="quadrature",
-        )
+        u_lo = momentum.muc_per_site(reservoir(-1.05, 0.3), ("lam", "theta"), mode="quadrature")
+        u_hi = momentum.muc_per_site(reservoir(-0.95, 0.3), ("lam", "theta"), mode="quadrature")
         assert abs(u_hi - u_lo) > 0.1
 
     def test_finite_ring_consistency(self):
@@ -573,10 +566,7 @@ class TestMucPerSite:
         from nessgeom import geometry, liouvillian
 
         lam, theta = 0.5, 0.3
-        u_inf = momentum.muc_per_site(
-            lambda **kw: reservoir(kw["lam"], kw["theta"]),
-            {"lam": lam, "theta": theta}, ("lam", "theta"), mode="quadrature",
-        )
+        u_inf = momentum.muc_per_site(reservoir(lam, theta), ("lam", "theta"), mode="quadrature")
         n = 14
 
         def gamma_of(p):
@@ -592,7 +582,7 @@ class TestMucPerSite:
         from nessgeom import geometry, liouvillian
 
         pars = {"delta": 0.5, "h": 1.3, "theta": 0.7, "mu_minus": 1.0, "mu_plus": 0.4}
-        u_inf = momentum.muc_per_site(rot_xy, pars, ("h", "theta"), mode="quadrature")
+        u_inf = momentum.muc_per_site(rot_xy(**pars), ("h", "theta"), mode="quadrature")
         devs = []
         for n in (10, 14):
             def gamma_of(p, n=n):
