@@ -59,22 +59,36 @@ SYMBOL_MODELS = {
 }
 
 
-def _check_keys(model_name: str, keys) -> None:
-    """Refuse a key the model does not take: a field of ``BoundaryXYParams``,
-    or a symbol builder's parameter or one of the MUC keys."""
+MUC_KEYS = ("muc_pair", "muc_mode")
+
+
+def _check_params(model_name: str, params: dict) -> None:
+    """Refuse, before any cell runs, a key the model does not take (a field
+    of ``BoundaryXYParams``, or a symbol builder's parameter or one of the
+    MUC keys), a value of a numeric key that is not a number, and a
+    boundary_xy ``n`` that is not a whole number.  A value may be the array
+    of a grid axis."""
     from . import models
 
     if model_name == "boundary_xy":
         accepted = tuple(f.name for f in fields(models.BoundaryXYParams))
     elif model_name in SYMBOL_MODELS:
         builder = getattr(models, SYMBOL_MODELS[model_name][0])
-        accepted = (*inspect.signature(builder).parameters, "muc_pair", "muc_mode")
+        accepted = (*inspect.signature(builder).parameters, *MUC_KEYS)
     else:
         raise BadSpec(f"unknown model {model_name!r}")
-    for key in keys:
+    for key, value in params.items():
         if key not in accepted:
             raise BadSpec(f"model {model_name!r} takes no parameter {key!r} "
                           f"(accepted: {', '.join(accepted)})")
+        if key in MUC_KEYS:
+            continue
+        try:
+            values = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise BadSpec(f"parameter {key!r} must be a number, got {value!r}") from None
+        if model_name == "boundary_xy" and key == "n" and np.any(np.mod(values, 1.0) != 0.0):
+            raise BadSpec(f"n counts sites and must be a whole number, got {value!r}")
 
 
 def _boundary_xy_params(params: dict):
@@ -92,10 +106,12 @@ def _boundary_xy_point(params: dict, quantities: tuple[str, ...]) -> dict:
     from . import gaussian, liouvillian, models
 
     p = _boundary_xy_params(params)
-    shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
     geom_needed = {"gmax", "detg", "muc", "R"} & set(quantities)
+    # no name holds the model or its shape matrices: point_geometry frees
+    # them as soon as its stages are done with them
     point = liouvillian.point_geometry(
-        shape, models.boundary_xy_shape_derivatives(p) if geom_needed else None
+        liouvillian.shape_matrices(models.build_boundary_driven_xy(p)),
+        models.boundary_xy_shape_derivatives(p) if geom_needed else None,
     )
     cells = {
         "gap": lambda: point.gap,
@@ -151,6 +167,11 @@ def _worker(task):
 # --- specs -------------------------------------------------------------------------
 
 
+def _axis(start: float, stop: float, step: float) -> np.ndarray:
+    """The values of one ``--grid`` axis, ``stop`` included."""
+    return np.arange(start, stop + 0.5 * step, step)
+
+
 @dataclass
 class SweepSpec:
     model: str
@@ -162,7 +183,6 @@ class SweepSpec:
     fmt: str = "csv"
 
     def validate(self):
-        _check_keys(self.model, [*self.fixed, *(a[0] for a in self.axes)])
         if not self.axes:
             raise BadSpec("sweep needs at least one --grid axis")
         if not self.quantities:
@@ -170,15 +190,14 @@ class SweepSpec:
         for name, start, stop, step in self.axes:
             if step <= 0:
                 raise BadSpec(f"axis {name}: step must be positive")
+        _check_params(self.model, {**self.fixed, **{a[0]: _axis(*a[1:]) for a in self.axes}})
         allowed = FINITE_QUANTITIES if self.model == "boundary_xy" else SYMBOL_QUANTITIES
         for q in self.quantities:
             if q not in allowed:
                 raise BadSpec(f"quantity {q!r} not supported for model {self.model!r}")
 
     def grid(self):
-        axes_values = [
-            np.arange(start, stop + 0.5 * step, step) for _, start, stop, step in self.axes
-        ]
+        axes_values = [_axis(*a[1:]) for a in self.axes]
         names = [a[0] for a in self.axes]
         mesh = np.meshgrid(*axes_values, indexing="ij")
         points = np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -203,7 +222,7 @@ class ScalingSpec:
             raise BadSpec("scaling needs --quantities")
         if self.model != "boundary_xy":
             raise BadSpec("finite-size scaling is defined for the boundary_xy model")
-        _check_keys(self.model, self.fixed)
+        _check_params(self.model, self.fixed)
 
 
 # --- output ------------------------------------------------------------------------
@@ -350,14 +369,14 @@ def run_oracle_suite(seed: int = 0, cases: int = 10, convention_flip: bool = Fal
 def run_geometry(model: str, params: dict) -> dict:
     if model != "boundary_xy":
         raise BadSpec("geometry report is defined for the boundary_xy model")
-    _check_keys(model, params)
+    _check_params(model, params)
     return _boundary_xy_point(params, ("gap", "gmax", "detg", "muc", "R", "purity"))
 
 
 def run_spectrum(model: str, params: dict) -> dict:
     from . import liouvillian, models
 
-    _check_keys(model, params)
+    _check_params(model, params)
     if model == "boundary_xy":
         p = _boundary_xy_params(params)
         shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))

@@ -165,24 +165,57 @@ def ness_covariance(shape: ShapeMatrices) -> CovarianceMatrix:
     return validate(1j * numerics.LyapunovSolver(shape.x).solve(shape.b))
 
 
+def _slope_product(dx, a: np.ndarray) -> np.ndarray:
+    """``P = dX A`` from the nonzeros of the real ``dX``: a triple
+    ``(rows, cols, vals)``, or a dense matrix read through ``np.nonzero``.
+
+    Pass ``s`` adds the s-th nonzero of every row, ``P[r] += v A[c]``, so
+    each row takes its terms in column order and no row twice in one pass.
+    For slopes with at most two nonzeros per row and exact products (the
+    boundary-XY slopes are +-1 and +-2) this is the GEMM's result bit for
+    bit, at the cost of a gather per pass instead of a d x d x d product.
+    """
+    if isinstance(dx, tuple):
+        rows, cols, vals = (np.asarray(v) for v in dx)
+        vals = numerics._real(vals, "dX")
+    else:
+        dx = numerics._real(dx, "dX")
+        rows, cols = np.nonzero(dx)
+        vals = dx[rows, cols]
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    p = np.zeros_like(a)
+    for s in range(rank.max(initial=-1) + 1):
+        k = rank == s
+        term = a[cols[k]]
+        term *= vals[k, None]
+        p[rows[k]] += term
+    return p
+
+
+def _tangent_source(a: np.ndarray, dx, db) -> np.ndarray:
+    """``dB - (P - P^T)`` with ``P = dX A``; ``db=None`` means ``dB = 0``."""
+    p = _slope_product(dx, a)
+    source = p.T - p
+    if db is not None:
+        source += numerics._real(db, "dB")
+    return source
+
+
 def _solve_tangents(
     solver: numerics.LyapunovSolver,
     a: np.ndarray,
     parameters: Sequence[str],
-    derivatives: Iterable[tuple[np.ndarray, np.ndarray]],
+    derivatives: Iterable[tuple],
 ) -> TangentSet:
     """Tangents from ``X dA + dA X^T = dB - dX A - A dX^T``, all on ``solver``.
 
-    Each direction is a real pair ``(dX, dB)`` with ``dB = Im dY``; the
-    source is ``dB - (P - P^T)`` with ``P = dX A``: one real GEMM and one
-    real solve for ``dA``.
+    Each direction is a real pair ``(dX, dB)`` with ``dB = Im dY`` (see
+    :func:`point_geometry`); one sparse product and one real solve for
+    each ``dA``.  A source lives only inside its solve.
     """
-    d_a = []
-    for dx, db in derivatives:
-        source = numerics._matmul(numerics._real(dx, "dX"), a)
-        source = source.T - source
-        source += numerics._real(db, "dB")
-        d_a.append(solver.solve(source))
+    d_a = [solver.solve(_tangent_source(a, dx, db)) for dx, db in derivatives]
     return TangentSet(parameters=tuple(parameters), d_a=tuple(d_a))
 
 
@@ -208,11 +241,20 @@ def ness_tangents(
 
 def point_geometry(
     shape: ShapeMatrices,
-    derivatives: Mapping[str, tuple[np.ndarray, np.ndarray]] | None = None,
+    derivatives: Mapping[str, tuple] | None = None,
 ) -> PointGeometry:
-    """Gap, steady state, tangents along ``derivatives`` (parameter -> the
-    real pair ``(dX, dB = Im dY)``) and their QGT, all on one factorization
-    of ``X`` and one real eigenframe of ``G``, in real arithmetic throughout.
+    """Gap, steady state, tangents along ``derivatives`` and their QGT, all
+    on one factorization of ``X`` and one real eigenframe of ``G``, in real
+    arithmetic throughout.
+
+    ``derivatives`` maps a parameter to the real pair ``(dX, dB = Im dY)``:
+    ``dX`` dense or as its nonzeros ``(rows, cols, vals)``, ``dB`` dense or
+    None where the source does not move.
+
+    The stage order holds the fewest d x d arrays: the Schur factorization
+    ``X = U T U^T``, the steady state ``A`` and the tangents on it; then,
+    with ``b`` and the factorization released, the frame of ``G = iA`` and
+    the QGT.  A caller that does not keep ``shape`` lets ``b`` and ``x`` go.
 
     Uniqueness is the solver's own test: SingularSylvester when a pair sum
     of the drift spectrum vanishes or the residual check fails.  The
@@ -221,9 +263,12 @@ def point_geometry(
     solver = numerics.LyapunovSolver(shape.x)
     gap = 2.0 * float(np.min(np.real(solver.spectrum)))
     a = solver.solve(shape.b)
+    del shape  # the solver keeps x; b is not read again
+    tangents = None
+    if derivatives:
+        tangents = _solve_tangents(solver, a, tuple(derivatives), derivatives.values())
+    del solver
     modes = gaussian.real_eigenmodes(a)
     gaussian.check_norm(modes.gammas)
-    if not derivatives:
-        return PointGeometry(gap, a, modes, None, None)
-    tangents = _solve_tangents(solver, a, tuple(derivatives), derivatives.values())
-    return PointGeometry(gap, a, modes, tangents, geometry.qgt(modes, tangents))
+    qgt = None if tangents is None else geometry.qgt(modes, tangents)
+    return PointGeometry(gap, a, modes, tangents, qgt)

@@ -426,26 +426,25 @@ class BoundaryXYParams:
         return abs(1.0 - self.delta**2)
 
 
-def _xy_kernel(n: int, xx: float, yy: float, z: float) -> np.ndarray:
-    """Open-chain kernel of ``sum_j [xx XX + yy YY] + z sum_j Z``, linear in xx, yy, z.
+def _xy_couplings(n: int, xx: float, yy: float, z: float) -> tuple[np.ndarray, ...]:
+    """Nonzeros ``(rows, cols, vals)`` of the real antisymmetric K with
+    ``sum_j [xx XX + yy YY] + z sum_j Z = -(i/2) w^T K w`` on the open chain.
 
     ``sigma^x_j sigma^x_{j+1} = -i w_{2j} w_{2j+1}``,
     ``sigma^y_j sigma^y_{j+1} = +i w_{2j-1} w_{2j+2}``,
-    ``sigma^z_j = -i w_{2j-1} w_{2j}`` in the global convention.
+    ``sigma^z_j = -i w_{2j-1} w_{2j}`` in the global convention, so the
+    pairs ``(2j+1, 2j+2)``, ``(2j, 2j+3)`` and ``(2j, 2j+1)`` carry
+    ``xx``, ``-yy`` and ``z`` above the diagonal.  K is linear in
+    ``(xx, yy, z)``; zero couplings are left out.
     """
-    dim = 2 * n
-    hk = np.zeros((dim, dim), dtype=complex)
-
-    def add_pair(p: int, q: int, alpha: complex):
-        hk[p, q] += alpha / 2.0
-        hk[q, p] -= alpha / 2.0
-
-    for j in range(n - 1):
-        add_pair(2 * j + 1, 2 * j + 2, -1j * xx)
-        add_pair(2 * j, 2 * j + 3, 1j * yy)
-    for j in range(n):
-        add_pair(2 * j, 2 * j + 1, -1j * z)
-    return hk
+    j, k = np.arange(n - 1), np.arange(n)
+    upper = np.concatenate((2 * j + 1, 2 * j, 2 * k))
+    lower = np.concatenate((2 * j + 2, 2 * j + 3, 2 * k + 1))
+    vals = np.concatenate((np.full(n - 1, xx), np.full(n - 1, -yy), np.full(n, z)))
+    rows, cols = np.concatenate((upper, lower)), np.concatenate((lower, upper))
+    vals = np.concatenate((vals, -vals))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
 
 
 def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel:
@@ -458,7 +457,11 @@ def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel
     """
     n = params.n
     dim = 2 * n
-    hk = _xy_kernel(n, (1.0 + params.delta) / 2.0, (1.0 - params.delta) / 2.0, params.h)
+    rows, cols, vals = _xy_couplings(
+        n, (1.0 + params.delta) / 2.0, (1.0 - params.delta) / 2.0, params.h
+    )
+    hk = np.zeros((dim, dim), dtype=complex)
+    hk.imag[rows, cols] = -0.5 * vals  # H = -(i/2) K
     jumps = []
     for site, (kp, km) in ((0, (params.kappa_l_plus, params.kappa_l_minus)),
                            (n - 1, (params.kappa_r_plus, params.kappa_r_minus))):
@@ -478,19 +481,17 @@ def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel
 def boundary_xy_shape_derivatives(params: BoundaryXYParams) -> dict[str, tuple]:
     """Exact real ``(dX, dB)`` of the boundary-driven chain along ``delta`` and ``h``.
 
-    ``X = 4 [iH + Re M]`` with H affine in (delta, h) through the couplings
-    ``((1+delta)/2, (1-delta)/2, h)``, and the bath M set by the rates
-    alone, so ``dB = Im dY = 0`` and ``dX = 4i dH`` with dH the kernel of the
-    coupling slopes.
+    ``X = 4 [iH + Re M]`` with ``H = -(i/2) K`` affine in (delta, h) through
+    the couplings ``((1+delta)/2, (1-delta)/2, h)``, and the bath M set by
+    the rates alone.  So ``dX = 2 dK``, with dK the kernel of the coupling
+    slopes, given as its nonzeros ``(rows, cols, vals)`` (at most two per
+    row), and ``dB = None``: the source does not change.
     """
-    n = params.n
-    db = np.zeros((2 * n, 2 * n))
+    def dx(xx: float, yy: float, z: float) -> tuple[np.ndarray, ...]:
+        rows, cols, vals = _xy_couplings(params.n, xx, yy, z)
+        return rows, cols, 2.0 * vals
 
-    def dx(xx: float, yy: float, z: float) -> np.ndarray:
-        # a real copy, so that the complex kernel is not kept alive by a view
-        return np.ascontiguousarray(np.real(4j * _xy_kernel(n, xx, yy, z)))
-
-    return {"delta": (dx(0.5, -0.5, 0.0), db), "h": (dx(0.0, 0.0, 1.0), db)}
+    return {"delta": (dx(0.5, -0.5, 0.0), None), "h": (dx(0.0, 0.0, 1.0), None)}
 
 
 def boundary_xy_spin_operators(params: BoundaryXYParams) -> tuple[np.ndarray, list[np.ndarray]]:

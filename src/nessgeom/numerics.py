@@ -110,6 +110,22 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _subtract_transpose(m: np.ndarray, block: int = 64) -> None:
+    """``m -= m^T`` in place.
+
+    numpy buffers the overlapping ``m.T``, a d x d copy.  Above two blocks
+    of rows this goes a block of rows and columns at a time instead, each
+    entry still ``m_ij - m_ji`` of the original entries.
+    """
+    if m.shape[0] <= 2 * block:
+        m -= m.T
+        return
+    for i in range(0, m.shape[0], block):
+        rows = m[i:i + block, i:] - m[i:, i:i + block].T
+        m[i:, i:i + block] -= m[i:i + block, i:].T
+        m[i:i + block, i:] = rows
+
+
 def hermitize_antisymmetric(a: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian-antisymmetric (purely imaginary) subspace."""
     im = np.imag(a)
@@ -258,17 +274,21 @@ class LyapunovSolver:
         b_norm = _frobenius(b)
         if _frobenius(b + b.T) > max(1e-12 * b_norm, ABS_FLOOR):
             raise NotAntisymmetric("Lyapunov source is not antisymmetric")
+        # at most two d x d arrays besides b: each product's input goes as
+        # soon as it is read, and no transpose is buffered
         z = _matmul(self.u.T, _matmul(b, self.u))
-        z -= z.T
+        _subtract_transpose(z)
         z *= 0.5
         _solve_antisymmetric_lyapunov(self.t, z)
-        a = _matmul(self.u, _matmul(z, self.u.T))
-        del z  # free the d x d scratch before the residual check
-        a -= a.T
+        w = _matmul(z, self.u.T)
+        del z
+        a = _matmul(self.u, w)
+        del w
+        _subtract_transpose(a)
         a *= 0.5
         # A is antisymmetric, so A X^T = -(X A)^T
         res = _matmul(self.x, a)
-        res -= res.T
+        _subtract_transpose(res)
         res -= b
         res = _frobenius(res)
         bound = 1e-10 * (self._x_norm * _frobenius(a) + b_norm)

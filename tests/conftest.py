@@ -28,6 +28,14 @@ def rand_gamma_family(rng, n_modes, n_params, scale=0.8):
     return gamma_of
 
 
+def dense_slope(slope, dim):
+    """The d x d matrix of a slope given as its nonzeros ``(rows, cols, vals)``."""
+    rows, cols, vals = slope
+    out = np.zeros((dim, dim))
+    out[rows, cols] = vals
+    return out
+
+
 def rand_stable_model(rng, n_modes, n_jumps=2):
     dim = 2 * n_modes
     h = 1j * rand_antisym(rng, dim, 0.5)

@@ -14,6 +14,8 @@ import scipy.linalg as sla
 
 from nessgeom import gaussian, geometry, liouvillian, models, numerics
 
+from conftest import dense_slope
+
 
 def _close(got, want, rtol=1e-14):
     assert got.shape == want.shape
@@ -101,12 +103,38 @@ def test_point_geometry_matches_scipy(n):
     assert abs(point.gap - gap) <= 1e-10
     d_as = []
     for (dx, _), d_a in zip(derivatives.values(), point.tangents.d_a):
+        dx = dense_slope(dx, 2 * n)
         ref = sla.solve_continuous_lyapunov(shape.x, -(dx @ a + a @ dx.T))
         assert np.linalg.norm(d_a - ref) <= 1e-11 * np.linalg.norm(ref)
         d_as.append(ref)
     ref = geometry.qgt(1j * a, geometry.TangentSet(tuple(derivatives), tuple(d_as)))
     assert point.qgt.gmax() == pytest.approx(ref.gmax(), rel=1e-6)
     assert gaussian.purity(point.modes) == pytest.approx(gaussian.purity(1j * a), rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [32, 33, 40])
+def test_slope_product_is_the_gemm(n):
+    # the boundary-XY slopes have at most two nonzeros (+-1, +-2) per row
+    p = models.BoundaryXYParams(delta=1.25, h=0.3, n=n)
+    a = liouvillian.point_geometry(
+        liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
+    ).a
+    for slope, db in models.boundary_xy_shape_derivatives(p).values():
+        assert db is None
+        dense = dense_slope(slope, 2 * n)
+        want = numerics._matmul(dense, a).tobytes()
+        assert liouvillian._slope_product(slope, a).tobytes() == want
+        assert liouvillian._slope_product(dense, a).tobytes() == want
+
+
+def test_slope_product_of_a_dense_direction(rng):
+    a = rng.normal(size=(12, 12))
+    a -= a.T
+    for dx in (rng.normal(size=(12, 12)), np.triu(rng.normal(size=(12, 12))),
+               np.zeros((12, 12))):
+        got = liouvillian._slope_product(dx, a)
+        assert got.flags.c_contiguous
+        assert np.linalg.norm(got - dx @ a) <= 1e-14 * np.linalg.norm(dx) * np.linalg.norm(a)
 
 
 # every function of a chain point that assembles, multiplies or takes norms of d x d arrays
@@ -117,6 +145,8 @@ ROUTED = (
     numerics._solve_antisymmetric_lyapunov,
     liouvillian.shape_matrices,
     liouvillian.gap_report,
+    liouvillian._slope_product,
+    liouvillian._tangent_source,
     liouvillian._solve_tangents,
     liouvillian.point_geometry,
     gaussian.real_eigenmodes,

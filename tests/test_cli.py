@@ -344,6 +344,33 @@ class TestConfigAndMain:
         assert f"no parameter {key!r}" in err and f"(accepted: {accepted})" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--model", "reservoir_chain", "--set", "theta=abc", "--jobs", "1",
+          "--grid", "lam=0.5:0.6:0.1", "--quantities", "gap,muc"],
+         "parameter 'theta' must be a number, got 'abc'"),
+        (["sweep", "--model", "boundary_xy", "--set", "n=6.5", "--jobs", "1",
+          "--grid", "h=0.3:0.3:0.1", "--quantities", "gap"],
+         "n counts sites and must be a whole number, got 6.5"),
+        (["sweep", "--model", "boundary_xy", "--set", "h=0.3", "--jobs", "1",
+          "--grid", "n=4:5:0.5", "--quantities", "gap"], "must be a whole number"),
+        (["geometry", "--model", "boundary_xy", "--set", "n=6.5"], "must be a whole number"),
+        (["spectrum", "--model", "rotated_xy", "--set", "h=high"], "'h' must be a number"),
+    ], ids=["text-value", "fractional-n", "fractional-n-grid", "geometry", "spectrum"])
+    def test_bad_parameter_values_rejected(self, tmp_path, capsys, argv, message):
+        # refused when the spec is read, not as an error class in every cell
+        # (a fractional n used to run int(n) sites under a header recording n)
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_whole_float_n_accepted(self, tmp_path):
+        out = tmp_path / "n.csv"
+        assert cli.main(["sweep", "--model", "boundary_xy", "--set", "n=6.0", "--grid",
+                         "h=0.3:0.3:0.1", "--quantities", "gap", "--jobs", "1",
+                         "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[2] == "# fixed: n=6"
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "job.ini"
         cfg.write_text("[sweep]\nmodel = boundary_xy\nset = n=6, delt=1.0\n"
@@ -400,6 +427,25 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(nessgeom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_chain_point_holds_few_dense_arrays():
+    # a stage-ordered point keeps each d x d array only while a stage reads it:
+    # the tangent slopes are sparse, and b and the Schur factors are gone
+    # before the frame and the QGT (dense slopes, b and the factors held
+    # through the QGT peak at 15.6 d x d arrays)
+    import tracemalloc
+
+    n = 160
+    cli.evaluate_point("boundary_xy", {"n": 4}, cli.FINITE_QUANTITIES)  # lazy imports
+    tracemalloc.start()
+    try:
+        cli.evaluate_point("boundary_xy", {"n": n, "delta": 1.25, "h": 0.3},
+                           cli.FINITE_QUANTITIES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 8 * (2 * n) ** 2
 
 
 def test_cells_do_not_import_scipy_optimize():

@@ -233,6 +233,34 @@ class TestAntisymmetricLyapunov:
         g = numerics.solve_continuous_lyapunov(x, 1j * b)
         assert np.array_equal(g.imag, a) and np.array_equal(g.real, np.zeros_like(a))
 
+    @pytest.mark.parametrize("n, block", [(1, 64), (7, 3), (128, 64), (130, 64), (130, 17)])
+    def test_blocked_transpose_subtraction_is_numpys(self, rng, n, block):
+        # the solver's in-place m -= m^T, bit for bit, signed zeros included
+        m = rng.normal(size=(n, n))
+        m[::3, ::2] = 0.0
+        m[1::4] = -0.0
+        want = m.copy()
+        want -= want.T
+        numerics._subtract_transpose(m, block)
+        assert m.tobytes() == want.tobytes()
+
+    def test_solve_holds_two_scratch_arrays(self, rng):
+        import tracemalloc
+
+        n = 512
+        x = rng.normal(size=(n, n)) / np.sqrt(n) + 1.5 * np.eye(n)
+        b = rand_antisym(rng, n)
+        solver = numerics.LyapunovSolver(x)
+        solver.solve(b)
+        tracemalloc.start()
+        try:
+            solver.solve(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two n x n arrays and a few blocks (buffering a whole transpose reads 3.03)
+        assert peak <= 2.5 * 8 * n * n
+
     @pytest.mark.parametrize("ratio, singular", [(0.5, True), (4.0, False)])
     def test_singular_sylvester_threshold(self, rng, ratio, singular):
         # pair sum x_a + x_b = ratio * 1e-12 * max|x|: the rule is pair_min <= 1e-12 scale
