@@ -66,8 +66,8 @@ def _check_params(model_name: str, params: dict) -> None:
     """Refuse, before any cell runs, a key the model does not take (a field
     of ``BoundaryXYParams``, or a symbol builder's parameter or one of the
     MUC keys), a value of a numeric key that is not a number, and a
-    boundary_xy ``n`` that is not a whole number.  A value may be the array
-    of a grid axis."""
+    boundary_xy ``n`` that is missing or not a whole number.  A value may be
+    the array of a grid axis."""
     from . import models
 
     if model_name == "boundary_xy":
@@ -89,6 +89,8 @@ def _check_params(model_name: str, params: dict) -> None:
             raise BadSpec(f"parameter {key!r} must be a number, got {value!r}") from None
         if model_name == "boundary_xy" and key == "n" and np.any(np.mod(values, 1.0) != 0.0):
             raise BadSpec(f"n counts sites and must be a whole number, got {value!r}")
+    if model_name == "boundary_xy" and "n" not in params:
+        raise BadSpec("model 'boundary_xy' needs n, the number of sites (--set n=...)")
 
 
 def _boundary_xy_params(params: dict):
@@ -136,8 +138,7 @@ def _symbol_point(model_name: str, params: dict, quantities: tuple[str, ...]) ->
     if "gap" in quantities:
         out["gap"] = momentum.gap_on_circle(model)
     if "xi" in quantities:
-        rat = momentum.rationalize(model)
-        out["xi"] = momentum.correlation_length(rat).xi
+        out["xi"] = momentum.correlation_length(model).xi
     if "muc" in quantities:
         pair = tuple(str(params.get("muc_pair", default_pair)).split(":"))
         out["muc"] = momentum.muc_per_site(
@@ -222,7 +223,8 @@ class ScalingSpec:
             raise BadSpec("scaling needs --quantities")
         if self.model != "boundary_xy":
             raise BadSpec("finite-size scaling is defined for the boundary_xy model")
-        _check_params(self.model, self.fixed)
+        # the sizes are the n of each run
+        _check_params(self.model, {**self.fixed, "n": np.asarray(self.sizes)})
 
 
 # --- output ------------------------------------------------------------------------

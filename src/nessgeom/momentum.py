@@ -19,6 +19,7 @@ curvature per site.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -35,19 +36,23 @@ from .errors import (
 )
 
 UNIT_CIRCLE_TOL = 1e-9
-# roots of d this close to the unit circle are on it: rounding splits a
-# root on the circle into a pair straddling it
+# pole candidates this close to the unit circle are on it: rounding splits
+# a root on the circle into a pair straddling it
 CIRCLE_BAND = 1e-7
-# roots of d closer than this to z = 0 belong to the origin block
-ORIGIN_TOL = 1e-9
+# pole candidates closer than this to z = 0 belong to the origin block (a
+# pole there decays by 1e-3 per site): the pencil splits the multiple root of
+# det xhat at z = 0 into a cloud that reaches 1e-4 at the lam -> -1 pinch
+ORIGIN_RADIUS = 1e-3
 # island contours: moment agreement and removability, relative to the
 # symbol scale times the radius; point cap; Hankel rank cut
 ISLAND_TOL = 1e-10
 ISLAND_MAX_POINTS = 1 << 12
 HANKEL_RANK_TOL = 1e-8
-# Newton steps on det xhat for the island roots once an island is unresolved
-# (linear at a double root)
-NEWTON_STEPS = 60
+# shifts sigma of the pencil's variable z = sigma + 1/w, generic points on
+# the unit circle; the one with the best conditioned x(sigma) is used, and a
+# pencil whose best reciprocal condition is under PENCIL_RCOND is singular
+PENCIL_SHIFTS = np.exp(1j * np.array([0.7, 2.1, 3.9, 5.3]))
+PENCIL_RCOND = 1e-12
 # fixed generic projection of the 2x2 island moments onto scalars
 _PROJ_U = np.array([1.0, 0.6 + 0.3j])
 _PROJ_V = np.array([0.7 - 0.4j, 1.0])
@@ -275,14 +280,13 @@ class RationalSymbol:
     ``eta`` has shape (2, 2, deg+1): ascending coefficients of ``z^K eta``;
     ``d`` the ascending coefficients of ``z^K d``.  The shift K cancels in
     the ratio, so poles and residues may be read off the stored
-    polynomials directly.  ``model`` is the source chain, kept for the
-    well-conditioned local solves of the island contours and the decay fit.
+    polynomials directly.  Away from a critical pinch it cross-checks the
+    pencil roots and local solves that the pole path uses.
     """
 
     eta: np.ndarray
     d: np.ndarray
     shift: int
-    model: SymbolModel
 
     def gamma_at(self, z: complex | np.ndarray) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -337,7 +341,7 @@ def rationalize(model: SymbolModel) -> RationalSymbol:
     d_poly = _trim(d_poly[v:])
     eta_poly = eta_poly[v : _last_nonzero(eta_poly) + 1]
     eta_arr = np.transpose(eta_poly.reshape(-1, 2, 2), (1, 2, 0))
-    rat = RationalSymbol(eta=eta_arr, d=d_poly, shift=k_shift - v, model=model)
+    rat = RationalSymbol(eta=eta_arr, d=d_poly, shift=k_shift - v)
     # invariant: reproduce the grid solution at RATIONAL_CHECK_ANGLES angles.
     # Near a critical pinch the numerator and denominator both nearly vanish
     # on a stretch of the circle, so the comparison tolerance carries the
@@ -468,28 +472,63 @@ def _contour_integral(
     )
 
 
-def _symbol_scale(rational: RationalSymbol) -> float:
+def _symbol_scale(model: SymbolModel) -> float:
+    """Size of gamma~ from local solves at 32 circle angles; a drift symbol
+    singular at one of them raises ``CriticalAngle``."""
     phis = np.linspace(-np.pi, np.pi, 32, endpoint=False) + 0.017
-    vals = rational.gamma_at(np.exp(1j * phis))
+    vals = _solve_symbol(model, np.exp(1j * phis))[1]
     return float(max(np.max(np.abs(vals)), 1e-12))
 
 
-def _det_xhat(model: SymbolModel, z: np.ndarray) -> np.ndarray:
-    """``det xhat(z)`` by local assembly: the roots of ``d(z)``, well conditioned."""
-    x, x_inv, _ = model.symbols(z)
-    return np.linalg.det(_xhat(x[0], x_inv[0]))
+def _pencil_roots(model: SymbolModel) -> np.ndarray | None:
+    """Finite roots of ``det xhat(z)``, the candidate poles of gamma~.
+
+    They are the eigenvalues of the matrix polynomial ``P(z) = z^R xhat(z)
+    = sum_j z^j C_j`` with ``C_j = xhat(x(R - j), x(j - R))`` on the drift
+    stack (R the reach).  Its leading coefficient may be singular (roots at
+    infinity), so the variable is shifted, ``z = sigma + 1/w``: then
+    ``w^{2R} P(sigma + 1/w)`` has the invertible leading coefficient
+    ``P(sigma)``, and the eigenvalues ``w`` of its monic block companion give
+    the roots; ``w = 0`` are the roots at infinity (Tisseur & Meerbergen,
+    SIAM Rev. 43 (2001) 235).  The shift is the one of ``PENCIL_SHIFTS``
+    with the best conditioned ``P(sigma)``.  None when even that one is
+    singular to ``PENCIL_RCOND``: ``det xhat`` vanishes identically.
+    """
+    reach = model.reach
+    if reach == 0:
+        return np.empty(0, dtype=complex)
+    n = 2 * reach
+    stack = model._stacks_along(())[reach - np.arange(n + 1) - model._offsets[0]]
+    coef = _xhat(stack[:, 0:4].reshape(-1, 2, 2), stack[:, 4:8].reshape(-1, 2, 2))
+    # Taylor shift P(sigma + t) = sum_k t^k D_k, D_k = sum_j binom(j, k) sigma^(j-k) C_j
+    idx = np.arange(n + 1)
+    binom = np.array([[math.comb(j, k) for j in range(n + 1)] for k in range(n + 1)])
+    taylor = binom * PENCIL_SHIFTS[:, None, None] ** np.maximum(idx - idx[:, None], 0)
+    shifted = np.einsum("skj,jab->skab", taylor, coef)
+    sv = np.linalg.svd(shifted[:, 0], compute_uv=False)
+    rcond = sv[:, -1] / np.maximum(sv[:, 0], np.finfo(float).tiny)
+    best = int(np.argmax(rcond))
+    if rcond[best] < PENCIL_RCOND:
+        return None
+    companion = np.zeros((4 * n, 4 * n), dtype=complex)
+    companion[:4] = -np.linalg.solve(shifted[best, 0], np.concatenate(shifted[best, 1:], axis=1))
+    companion[4:, :-4] = np.eye(4 * (n - 1))
+    w = np.linalg.eigvals(companion)
+    finite = np.abs(w) > np.finfo(float).eps * np.linalg.norm(companion, 1)
+    return PENCIL_SHIFTS[best] + 1.0 / w[finite]
 
 
 @dataclass(frozen=True)
 class Island:
-    """Linked roots of ``d(z)`` inside or on the unit circle, with the verdict
+    """Linked pole candidates inside or on the unit circle, with the verdict
     of a contour of local solves around them.
 
     ``side`` is -1 inside the disk and 0 on the circle (within
     ``CIRCLE_BAND``).  ``poles`` are the poles of gamma~ the contour located:
     empty when the island is removable, None when the contour could not
-    resolve it (too little clearance, a root count that disagrees with the
-    winding of ``det xhat``, or no convergence).
+    resolve it; ``refusal`` then says why (too little clearance, a root count
+    that disagrees with the winding of ``det xhat``, no convergence, or
+    Hankel nodes off the contour's disk).
     """
 
     members: np.ndarray
@@ -498,6 +537,7 @@ class Island:
     radius: float
     poles: np.ndarray | None
     points: int = 0
+    refusal: str = ""
 
     @property
     def resolved(self) -> bool:
@@ -538,7 +578,8 @@ def _resolve_island(
 
     The island is removable when every moment is negligible against the
     symbol scale; otherwise its poles are ``c + r eig(H0^-1 H1)`` of the
-    Hankel pencil of the projected moments (Kravanja & Van Barel).
+    Hankel pencil of the projected moments (Kravanja & Van Barel).  The
+    winding of ``det xhat`` over the same samples must count its members.
     """
     center = complex(np.mean(members))
     side = _side(members[0])
@@ -548,142 +589,77 @@ def _resolve_island(
         bounds.append(float(np.min(np.abs(others - center))))
     clearance = min(bounds)
     radius = 0.5 * clearance
-    unresolved = Island(members, center, side, radius, None)
+
+    def unresolved(refusal: str) -> Island:
+        return Island(members, center, side, radius, None, refusal=refusal)
+
     if clearance <= 4.0 * spread:
-        return unresolved
+        return unresolved(f"its clearance {clearance:.3g} is not 4 times its spread {spread:.3g}")
     m = members.size
     powers = np.arange(2 * m + 2)
+    samples: list[tuple[np.ndarray, np.ndarray]] = []
 
     def moments(z: np.ndarray) -> np.ndarray:
+        (x, x_inv, _), gam, _ = _solve_symbol(model, z)
+        samples.append((z, np.linalg.det(_xhat(x, x_inv))))
         weights = ((z - center) / radius)[:, None] ** powers
-        return weights[:, :, None, None] * gamma_at_points(model, z)[:, None]
+        return weights[:, :, None, None] * gam[:, None]
 
     try:
         s, points = _contour_integral(
             moments, center, radius, tol=ISLAND_TOL, max_points=ISLAND_MAX_POINTS
         )
-    except (NoConvergence, CriticalAngle):
-        return unresolved
-    dets = _det_xhat(model, center + radius * np.exp(2j * np.pi * np.arange(points) / points))
+    except (NoConvergence, CriticalAngle) as exc:
+        return unresolved(f"its contour failed ({exc})")
+    # every sample lies on the final contour: order them by angle
+    z, dets = (np.concatenate(part) for part in zip(*samples))
+    dets = dets[np.argsort(np.angle(z - center))]
     winding = np.sum(np.angle(np.roll(dets, -1) * np.conj(dets))) / (2.0 * np.pi)
     if round(winding) != m:
-        return unresolved
+        return unresolved(f"det xhat winds {winding:.3g} times around it, not {m}")
     if np.max(np.abs(s)) < ISLAND_TOL * scale * radius:
         return Island(members, center, side, radius, np.empty(0, dtype=complex), points)
     nodes = _hankel_nodes(np.einsum("a,kab,b->k", _PROJ_U, s, _PROJ_V))
     if nodes is None or np.any(np.abs(nodes) >= 1.0):
-        return unresolved
+        return unresolved("the Hankel pencil of its moments has no nodes inside the contour")
     return Island(members, center, side, radius, center + radius * nodes, points)
 
 
-def pole_structure(rational: RationalSymbol) -> tuple[list[Island], np.ndarray]:
-    """Islands of denominator roots inside and on the unit circle, each
-    decided by a contour of local solves, and all roots of ``d``.
+def pole_structure(model: SymbolModel) -> tuple[list[Island], np.ndarray | None]:
+    """Islands of pole candidates inside and on the unit circle, each
+    decided by a contour of local solves, and all candidates.
 
-    Roots are linked only on the same side of the circle; roots outside
-    the disk and the origin block (the finite-range piece) are not
-    islands.  An island the contour cannot resolve keeps ``poles=None``.
+    The candidates are the roots of ``det xhat`` from ``_pencil_roots``.
+    They are linked only on the same side of the circle; candidates outside
+    the disk and those within ``ORIGIN_RADIUS`` of z = 0 (the origin block,
+    the finite-range piece) are not islands.  An island the contour cannot
+    resolve keeps ``poles=None``.  When ``det xhat`` vanishes identically
+    the candidates are None and there are no islands.
     """
-    roots = numerics.polynomial_roots(rational.d)
-    if roots.size == 0:
-        return [], roots
-    model = rational.model
-    scale = _symbol_scale(rational)
-
-    def islands(roots: np.ndarray) -> tuple[list[Island], list[list[int]]]:
-        out, groups = [], []
-        for g in _link_islands(roots, threshold=1e-6):
-            members = roots[g]
-            if _side(members[0]) > 0 or abs(np.mean(members)) < ORIGIN_TOL:
-                continue
-            out.append(_resolve_island(model, members, np.delete(roots, g), scale))
-            groups.append(g)
-        return out, groups
-
-    out, groups = islands(roots)
-    if not all(isl.resolved for isl in out):
-        # rounding scatters near-multiple roots of the polynomial; Newton on the
-        # locally evaluated det xhat brings every island root back before a retry
-        members = [i for g in groups for i in g]
-        roots = roots.copy()
-        roots[members] = _newton_roots(model, roots[members])
-        out, _ = islands(roots)
+    scale = _symbol_scale(model)
+    roots = _pencil_roots(model)
+    if roots is None:
+        return [], None
+    out = []
+    for g in _link_islands(roots, threshold=1e-6):
+        members = roots[g]
+        if _side(members[0]) > 0 or abs(np.mean(members)) < ORIGIN_RADIUS:
+            continue
+        out.append(_resolve_island(model, members, np.delete(roots, g), scale))
     return out, roots
 
 
-def _newton_roots(model: SymbolModel, z: np.ndarray) -> np.ndarray:
-    """Batched Newton steps on ``det xhat``; a start that leaves the finite plane stays."""
-    start = z
-    with np.errstate(all="ignore"):
-        for _ in range(NEWTON_STEPS):
-            h = 1e-7 * np.maximum(np.abs(z), 1e-3)
-            step = _det_xhat(model, z) * 2.0 * h / (
-                _det_xhat(model, z + h) - _det_xhat(model, z - h)
-            )
-            z = np.where(np.isfinite(step), z - step, z)
-    return np.where(np.isfinite(z), z, start)
-
-
-def _xi_by_decay(rational: RationalSymbol) -> float:
-    """Correlation length from the large-distance decay of gamma(r).
-
-    One FFT of gamma~ on a fine circle grid gives every gamma(r) at once;
-    the slope of ``ln ||gamma(r)||`` over the clean part of the decay is
-    immune to the root-splitting noise that plagues near-multiple poles.
-    The grid grows until the window has decayed through several decades;
-    a flat tail reads as criticality (inf), and a tail that still decays
-    but never falls through them within 2^20 angles raises
-    ``NoConvergence`` with the fit it would have returned.
-    """
-    model = rational.model
-    n_fft = 1 << 13
-    while True:
-        # half-spacing offset keeps high-symmetry critical angles off-grid;
-        # it only changes gamma(r) by a pure phase, so the norms are exact
-        phis = 2.0 * np.pi * (np.arange(n_fft) + 0.5) / n_fft
-        try:
-            # pointwise solves stay well conditioned at a near-critical
-            # pinch, where the polynomial ratio hits its cancellation floor
-            vals = _solve_symbol(model, np.exp(1j * phis))[1]
-        except CriticalAngle:
-            return np.inf
-        blocks = np.fft.ifft(vals, axis=0)  # gamma(r), r = 0 .. n_fft-1
-        tail = np.linalg.norm(blocks.reshape(n_fft, 4), axis=1)[4 : n_fft // 3]
-        rs = np.arange(4, n_fft // 3)
-        peak = float(np.max(tail)) or 1e-300
-        below_lo = np.nonzero(tail <= 1e-2 * peak)[0]
-        below_hi = np.nonzero(tail <= 1e-7 * peak)[0]
-        if below_hi.size == 0 and n_fft < (1 << 20):
-            n_fft *= 2
-            continue
-        r_b = below_hi[0] if below_hi.size else tail.size
-        r_a = below_lo[0] if below_lo.size else 0
-        if r_b - r_a < 16:
-            r_a = max(0, r_b - 32)
-        sel = slice(r_a, r_b)
-        good = tail[sel] > 1e-12 * peak
-        if np.sum(good) < 4 or tail[sel][good][-1] > 0.3 * tail[sel][good][0]:
-            return np.inf  # no resolvable decay: critical
-        slope = np.polyfit(rs[sel][good], np.log(tail[sel][good]), 1)[0]
-        if not np.isfinite(slope) or slope >= -1e-9:
-            return np.inf
-        if below_hi.size == 0:
-            raise NoConvergence(
-                f"gamma(r) did not decay through 1e-7 of its peak within {n_fft} angles",
-                last_estimate=float(-1.0 / slope),
-            )
-        return float(-1.0 / slope)
-
-
-def correlation_length(rational: RationalSymbol) -> CorrelationLength:
+def correlation_length(model: SymbolModel) -> CorrelationLength:
     """Outermost non-removable pole inside the unit disk and ``xi = -1/ln|z|``.
 
-    The poles come from the island contours of ``pole_structure``.  Only
-    when an island the contours could not resolve might hold the
-    outermost pole (the near-critical pinch, where the roots of ``d``
-    scatter) does the decay fit of ``_xi_by_decay`` decide.
+    The poles come from the island contours of ``pole_structure``.  An island
+    the contours could not resolve that might hold the outermost pole raises
+    ``NoConvergence``, naming it and why its contour refused it.  Where
+    ``det xhat`` vanishes identically xi diverges, and the kind is critical.
     """
-    islands, _ = pole_structure(rational)
+    islands, roots = pole_structure(model)
+    if roots is None:
+        return CorrelationLength(xi=np.inf, dominant_pole=None, kind="critical")
     poles = np.concatenate([isl.poles for isl in islands if isl.resolved] + [np.empty(0)])
     on_circle = poles[np.abs(np.abs(poles) - 1.0) <= UNIT_CIRCLE_TOL]
     if on_circle.size:
@@ -691,26 +667,19 @@ def correlation_length(rational: RationalSymbol) -> CorrelationLength:
     inside = poles[np.abs(poles) < 1.0]
     z0 = complex(inside[np.argmax(np.abs(inside))]) if inside.size else None
     r_dom = abs(z0) if z0 is not None else 0.0
-    pending = [
-        isl
-        for isl in islands
-        if not isl.resolved and float(np.max(np.abs(isl.members))) + isl.radius >= r_dom
-    ]
-    if pending:
-        members = np.concatenate([isl.members for isl in pending])
-        z0 = complex(members[np.argmax(np.abs(members))])
-        xi = _xi_by_decay(rational)
-        if not np.isfinite(xi):
-            return CorrelationLength(xi=np.inf, dominant_pole=z0, kind="critical")
-        return CorrelationLength(
-            xi=float(xi), dominant_pole=np.exp(-1.0 / xi) * z0 / abs(z0), kind="finite"
-        )
+    for isl in islands:
+        if not isl.resolved and float(np.max(np.abs(isl.members))) + isl.radius >= r_dom:
+            raise NoConvergence(
+                f"the island of {isl.members.size} pole candidates at {isl.center:.9g} "
+                f"(contour radius {isl.radius:.3g}) could hold the outermost pole, "
+                f"but {isl.refusal}"
+            )
     if z0 is None:
         return CorrelationLength(xi=0.0, dominant_pole=None, kind="short_range_trivial")
     return CorrelationLength(xi=float(-1.0 / np.log(abs(z0))), dominant_pole=z0, kind="finite")
 
 
-def real_space_correlation(rational: RationalSymbol, r: int) -> np.ndarray:
+def real_space_correlation(model: SymbolModel, r: int) -> np.ndarray:
     """Real-space block ``gamma(r) = sum Res_{z in disk} [z^{r-1} gamma~(z)]``.
 
     Each non-removable island of ``pole_structure`` contributes the
@@ -721,24 +690,28 @@ def real_space_correlation(rational: RationalSymbol, r: int) -> np.ndarray:
     """
     if r < 0:
         raise DimensionMismatch("r must be a nonnegative integer")
-    islands, roots = pole_structure(rational)
+    islands, roots = pole_structure(model)
+    if roots is None:
+        raise CriticalAngle("real-space correlation: det xhat vanishes identically")
 
     def weighted(z):
-        return gamma_at_points(rational.model, z) * (z ** (r - 1))[:, None, None]
+        return gamma_at_points(model, z) * (z ** (r - 1))[:, None, None]
 
     poles = [isl for isl in islands if not isl.removable]
     if any(not isl.resolved or isl.side == 0 for isl in poles):
         return _residue_sum_unit_disk(
             weighted,
             roots,
-            _symbol_scale(rational),
+            _symbol_scale(model),
             "real-space correlation: non-removable pole on the unit circle",
         )
     total = np.zeros((2, 2), dtype=complex)
     for isl in poles:
         total += _contour_integral(weighted, isl.center, isl.radius)[0]
-    away = np.abs(roots)[np.abs(roots) >= ORIGIN_TOL]
-    total += _contour_integral(weighted, 0.0, 0.5 * min([1.0, *away]))[0]
+    # the origin circle runs midway between the origin block and the nearest island
+    radii = np.abs(roots)
+    origin, away = radii[radii < ORIGIN_RADIUS], radii[radii >= ORIGIN_RADIUS]
+    total += _contour_integral(weighted, 0.0, 0.5 * (max([0.0, *origin]) + min([1.0, *away])))[0]
     return total
 
 
@@ -815,7 +788,10 @@ def _muc_residue(model: SymbolModel, pair: tuple[str, str]) -> float:
 
     Pole candidates come from the exact center-point polynomials d(z) and
     ``d^2 - det(eta)``; the density u(z) itself is evaluated locally by
-    complex-point solves with their exact tangents.
+    complex-point solves with their exact tangents.  The poles at
+    ``det g~ = 1`` are roots of ``d^2 - det(eta)``, which needs the
+    coefficients of eta, so this path alone keeps ``_symbol_coefficients``
+    (the correlation length reads its candidates from ``_pencil_roots``).
     """
     u_at = _muc_density(model, pair)
     eta, d, _ = _symbol_coefficients(model)
@@ -902,16 +878,25 @@ def _residue_sum_unit_disk(
     return _contour_integral(func, 0.0, rho, points=1024, tol=1e-13, floor=1.0)[0]
 
 
+def _min_re_eig2(x: np.ndarray) -> np.ndarray:
+    """Smallest real part of the eigenvalues of each 2x2 matrix of ``x``
+    (shape (n, 2, 2)): the principal square root has a nonnegative real
+    part, so it is the real part of ``(a+d)/2 - sqrt(((a-d)/2)^2 + bc)``."""
+    a, b, c, d = x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1]
+    return 0.5 * (a + d).real - np.sqrt((0.5 * (a - d)) ** 2 + b * c).real
+
+
 def gap_on_circle(model: SymbolModel) -> float:
     """Dissipative gap ``2 min_{phi,j} Re x_j(e^{i phi})`` on the circle.
 
     Coarse grid scan, then bracket refinement around its minimum: every
-    round is one batched eigenvalue call on a finer grid across the bracket.
+    round evaluates a finer grid across the bracket.  Each angle's
+    ``min Re x_j`` comes from the closed-form eigenvalues of the 2x2 drift
+    symbol, ``(a+d)/2 -+ sqrt(((a-d)/2)^2 + bc)``.
     """
 
     def min_re(phis: np.ndarray) -> np.ndarray:
-        eigs = np.linalg.eigvals(model.symbols(np.exp(1j * phis))[0][0])
-        return np.min(np.real(eigs), axis=1)
+        return _min_re_eig2(model.symbols(np.exp(1j * phis))[0][0])
 
     phis = np.linspace(-np.pi, np.pi, GAP_SCAN_ANGLES, endpoint=False)
     vals = min_re(phis)

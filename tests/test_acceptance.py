@@ -193,12 +193,12 @@ def test_07_translational_propositions():
     # gap closure without criticality at unit coupling
     gap_plus = momentum.gap_on_circle(models.build_reservoir_chain(1.0, 0.3))
     xi_plus = momentum.correlation_length(
-        momentum.rationalize(models.build_reservoir_chain(1.0, 0.3))
+        models.build_reservoir_chain(1.0, 0.3)
     ).xi
     plus_ok = gap_plus < 1e-6 and xi_plus < 1.0
     # divergence on the critical side
     xi_minus = momentum.correlation_length(
-        momentum.rationalize(models.build_reservoir_chain(-0.9995, 0.3))
+        models.build_reservoir_chain(-0.9995, 0.3)
     ).xi
     minus_ok = xi_minus > 1e3
     # MUC jump across lam = -1

@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
 import nessgeom
-from nessgeom import cli, gaussian, geometry, liouvillian, models, numerics
+from nessgeom import cli, gaussian, geometry, liouvillian, models, momentum, numerics
 from nessgeom.errors import BadSpec
 
 # n=40, delta=1: the smallest pair sum of the drift spectrum is 2.7e-11 of
@@ -139,6 +139,22 @@ class TestSweep:
         row = cli.evaluate_point(model_name, {"theta": 0.3}, ("gap", "xi", "muc"))
         assert all(np.isfinite(v) for v in row.values())
         assert calls == [{"theta": 0.3}]
+
+    def test_xi_cell_runs_no_rational_continuation(self, monkeypatch):
+        # the poles come from the pencil of xhat(z), not from the FFT
+        # coefficients of det xhat
+        calls = []
+        rationalize = momentum.rationalize
+
+        def counted(model):
+            calls.append(model)
+            return rationalize(model)
+
+        monkeypatch.setattr(momentum, "rationalize", counted)
+        for model_name in ("reservoir_chain", "rotated_xy"):
+            row = cli.evaluate_point(model_name, {"theta": 0.3}, ("xi",))
+            assert np.isfinite(row["xi"])
+        assert calls == []
 
     def test_bad_specs_rejected(self, tmp_path):
         with pytest.raises(BadSpec):
@@ -362,6 +378,20 @@ class TestConfigAndMain:
         out = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", "boundary_xy", "--grid", "h=0.3:0.3:0.1", "--quantities", "gap",
+         "--jobs", "1"],
+        ["geometry", "--model", "boundary_xy", "--set", "h=0.3"],
+        ["spectrum", "--model", "boundary_xy"],
+    ], ids=["sweep", "geometry", "spectrum"])
+    def test_boundary_xy_without_n_rejected(self, tmp_path, capsys, argv):
+        # a sweep used to print KeyError in every cell, and the point
+        # reports died with a KeyError traceback
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert "needs n, the number of sites" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_whole_float_n_accepted(self, tmp_path):

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -200,13 +201,12 @@ class TestRationalize:
             h_blocks={0: np.array([[0.0, -0.5j], [0.5j, 0.0]])},
             jumps=[{0: np.array([0.5, -0.5j])}],
         )
-        rat = momentum.rationalize(model)
         # gamma~ constant in z: correlations vanish beyond r = 0 and the
         # correlation length is flagged trivially short ranged
-        g0 = momentum.real_space_correlation(rat, 0)
-        g1 = momentum.real_space_correlation(rat, 1)
+        g0 = momentum.real_space_correlation(model, 0)
+        g1 = momentum.real_space_correlation(model, 1)
         assert np.max(np.abs(g1)) < 1e-10 * max(np.max(np.abs(g0)), 1e-10)
-        cl = momentum.correlation_length(rat)
+        cl = momentum.correlation_length(model)
         assert cl.kind == "short_range_trivial" and cl.xi == 0.0
 
     def test_reservoir_denominator_roots(self):
@@ -262,7 +262,7 @@ class TestAdjugate:
 
 class TestCorrelationLength:
     def test_reservoir_at_unit_coupling(self):
-        cl = momentum.correlation_length(momentum.rationalize(reservoir(1.0, 0.3)))
+        cl = momentum.correlation_length(reservoir(1.0, 0.3))
         assert cl.kind == "finite"
         assert cl.xi == pytest.approx(-1.0 / np.log(3 - 2 * np.sqrt(2)), rel=1e-6)
         assert abs(cl.dominant_pole) == pytest.approx(3 - 2 * np.sqrt(2), rel=1e-6)
@@ -271,19 +271,19 @@ class TestCorrelationLength:
         for theta in (0.0, 0.3):
             xi_values = []
             for lam in (-0.99, -0.999, -0.9995):
-                cl = momentum.correlation_length(momentum.rationalize(reservoir(lam, theta)))
+                cl = momentum.correlation_length(reservoir(lam, theta))
                 xi_values.append(cl.xi)
             assert xi_values[0] < xi_values[1] < xi_values[2]
             assert xi_values[2] > 1e3
 
     def test_exact_critical_point(self):
-        cl = momentum.correlation_length(momentum.rationalize(reservoir(-1.0, 0.3)))
+        cl = momentum.correlation_length(reservoir(-1.0, 0.3))
         assert cl.kind in ("critical", "short_range_trivial")
 
     def test_analytic_pole_positions(self):
         for theta in (0.0, 0.3):
             for lam in (-1.9, -1.3, -1.04, -0.99, -0.96, 0.06, 0.5, 1.0, 2.0):
-                cl = momentum.correlation_length(momentum.rationalize(reservoir(lam, theta)))
+                cl = momentum.correlation_length(reservoir(lam, theta))
                 b = 2.0 * (1 + lam + lam**2)
                 roots = np.roots([lam, b, lam])
                 zin = np.min(np.abs(roots))
@@ -313,7 +313,7 @@ class TestCorrelationLength:
             else:
                 hi = mid
         xi_ref = -1.0 / np.log(0.5 * (lo + hi))
-        cl = momentum.correlation_length(momentum.rationalize(model))
+        cl = momentum.correlation_length(model)
         assert cl.kind == "finite"
         assert cl.xi == pytest.approx(xi_ref, rel=1e-8)
         assert cl.xi == pytest.approx(799999.99997, rel=1e-8)
@@ -327,30 +327,94 @@ class TestCorrelationLength:
         blocks = np.fft.ifft(momentum.symbol_covariance(model, phis), axis=0)
         norms = np.linalg.norm(blocks.reshape(n, 4), axis=1)
         xi_ref = 2000.0 / np.log(norms[2000] / norms[4000])
-        cl = momentum.correlation_length(momentum.rationalize(model))
+        cl = momentum.correlation_length(model)
         assert cl.xi == pytest.approx(xi_ref, rel=1e-8)
         assert cl.xi == pytest.approx(498.99823, rel=1e-7)
+
+    @pytest.mark.parametrize("lam", [-0.999, -0.9995, -0.9999])
+    def test_pinch_cells_match_the_analytic_pole(self, lam):
+        # the inner root of lam z^2 + b z + lam, b = 2 (1 + lam + lam^2), with
+        # b^2 - 4 lam^2 = 2 (1 + lam)^2 (b - 2 lam) written without cancellation
+        eps = 1.0 + lam
+        b = 2.0 * (1.0 + lam + lam**2)
+        sq = eps * np.sqrt(2.0 * (b - 2.0 * lam))
+        xi_ref = -1.0 / np.log1p(-(2.0 * eps**2 + sq) / (b + sq))
+        momentum.correlation_length(reservoir(lam, 0.0))  # warm-up
+        for theta in (0.0, 0.3, 1.1):
+            costs = []
+            for _ in range(3):  # best of three: the machine may be shared
+                start = time.perf_counter()
+                cl = momentum.correlation_length(reservoir(lam, theta))
+                costs.append(time.perf_counter() - start)
+            assert cl.kind == "finite"
+            assert cl.xi == pytest.approx(xi_ref, rel=2e-9)
+            assert min(costs) <= 0.05
+
+    def test_rotated_xy_critical_field_off_the_real_axis(self):
+        # xi does not depend on theta; at theta = 0.3 the decay fit used to
+        # give up with NoConvergence
+        on_axis, off_axis = (
+            momentum.correlation_length(rot_xy(delta=0.5, h=1.0, theta=theta, mu_minus=1.0,
+                                               mu_plus=0.5))
+            for theta in (0.0, 0.3)
+        )
+        assert off_axis.kind == "finite" and np.isfinite(off_axis.xi)
+        assert off_axis.xi == pytest.approx(on_axis.xi, rel=1e-9)
+
+    def test_unresolved_outer_island_is_named(self, monkeypatch):
+        # one contour point cap below what the islands need: no island
+        # resolves, and the refusal names the island and the reason
+        monkeypatch.setattr(momentum, "ISLAND_MAX_POINTS", 32)
+        with pytest.raises(NoConvergence) as err:
+            momentum.correlation_length(rot_xy(delta=0.5, h=1.0, theta=0.0, mu_minus=1.0,
+                                               mu_plus=0.5))
+        message = str(err.value)
+        assert "could hold the outermost pole" in message
+        assert "contour radius" in message and "its contour failed" in message
+
+    def test_singular_pencil_reads_as_critical(self):
+        # lam = -1: det xhat vanishes at every z (to rounding at theta = 0.3)
+        model = reservoir(-1.0, 0.3)
+        assert momentum._pencil_roots(model) is None
+        with pytest.raises(CriticalAngle):
+            momentum.real_space_correlation(model, 1)
 
     def test_island_contour_resolves_critical_cell(self):
         # the inside root at 1 - 1.25e-6 is one island whose contour of
         # local solves converges quickly and whose winding matches
-        rat = momentum.rationalize(rot_xy(delta=0.5, h=1.0, theta=0.0, mu_minus=1.0,
-                                          mu_plus=0.5))
-        islands, _ = momentum.pole_structure(rat)
+        islands, _ = momentum.pole_structure(rot_xy(delta=0.5, h=1.0, theta=0.0, mu_minus=1.0,
+                                                    mu_plus=0.5))
         outer = max(islands, key=lambda isl: abs(isl.center))
         assert outer.resolved and not outer.removable
         assert outer.points <= 256
         assert abs(outer.poles[0]) == pytest.approx(1.0 - 1.25e-6, abs=1e-11)
 
-    @pytest.mark.slow
-    def test_decay_fit_refuses_a_window_shorter_than_xi(self):
-        # at h = 1 the tail never falls through 1e-7 of its peak within 2^20
-        # angles; the fit of what is left (about 1.16e6) must not be returned
-        rat = momentum.rationalize(rot_xy(delta=0.5, h=1.0, theta=0.0, mu_minus=1.0,
-                                          mu_plus=0.5))
-        with pytest.raises(NoConvergence) as err:
-            momentum._xi_by_decay(rat)
-        assert err.value.last_estimate is not None
+
+class TestPencilRoots:
+    @pytest.mark.parametrize("model", [reservoir(0.5, 0.3), reservoir(1.0, 0.3),
+                                       rot_xy(**ROT_PARAMS)], ids=["lam=0.5", "lam=1", "rot"])
+    def test_islands_cover_the_roots_of_the_rational_denominator(self, model):
+        # away from the lam -> -1 pinch the FFT coefficients of d are clean:
+        # every root of d inside the disk and off the origin block lies in an
+        # island of pencil candidates, and every pole the contours locate is
+        # a root of d
+        islands, _ = momentum.pole_structure(model)
+        roots = numerics.polynomial_roots(momentum.rationalize(model).d)
+        inside = roots[(np.abs(roots) > momentum.ORIGIN_RADIUS) & (np.abs(roots) < 1.0)]
+        assert inside.size
+        for r in inside:
+            assert any(abs(r - isl.center) < isl.radius for isl in islands)
+        poles = np.concatenate([isl.poles for isl in islands if isl.resolved])
+        assert poles.size
+        for p in poles:
+            assert np.min(np.abs(roots - p)) < 1e-6 * abs(p)
+
+    def test_constant_symbol_has_no_candidates(self):
+        model = momentum.SymbolModel(
+            h_blocks={0: np.array([[0.0, -0.5j], [0.5j, 0.0]])},
+            jumps=[{0: np.array([0.5, -0.5j])}],
+        )
+        assert momentum._pencil_roots(model).size == 0
 
 
 class TestContourIntegral:
@@ -379,34 +443,30 @@ class TestContourIntegral:
 class TestRealSpaceCorrelation:
     def test_matches_quadrature(self):
         model = reservoir(1.0, 0.3)
-        rat = momentum.rationalize(model)
         for r in (0, 1, 3, 8):
-            res = momentum.real_space_correlation(rat, r)
+            res = momentum.real_space_correlation(model, r)
             quad = symbol_oracles.real_space_correlation_quadrature(model, r)
             assert np.max(np.abs(res - quad)) < 1e-8
 
     def test_exponential_decay_slope(self):
         model = reservoir(1.0, 0.3)
-        rat = momentum.rationalize(model)
-        cl = momentum.correlation_length(rat)
+        cl = momentum.correlation_length(model)
         rs = np.arange(6, 16)
-        norms = [np.max(np.abs(momentum.real_space_correlation(rat, int(r)))) for r in rs]
+        norms = [np.max(np.abs(momentum.real_space_correlation(model, int(r)))) for r in rs]
         slope = np.polyfit(rs, np.log(norms), 1)[0]
         assert slope == pytest.approx(-1.0 / cl.xi, rel=1e-6)
 
     def test_slow_decay_near_criticality(self):
         model = rot_xy(delta=0.5, h=0.999, theta=0.3, mu_minus=1.0, mu_plus=0.4)
-        rat = momentum.rationalize(model)
-        cl = momentum.correlation_length(rat)
+        cl = momentum.correlation_length(model)
         assert cl.xi > 50.0  # slow decay flagged by a large correlation length
-        g5 = momentum.real_space_correlation(rat, 5)
+        g5 = momentum.real_space_correlation(model, 5)
         quad5 = symbol_oracles.real_space_correlation_quadrature(model, 5, tol=1e-9)
         assert np.max(np.abs(g5 - quad5)) < 1e-6
 
     def test_negative_r_rejected(self):
-        rat = momentum.rationalize(reservoir(0.5, 0.3))
         with pytest.raises(DimensionMismatch):
-            momentum.real_space_correlation(rat, -1)
+            momentum.real_space_correlation(reservoir(0.5, 0.3), -1)
 
 
 class TestMucPerSite:
@@ -611,6 +671,30 @@ class TestGapOnCircle:
             gaps.append(momentum.gap_on_circle(model))
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=1e-6)
 
+    def test_closed_form_matches_eigvals(self, rng):
+        # random complex batches over eleven decades, exact Jordan blocks
+        # (upper and lower), near-degenerate triangular pairs and unitary
+        # rotations of near-degenerate diagonal pairs
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        n = 500
+        a, b = cplx(n), cplx(n)
+        jordan = np.zeros((n, 2, 2), dtype=complex)
+        jordan[:, 0, 0] = jordan[:, 1, 1] = a
+        jordan[:, 0, 1] = b
+        near = jordan.copy()
+        near[:, 1, 1] += 1e-9 * cplx(n)
+        q = np.linalg.qr(cplx(n, 2, 2))[0]
+        diag = np.zeros((n, 2, 2), dtype=complex)
+        diag[:, 0, 0], diag[:, 1, 1] = a, a + 1e-9 * cplx(n)
+        rotated = q @ diag @ np.conj(np.transpose(q, (0, 2, 1)))
+        scaled = cplx(n, 2, 2) * np.logspace(-8, 3, n)[:, None, None]
+        for x in (cplx(n, 2, 2), jordan, np.transpose(jordan, (0, 2, 1)), near, rotated, scaled):
+            expect = np.min(np.real(np.linalg.eigvals(x)), axis=1)
+            dev = np.abs(momentum._min_re_eig2(x) - expect)
+            assert np.all(dev <= 1e-14 * np.linalg.norm(x, axis=(1, 2)))
+
     @pytest.mark.slow
     def test_matches_dense_scan_on_sweep_grids(self):
         # the reservoir grid of a symbol sweep, every fourth cell of its rotated-XY
@@ -630,7 +714,7 @@ class TestCriticalityPropositions:
     def test_gap_closure_without_criticality(self):
         # the central counterexample: lam = +1 closes the gap with short range
         assert momentum.gap_on_circle(reservoir(1.0, 0.3)) < 1e-6
-        cl = momentum.correlation_length(momentum.rationalize(reservoir(1.0, 0.3)))
+        cl = momentum.correlation_length(reservoir(1.0, 0.3))
         assert cl.xi < 1.0
 
     def test_divergent_xi_implies_vanishing_gap(self):
@@ -639,7 +723,7 @@ class TestCriticalityPropositions:
             (reservoir(-0.9995, 0.3), None),
             (rot_xy(delta=0.5, h=0.9995, theta=0.3, mu_minus=1.0, mu_plus=0.4, epsilon=1e-3), None),
         ):
-            cl = momentum.correlation_length(momentum.rationalize(model))
+            cl = momentum.correlation_length(model)
             if cl.xi > 1e3:
                 assert momentum.gap_on_circle(model) < 1e-2
 
