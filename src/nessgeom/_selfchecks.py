@@ -30,12 +30,12 @@ def _random_gamma_family(rng, n_modes, n_params):
 
 def _random_stable_model(rng, n_modes, n_jumps=None):
     dim = 2 * n_modes
-    h = 1j * _rand_antisym(rng, dim, 0.5)
+    h_im = _rand_antisym(rng, dim, 0.5)
     n_jumps = n_jumps or rng.integers(1, 4)
     jumps = tuple(
         rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(n_jumps)
     )
-    return liouvillian.QuadraticLindbladModel(n_modes=n_modes, h=h, jumps=jumps)
+    return liouvillian.QuadraticLindbladModel(n_modes=n_modes, h_im=h_im, jumps=jumps)
 
 
 def check_gaussian_vs_dense_qgt(seed, cases):
@@ -154,8 +154,7 @@ def check_qgt_gap_bound(seed, cases):
         model = _random_stable_model(rng, n)
         shape = liouvillian.shape_matrices(model)
         state = rng.bit_generator.state
-        d_h = 1j * _rand_antisym(rng, 2 * n, 0.3)
-        dx = np.real(4j * d_h)
+        dx = -4.0 * _rand_antisym(rng, 2 * n, 0.3)  # dX = 4i dH, dH = i d(Im H)
         db = np.zeros_like(shape.b)
         point = liouvillian.point_geometry(shape, {"l0": (dx, db)})
         if point.gap <= 1e-3:

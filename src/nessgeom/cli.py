@@ -65,7 +65,7 @@ MUC_KEYS = ("muc_pair", "muc_mode")
 def _check_params(model_name: str, params: dict) -> None:
     """Refuse, before any cell runs, a key the model does not take (a field
     of ``BoundaryXYParams``, or a symbol builder's parameter or one of the
-    MUC keys), a value of a numeric key that is not a number, and a
+    MUC keys), a value of a numeric key that is not a finite number, and a
     boundary_xy ``n`` that is missing or not a whole number.  A value may be
     the array of a grid axis."""
     from . import models
@@ -87,6 +87,8 @@ def _check_params(model_name: str, params: dict) -> None:
             values = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
             raise BadSpec(f"parameter {key!r} must be a number, got {value!r}") from None
+        if not np.all(np.isfinite(values)):
+            raise BadSpec(f"parameter {key!r} must be finite, got {value!r}")
         if model_name == "boundary_xy" and key == "n" and np.any(np.mod(values, 1.0) != 0.0):
             raise BadSpec(f"n counts sites and must be a whole number, got {value!r}")
     if model_name == "boundary_xy" and "n" not in params:
@@ -189,6 +191,9 @@ class SweepSpec:
         if not self.quantities:
             raise BadSpec("sweep needs --quantities")
         for name, start, stop, step in self.axes:
+            if not np.all(np.isfinite((start, stop, step))):
+                raise BadSpec(f"axis {name}: start, stop and step must be finite, "
+                              f"got {start!r}:{stop!r}:{step!r}")
             if step <= 0:
                 raise BadSpec(f"axis {name}: step must be positive")
         _check_params(self.model, {**self.fixed, **{a[0]: _axis(*a[1:]) for a in self.axes}})

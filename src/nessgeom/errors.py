@@ -57,10 +57,6 @@ class NormExceedsOne(NessGeomError):
     pass
 
 
-class PureModePresent(NessGeomError):
-    pass
-
-
 class IndexOutOfRange(NessGeomError):
     pass
 

@@ -24,15 +24,12 @@ from .errors import (
     NormExceedsOne,
     NotAntisymmetric,
     NotHermitian,
-    PureModePresent,
     TooManyModes,
 )
 from .numerics import _matmul
 
 # scipy.linalg is imported inside the functions that call it, so that the
 # symbol path, which never does, starts without it (see numerics)
-
-EPS_PURE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,14 +50,6 @@ class EigenmodeDecomposition:
 
     q: np.ndarray
     gammas: np.ndarray
-
-    def reassemble(self) -> np.ndarray:
-        n = self.gammas.size
-        d = np.zeros((2 * n, 2 * n), dtype=complex)
-        for k, g in enumerate(self.gammas):
-            d[2 * k, 2 * k + 1] = 1j * g
-            d[2 * k + 1, 2 * k] = -1j * g
-        return self.q @ d @ self.q.T
 
 
 def as_gamma(state) -> np.ndarray:
@@ -191,20 +180,6 @@ def purity(gamma) -> float:
     """
     gs = mode_occupations(gamma)
     return float(np.prod((1.0 + gs**2) / 2.0))
-
-
-def omega_from_gamma(gamma) -> np.ndarray:
-    """Invert ``G = tanh(i Omega / 2)`` for the real antisymmetric kernel.
-
-    Raises PureModePresent when any ``|g_k| >= 1 - 1e-12`` (the kernel entry
-    diverges; the covariance parameterisation remains regular there).
-    """
-    g = as_gamma(gamma)
-    vals, vecs = np.linalg.eigh(g)
-    if np.max(np.abs(vals)) >= 1.0 - EPS_PURE:
-        raise PureModePresent("a mode is (numerically) pure; Omega diverges")
-    omega = vecs @ np.diag(-2j * np.arctanh(vals)) @ vecs.conj().T
-    return np.real(omega)
 
 
 def gamma_from_omega(omega: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from .errors import (
     SingularFisher,
     ZeroGap,
 )
-from .numerics import _matmul, hermitize_antisymmetric
+from .numerics import _matmul
 
 DEGENERACY_TOL = 1e-10
 
@@ -88,28 +88,6 @@ def make_tangents(parameters: Sequence[str], d_gammas: Sequence[np.ndarray]) -> 
     return TangentSet(parameters=tuple(parameters), d_a=tuple(d_a))
 
 
-def transport_kernel(gamma, d_gamma: np.ndarray) -> np.ndarray:
-    """Parallel-transport kernel K solving the discrete Lyapunov relation
-    ``G K G - K = dG``.
-
-    In the eigenbasis of G, ``K_jk = (dG)_jk / (g_j g_k - 1)``.  Raises
-    RankChangeSingularity when the state changes rank along the direction
-    (``|1 - g_j g_k|`` below tolerance with a non-negligible ``(dG)_jk``).
-    """
-    vals, vecs = np.linalg.eigh(gaussian.as_gamma(gamma))
-    d = vecs.conj().T @ np.asarray(d_gamma, dtype=complex) @ vecs
-    denom = np.outer(vals, vals) - 1.0
-    scale = max(np.max(np.abs(d_gamma)), 1e-300)
-    degenerate = np.abs(denom) < DEGENERACY_TOL
-    if np.any(degenerate & (np.abs(d) > 1e-8 * scale)):
-        raise RankChangeSingularity(
-            "tangent has weight on a pure-pure mode pair: rank changes along this direction"
-        )
-    k = np.where(degenerate, 0.0, d / np.where(degenerate, 1.0, denom))
-    k = vecs @ k @ vecs.conj().T
-    return hermitize_antisymmetric(k)
-
-
 def _plane_parts(e: np.ndarray) -> tuple[np.ndarray, ...]:
     """``Re p, Im p, Re q, Im q`` of every 2x2 block ``E_bc`` of ``e``, where
     ``E = Re p + Im p J + Re q Z + Im q X`` with ``J = [[0, 1], [-1, 0]]``."""
@@ -132,8 +110,7 @@ def qgt(gamma, tangents: TangentSet, *, check_rank: bool = True) -> GeometryResu
     degenerate = np.abs(1.0 - gg) < DEGENERACY_TOL
     co = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, 1.0 - gg))
     counter = 1.0 / (1.0 + gg)
-    co_twist = (gs[:, None] - gs[None, :]) * co**2
-    counter_twist = (gs[:, None] + gs[None, :]) * counter**2
+    del gg
     parts = []
     for d_a in tangents.d_a:
         p_re, p_im, q_re, q_im = _plane_parts(_matmul(modes.q.T, _matmul(d_a, modes.q)))
@@ -155,12 +132,22 @@ def qgt(gamma, tangents: TangentSet, *, check_rank: bool = True) -> GeometryResu
             g[mu, nu] = g[nu, mu] = 0.25 * np.sum(
                 co * (pr_m * pr_n + pi_m * pi_n) + counter * (qr_m * qr_n + qi_m * qi_n)
             )
-            if nu != mu:
-                u[mu, nu] = 0.5 * np.sum(
-                    co_twist * (pi_m * pr_n - pr_m * pi_n)
-                    - counter_twist * (qi_m * qr_n - qr_m * qi_n)
-                )
-                u[nu, mu] = -u[mu, nu]
+    # the curvature weights are formed once the metric weights are done
+    # with: two n x n weight arrays live at a time, at the chain point's
+    # memory peak
+    co_twist = (gs[:, None] - gs[None, :]) * co**2
+    del co
+    counter_twist = (gs[:, None] + gs[None, :]) * counter**2
+    del counter
+    for mu in range(p):
+        pr_m, pi_m, qr_m, qi_m = parts[mu]
+        for nu in range(mu + 1, p):
+            pr_n, pi_n, qr_n, qi_n = parts[nu]
+            u[mu, nu] = 0.5 * np.sum(
+                co_twist * (pi_m * pr_n - pr_m * pi_n)
+                - counter_twist * (qi_m * qr_n - qr_m * qi_n)
+            )
+            u[nu, mu] = -u[mu, nu]
     try:
         r = incompatibility_ratio(g, u)
     except SingularFisher:
@@ -225,22 +212,6 @@ def tangents_finite_difference(
     return make_tangents(parameters, d_gammas)
 
 
-def transport_fidelity_weight(gamma) -> float:
-    """``P_G = (1/8) || (1+G) (x) (1+G) / (1 + G (x) G) ||`` without the Kronecker blowup.
-
-    In the eigenbasis of G every factor diagonalizes, so the norm is the
-    maximum of ``(1+g_j)(1+g_k) / (1+g_j g_k)`` over mode pairs; pairs with
-    ``1 + g_j g_k -> 0`` approach the bounded limit 2.
-    """
-    gs = gaussian.mode_occupations(gamma)
-    vals = np.concatenate((gs, -gs))
-    num = np.outer(1.0 + vals, 1.0 + vals)
-    den = 1.0 + np.outer(vals, vals)
-    tiny = den < 1e-12
-    ratio = np.where(tiny, 2.0, np.abs(num) / np.where(tiny, 1.0, den))
-    return 0.125 * float(np.max(ratio))
-
-
 def qgt_gap_bound(
     q_value: complex,
     gamma,
@@ -252,13 +223,24 @@ def qgt_gap_bound(
 
     ``q_value`` is the QGT component for the direction whose shape-matrix
     derivatives are ``dx`` and ``db = Im dY`` (``||dY|| = ||dB||``);
-    ``delta`` is the dissipative gap.
+    ``delta`` is the dissipative gap.  The transport fidelity weight
+    ``P_G = (1/8) || (1+G) (x) (1+G) / (1 + G (x) G) ||`` is taken without
+    the Kronecker blowup: in the eigenbasis of G every factor diagonalizes,
+    so the norm is the maximum of ``(1+g_j)(1+g_k) / (1+g_j g_k)`` over
+    mode pairs, and pairs with ``1 + g_j g_k -> 0`` approach the bounded
+    limit 2.
     """
     if delta <= 0.0:
         raise ZeroGap(f"gap bound needs a positive gap, got {delta}")
     g = gaussian.as_gamma(gamma)
     n = g.shape[0] // 2
-    p_gamma = transport_fidelity_weight(g)
+    gs = gaussian.mode_occupations(g)
+    vals = np.concatenate((gs, -gs))
+    num = np.outer(1.0 + vals, 1.0 + vals)
+    den = 1.0 + np.outer(vals, vals)
+    tiny = den < 1e-12
+    ratio = np.where(tiny, 2.0, np.abs(num) / np.where(tiny, 1.0, den))
+    p_gamma = 0.125 * float(np.max(ratio))
     db_norm = float(np.linalg.norm(np.asarray(db), 2))
     dx_norm = float(np.linalg.norm(np.asarray(dx), 2))
     lhs = float(np.abs(q_value)) / n

@@ -1,9 +1,9 @@
 """Quadratic Lindblad dynamics at the matrix level.
 
 A model is a Hermitian antisymmetric Hamiltonian kernel H (the quadratic
-form ``sum_jk H_jk w_j w_k``) plus complex jump vectors ``l_a`` (jump
-operators ``l_a . w``).  The drift and source of the steady-state Lyapunov
-equation ``X G + G X^T = Y`` are
+form ``sum_jk H_jk w_j w_k``), held as its real antisymmetric ``Im H``,
+plus complex jump vectors ``l_a`` (jump operators ``l_a . w``).  The drift
+and source of the steady-state Lyapunov equation ``X G + G X^T = Y`` are
 
     X = 4 [ i H + Re(M) ],      Y = -8 i Im(M),     M = sum_a l_a l_a^dag.
 
@@ -29,27 +29,30 @@ from .geometry import GeometryResult, TangentSet
 
 @dataclass(frozen=True)
 class QuadraticLindbladModel:
-    """Hamiltonian kernel plus linear jump vectors."""
+    """Hamiltonian kernel plus linear jump vectors.
+
+    H is Hermitian and antisymmetric, hence purely imaginary, so the model
+    holds the real antisymmetric ``h_im = Im H`` (``H = i h_im``).
+    """
 
     n_modes: int
-    h: np.ndarray
+    h_im: np.ndarray
     jumps: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
+        h_im = np.asarray(numerics._real(self.h_im, "h_im"), dtype=float)
         d = 2 * self.n_modes
-        if h.shape != (d, d):
-            raise DimensionMismatch(f"h must be {d}x{d}, got {h.shape}")
-        scale = max(np.max(np.abs(h)), 1e-14)
-        if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
-            raise DimensionMismatch("h must be Hermitian")
-        if np.max(np.abs(h + h.T)) > 1e-12 * scale:
-            raise DimensionMismatch("h must be antisymmetric")
+        if h_im.shape != (d, d):
+            raise DimensionMismatch(f"h_im must be {d}x{d}, got {h_im.shape}")
+        scale = max(np.max(np.abs(h_im)), 1e-14)
+        skew = h_im + h_im.T
+        if np.max(np.abs(skew, out=skew)) > 1e-12 * scale:
+            raise DimensionMismatch("h_im must be antisymmetric")
         jumps = tuple(np.asarray(l, dtype=complex).reshape(-1) for l in self.jumps)
         for l in jumps:
             if l.size != d:
                 raise DimensionMismatch(f"jump vector length {l.size} != {d}")
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h_im", h_im)
         object.__setattr__(self, "jumps", jumps)
 
 
@@ -104,11 +107,11 @@ def shape_matrices(model: QuadraticLindbladModel) -> ShapeMatrices:
     Each jump ``l = u + iv`` adds ``Re(l l^dag) = u u^T + v v^T`` and
     ``Im(l l^dag) = v u^T - u v^T`` on its support, in model order, so no
     complex d x d array is formed.  M is PSD and X + X^T = 8 Re M by
-    construction, given the Hermitian antisymmetric H the model checks.
+    construction, given the real antisymmetric ``Im H`` the model checks.
     """
     if not model.jumps:
         raise EmptyJumps("at least one jump vector is required")
-    d = model.h.shape[0]
+    d = model.h_im.shape[0]
     x = np.zeros((d, d))
     b = np.zeros((d, d))
     for l in model.jumps:
@@ -117,7 +120,7 @@ def shape_matrices(model: QuadraticLindbladModel) -> ShapeMatrices:
         block = np.ix_(support, support)
         x[block] += np.outer(u, u) + np.outer(v, v)
         b[block] += np.outer(v, u) - np.outer(u, v)
-    x -= model.h.imag
+    x -= model.h_im
     x *= 4.0
     b *= -8.0
     b = b - b.T

@@ -85,31 +85,26 @@ def xy_ground_berry_phase(params: XYParams) -> float:
     return float(total)
 
 
-def xy_relative_phase(params: XYParams | None = None, *, thermodynamic: bool = False,
-                      delta: float | None = None, h: float | None = None) -> float:
-    """Ground-to-first-excited relative geometric phase.
-
-    Finite n: ``-pi (1 - cos theta_{k0})`` at the dispersion minimum
-    (ties broken toward smaller k).  Thermodynamic limit: 0 for
-    ``|h| > 1 - delta^2``, else ``-pi + pi h delta / sqrt((1-delta^2)(1-delta^2-h^2))``.
-    """
-    if thermodynamic:
-        if delta is None or h is None:
-            if params is None:
-                raise DimensionMismatch("need delta and h for the thermodynamic branch")
-            delta, h = params.delta, params.h
-        d2 = delta * delta
-        if abs(h) > 1.0 - d2:
-            return 0.0
-        return float(-np.pi + np.pi * h * delta / np.sqrt((1 - d2) * (1 - d2 - h * h)))
-    if params is None:
-        raise DimensionMismatch("finite-size branch needs XYParams")
+def xy_relative_phase(params: XYParams) -> float:
+    """Ground-to-first-excited relative geometric phase at finite n,
+    ``-pi (1 - cos theta_{k0})`` at the dispersion minimum (ties broken
+    toward smaller k)."""
     best = None
     for k in _paired_modes(params.n):
         eps, theta_k = xy_dispersion(params, k)
         if best is None or eps < best[0] - 1e-15:
             best = (eps, theta_k)
     return float(-np.pi * (1.0 - np.cos(best[1])))
+
+
+def xy_thermodynamic_relative_phase(delta: float, h: float) -> float:
+    """Thermodynamic limit of :func:`xy_relative_phase`: 0 for
+    ``|h| > 1 - delta^2``, else
+    ``-pi + pi h delta / sqrt((1-delta^2)(1-delta^2-h^2))``."""
+    d2 = delta * delta
+    if abs(h) > 1.0 - d2:
+        return 0.0
+    return float(-np.pi + np.pi * h * delta / np.sqrt((1 - d2) * (1 - d2 - h * h)))
 
 
 def xy_qgt_finite(params: XYParams) -> GeometryResult:
@@ -180,92 +175,6 @@ def xy_qgt_thermodynamic(delta: float, h: float) -> tuple[dict[str, float], floa
             4.0 + 5.0 * ah / root - 2.0 * (h * h + ah * root - 1.0) / d2
         )
     return comps, float(curvature)
-
-
-def _xy_metric_per_site(point: np.ndarray) -> np.ndarray:
-    """Per-site thermodynamic metric over (theta, h, delta) as a 3x3 matrix."""
-    h, delta = float(point[0]), float(point[1])
-    comps, _ = xy_qgt_thermodynamic(delta, h)
-    g = np.zeros((3, 3))
-    g[0, 0] = comps["g_theta_theta"]
-    g[1, 1] = comps["g_hh"]
-    g[2, 2] = comps["g_delta_delta"]
-    g[1, 2] = g[2, 1] = comps["g_h_delta"]
-    return g
-
-
-def xy_scalar_curvature_numeric(delta: float, h: float, step: float = 1e-4) -> float:
-    """``n R`` from finite differences of the per-site metric.
-
-    The metric depends on (h, delta) only, so the curvature of the
-    three-dimensional (theta, h, delta) manifold comes from Christoffel
-    symbols assembled over the two active coordinates.
-    """
-    point = np.array([h, delta])
-
-    def metric(p):
-        return _xy_metric_per_site(p)
-
-    # first and second derivatives along (h, delta) => indices 1, 2
-    dim = 3
-    active = [1, 2]
-    g0 = metric(point)
-    dg = np.zeros((dim, dim, dim))
-    ddg = np.zeros((dim, dim, dim, dim))
-    for a_i, a in enumerate(active):
-        up, dn = point.copy(), point.copy()
-        up[a_i] += step
-        dn[a_i] -= step
-        dg[a] = (metric(up) - metric(dn)) / (2.0 * step)
-        ddg[a][a] = (metric(up) - 2.0 * g0 + metric(dn)) / step**2
-    for i, a in enumerate(active):
-        for j, b in enumerate(active):
-            if a >= b:
-                continue
-            pp = point.copy(); pp[i] += step; pp[j] += step
-            pm = point.copy(); pm[i] += step; pm[j] -= step
-            mp = point.copy(); mp[i] -= step; mp[j] += step
-            mm = point.copy(); mm[i] -= step; mm[j] -= step
-            cross = (metric(pp) - metric(pm) - metric(mp) + metric(mm)) / (4.0 * step**2)
-            ddg[a][b] = cross
-            ddg[b][a] = cross
-    ginv = np.linalg.inv(g0)
-    gamma = np.zeros((dim, dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                gamma[a, b, c] = 0.5 * sum(
-                    ginv[a, d] * (dg[b][d, c] + dg[c][d, b] - dg[d][b, c])
-                    for d in range(dim)
-                )
-    dgamma = np.zeros((dim, dim, dim, dim))  # d_e Gamma^a_{bc}
-    for e in range(dim):
-        for a in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    term = 0.0
-                    for d in range(dim):
-                        term += 0.5 * (
-                            -sum(
-                                ginv[a, x] * dg[e][x, y] * ginv[y, d]
-                                for x in range(dim)
-                                for y in range(dim)
-                            )
-                            * (dg[b][d, c] + dg[c][d, b] - dg[d][b, c])
-                            + ginv[a, d]
-                            * (ddg[e][b][d, c] + ddg[e][c][d, b] - ddg[e][d][b, c])
-                        )
-                    dgamma[e, a, b, c] = term
-    ricci = np.zeros((dim, dim))
-    for b in range(dim):
-        for c in range(dim):
-            val = 0.0
-            for a in range(dim):
-                val += dgamma[a, a, b, c] - dgamma[c, a, b, a]
-                for e in range(dim):
-                    val += gamma[a, a, e] * gamma[e, b, c] - gamma[a, c, e] * gamma[e, b, a]
-            ricci[b, c] = val
-    return float(np.sum(ginv * ricci))
 
 
 # --- two-level system ------------------------------------------------------------
@@ -460,8 +369,8 @@ def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel
     rows, cols, vals = _xy_couplings(
         n, (1.0 + params.delta) / 2.0, (1.0 - params.delta) / 2.0, params.h
     )
-    hk = np.zeros((dim, dim), dtype=complex)
-    hk.imag[rows, cols] = -0.5 * vals  # H = -(i/2) K
+    h_im = np.zeros((dim, dim))
+    h_im[rows, cols] = -0.5 * vals  # H = -(i/2) K
     jumps = []
     for site, (kp, km) in ((0, (params.kappa_l_plus, params.kappa_l_minus)),
                            (n - 1, (params.kappa_r_plus, params.kappa_r_minus))):
@@ -475,7 +384,7 @@ def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel
             vec[2 * site] = 0.5
             vec[2 * site + 1] = -0.5j
             jumps.append(np.sqrt(km) * vec)  # sigma^- = c
-    return QuadraticLindbladModel(n_modes=n, h=hk, jumps=tuple(jumps))
+    return QuadraticLindbladModel(n_modes=n, h_im=h_im, jumps=tuple(jumps))
 
 
 def boundary_xy_shape_derivatives(params: BoundaryXYParams) -> dict[str, tuple]:

@@ -679,42 +679,6 @@ def correlation_length(model: SymbolModel) -> CorrelationLength:
     return CorrelationLength(xi=float(-1.0 / np.log(abs(z0))), dominant_pole=z0, kind="finite")
 
 
-def real_space_correlation(model: SymbolModel, r: int) -> np.ndarray:
-    """Real-space block ``gamma(r) = sum Res_{z in disk} [z^{r-1} gamma~(z)]``.
-
-    Each non-removable island of ``pole_structure`` contributes the
-    integral of ``z^{r-1} gamma~`` over its own contour, and one small
-    circle around ``z = 0`` adds the origin block (present for small
-    ``r``).  When an island is unresolved or sits on the unit circle, one
-    mid-annulus contour over the whole disk is used instead.
-    """
-    if r < 0:
-        raise DimensionMismatch("r must be a nonnegative integer")
-    islands, roots = pole_structure(model)
-    if roots is None:
-        raise CriticalAngle("real-space correlation: det xhat vanishes identically")
-
-    def weighted(z):
-        return gamma_at_points(model, z) * (z ** (r - 1))[:, None, None]
-
-    poles = [isl for isl in islands if not isl.removable]
-    if any(not isl.resolved or isl.side == 0 for isl in poles):
-        return _residue_sum_unit_disk(
-            weighted,
-            roots,
-            _symbol_scale(model),
-            "real-space correlation: non-removable pole on the unit circle",
-        )
-    total = np.zeros((2, 2), dtype=complex)
-    for isl in poles:
-        total += _contour_integral(weighted, isl.center, isl.radius)[0]
-    # the origin circle runs midway between the origin block and the nearest island
-    radii = np.abs(roots)
-    origin, away = radii[radii < ORIGIN_RADIUS], radii[radii >= ORIGIN_RADIUS]
-    total += _contour_integral(weighted, 0.0, 0.5 * (max([0.0, *origin]) + min([1.0, *away])))[0]
-    return total
-
-
 # --- mean Uhlmann curvature per site -------------------------------------------
 
 

@@ -22,7 +22,6 @@ from .errors import (
     NonPositiveValue,
     NotAntisymmetric,
     NotFiniteRange,
-    NotHermitian,
     NotReal,
     SingularSylvester,
 )
@@ -124,12 +123,6 @@ def _subtract_transpose(m: np.ndarray, block: int = 64) -> None:
         rows = m[i:i + block, i:] - m[i:, i:i + block].T
         m[i:, i:i + block] -= m[i:i + block, i:].T
         m[i:i + block, i:] = rows
-
-
-def hermitize_antisymmetric(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian-antisymmetric (purely imaginary) subspace."""
-    im = np.imag(a)
-    return 1j * 0.5 * (im - im.T)
 
 
 # Leaf order of the recursive triangular Sylvester solve: below it one
@@ -297,36 +290,6 @@ class LyapunovSolver:
                 f"Lyapunov residual {res:.3e} exceeds {bound:.3e}; equation is near singular"
             )
         return a
-
-
-def solve_continuous_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve ``X G + G X^T = Y`` for the covariance matrix ``G``.
-
-    ``x`` is real with spectrum in the closed right half plane; ``y`` is
-    Hermitian antisymmetric, and so is the returned ``G``.
-
-    Raises
-    ------
-    NotHermitian
-        when ``y`` has a real part (a Hermitian antisymmetric matrix is
-        purely imaginary).
-    NotAntisymmetric
-        when ``Im y`` is not antisymmetric.
-    SingularSylvester
-        when ``min_{ij} |x_i + x_j|`` is below tolerance (the equation has
-        no unique solution) or the residual check fails.
-    """
-    x = _as_square(x, "x")
-    y = _as_square(y, "y")
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"x {x.shape} and y {y.shape} differ")
-    re_norm, b = _frobenius(np.real(y)), np.imag(y)
-    if re_norm > max(1e-12 * np.hypot(re_norm, _frobenius(b)), ABS_FLOOR):
-        raise NotHermitian(
-            f"Lyapunov source has a real part of norm {re_norm:.3e}; "
-            "a Hermitian antisymmetric source is purely imaginary"
-        )
-    return 1j * LyapunovSolver(x).solve(b)
 
 
 def general_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, float]:

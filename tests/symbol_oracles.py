@@ -5,13 +5,15 @@ The covariance symbols of ``models.build_reservoir_chain`` (exact) and of
 epsilon -> 0), with their parameter derivatives, written as Pauli
 components in the flavor frame of :mod:`nessgeom.models`.  The library
 solves every symbol; these forms are independent oracles for those solves.
-Also the finite ring a symbol model wraps onto, and the boundary-XY zz
-correlation by Wick contraction, which only the tests read.
+Also the real-space correlation blocks, by residues on the library's pole
+islands and by quadrature, the finite ring a symbol model wraps onto, and
+the boundary-XY zz correlation by Wick contraction, which only the tests
+read.
 """
 import numpy as np
 
 from nessgeom import momentum, numerics
-from nessgeom.errors import DimensionMismatch
+from nessgeom.errors import CriticalAngle, DimensionMismatch
 from nessgeom.gaussian import as_gamma
 from nessgeom.liouvillian import QuadraticLindbladModel
 
@@ -128,6 +130,44 @@ def rotated_xy_dgamma(name, delta, h, theta, mu_minus, mu_plus, phis):
     return pauli_assemble(rotated_xy_dvec(phis, delta, h, theta, q_pol, name))
 
 
+def real_space_correlation(model: momentum.SymbolModel, r: int) -> np.ndarray:
+    """Real-space block ``gamma(r) = sum Res_{z in disk} [z^{r-1} gamma~(z)]``.
+
+    Each non-removable island of ``pole_structure`` contributes the
+    integral of ``z^{r-1} gamma~`` over its own contour, and one small
+    circle around ``z = 0`` adds the origin block (present for small
+    ``r``).  When an island is unresolved or sits on the unit circle, one
+    mid-annulus contour over the whole disk is used instead.
+    """
+    if r < 0:
+        raise DimensionMismatch("r must be a nonnegative integer")
+    islands, roots = momentum.pole_structure(model)
+    if roots is None:
+        raise CriticalAngle("real-space correlation: det xhat vanishes identically")
+
+    def weighted(z):
+        return momentum.gamma_at_points(model, z) * (z ** (r - 1))[:, None, None]
+
+    poles = [isl for isl in islands if not isl.removable]
+    if any(not isl.resolved or isl.side == 0 for isl in poles):
+        return momentum._residue_sum_unit_disk(
+            weighted,
+            roots,
+            momentum._symbol_scale(model),
+            "real-space correlation: non-removable pole on the unit circle",
+        )
+    total = np.zeros((2, 2), dtype=complex)
+    for isl in poles:
+        total += momentum._contour_integral(weighted, isl.center, isl.radius)[0]
+    # the origin circle runs midway between the origin block and the nearest island
+    radii = np.abs(roots)
+    origin = radii[radii < momentum.ORIGIN_RADIUS]
+    away = radii[radii >= momentum.ORIGIN_RADIUS]
+    radius = 0.5 * (max([0.0, *origin]) + min([1.0, *away]))
+    total += momentum._contour_integral(weighted, 0.0, radius)[0]
+    return total
+
+
 def real_space_correlation_quadrature(model, r: int, tol: float = 1e-10) -> np.ndarray:
     """``gamma(r) = (1/2 pi) int gamma~(phi) e^{i phi r} dphi`` by trapezoid doubling,
     independent of the rational continuation and its pole structure."""
@@ -165,7 +205,9 @@ def to_lindblad_model(model: momentum.SymbolModel, n_cells: int) -> QuadraticLin
                 s = (r + u) % n_cells
                 vec[2 * s : 2 * s + 2] += l2
             jumps.append(vec)
-    return QuadraticLindbladModel(n_modes=n_cells, h=0.5 * (h - h.T), jumps=tuple(jumps))
+    h = 0.5 * (h - h.T)
+    assert not np.any(h.real), "Hamiltonian blocks must be Hermitian antisymmetric"
+    return QuadraticLindbladModel(n_modes=n_cells, h_im=h.imag, jumps=tuple(jumps))
 
 
 def boundary_xy_zz_correlation(gamma, j: int, k: int) -> float:

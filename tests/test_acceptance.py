@@ -8,7 +8,12 @@ import pytest
 
 from nessgeom import gaussian, geometry, liouvillian, models, momentum, numerics, oracle
 
-from conftest import rand_antisym, rand_gamma_family, rand_stable_model
+from conftest import (
+    rand_antisym,
+    rand_gamma_family,
+    rand_stable_model,
+    xy_scalar_curvature_numeric,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -61,7 +66,7 @@ def test_03_xy_thermodynamic_metric():
     metric_ok = max(devs.values()) <= 0.01 and comps["g_hh"] == pytest.approx(1 / 6)
     curv_devs = []
     for delta, h in ((0.5, 0.5), (0.8, 0.2), (1.2, 0.3)):
-        numeric = models.xy_scalar_curvature_numeric(delta, h)
+        numeric = xy_scalar_curvature_numeric(delta, h)
         curv_devs.append(abs(numeric / (-8.0 / abs(delta)) - 1.0))
     curv_ok = max(curv_devs) <= 0.02
     _report(3, "XY thermodynamic metric", metric_ok and curv_ok,
@@ -75,7 +80,7 @@ def test_04_berry_phase_topology():
     for _ in range(40):
         delta = float(rng.uniform(0.05, 0.9))
         h = float(rng.uniform(-1.5, 1.5))
-        val = models.xy_relative_phase(thermodynamic=True, delta=delta, h=h)
+        val = models.xy_thermodynamic_relative_phase(delta=delta, h=h)
         d2 = delta * delta
         if abs(h) > 1 - d2:
             expect = 0.0
@@ -88,7 +93,7 @@ def test_04_berry_phase_topology():
     finite_devs = []
     for delta, h in ((0.5, 1.4), (0.3, 1.2), (0.3, 0.0), (0.6, 0.0)):
         fin = models.xy_relative_phase(models.XYParams(delta=delta, h=h, n=512))
-        thermo = models.xy_relative_phase(thermodynamic=True, delta=delta, h=h)
+        thermo = models.xy_thermodynamic_relative_phase(delta=delta, h=h)
         finite_devs.append(abs((fin - thermo + np.pi) % (2 * np.pi) - np.pi))
     finite_ok = max(finite_devs) <= 1e-3
     _report(4, "Berry phase topology", formula_ok and finite_ok,

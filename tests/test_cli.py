@@ -371,10 +371,21 @@ class TestConfigAndMain:
           "--grid", "n=4:5:0.5", "--quantities", "gap"], "must be a whole number"),
         (["geometry", "--model", "boundary_xy", "--set", "n=6.5"], "must be a whole number"),
         (["spectrum", "--model", "rotated_xy", "--set", "h=high"], "'h' must be a number"),
-    ], ids=["text-value", "fractional-n", "fractional-n-grid", "geometry", "spectrum"])
+        (["sweep", "--model", "reservoir_chain", "--grid", "lam=0.5:0.5:1", "--set", "theta=nan",
+          "--quantities", "gap,xi,muc", "--jobs", "1"], "parameter 'theta' must be finite, got nan"),
+        (["geometry", "--model", "boundary_xy", "--set", "n=6", "--set", "delta=inf"],
+         "parameter 'delta' must be finite, got inf"),
+        (["sweep", "--model", "boundary_xy", "--set", "n=6", "--grid", "h=0:inf:0.1",
+          "--quantities", "gap", "--jobs", "1"], "axis h: start, stop and step must be finite"),
+        (["sweep", "--model", "boundary_xy", "--set", "n=6", "--grid", "h=0:1:nan",
+          "--quantities", "gap", "--jobs", "1"], "axis h: start, stop and step must be finite"),
+    ], ids=["text-value", "fractional-n", "fractional-n-grid", "geometry", "spectrum",
+            "nan-set", "inf-set", "inf-grid-stop", "nan-grid-step"])
     def test_bad_parameter_values_rejected(self, tmp_path, capsys, argv, message):
         # refused when the spec is read, not as an error class in every cell
-        # (a fractional n used to run int(n) sites under a header recording n)
+        # (a fractional n used to run int(n) sites under a header recording n;
+        # theta=nan printed CriticalAngle in every cell, delta=inf a
+        # ConvergenceFailure, and a non-finite grid bound died in np.arange)
         out = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from nessgeom import gaussian, geometry, liouvillian, models, numerics, oracle
 from nessgeom.errors import (
+    DimensionMismatch,
     EmptyJumps,
     InstabilityDetected,
     NotReal,
@@ -17,7 +18,7 @@ def dense_from_model(model):
     n = model.n_modes
     w = gaussian.majorana_operators(n)
     h_dense = sum(
-        model.h[j, k] * w[j] @ w[k] for j in range(2 * n) for k in range(2 * n)
+        1j * model.h_im[j, k] * w[j] @ w[k] for j in range(2 * n) for k in range(2 * n)
     )
     jump_ops = [sum(l[j] * w[j] for j in range(2 * n)) for l in model.jumps]
     return h_dense, jump_ops
@@ -33,7 +34,7 @@ class TestBathAndShapes:
     def test_single_unit_vector(self):
         # M = e_1 e_1^T: X = 4 Re M, and a real M has no source
         model = liouvillian.QuadraticLindbladModel(
-            n_modes=1, h=np.zeros((2, 2)), jumps=(np.array([1.0, 0.0]),)
+            n_modes=1, h_im=np.zeros((2, 2)), jumps=(np.array([1.0, 0.0]),)
         )
         s = liouvillian.shape_matrices(model)
         np.testing.assert_array_equal(s.x, np.diag([4.0, 0.0]))
@@ -41,11 +42,22 @@ class TestBathAndShapes:
 
     def test_real_jumps_have_real_bath(self, rng):
         jumps = tuple(rng.normal(size=4) for _ in range(3))
-        model = liouvillian.QuadraticLindbladModel(n_modes=2, h=np.zeros((4, 4)), jumps=jumps)
+        model = liouvillian.QuadraticLindbladModel(n_modes=2, h_im=np.zeros((4, 4)), jumps=jumps)
         assert np.max(np.abs(liouvillian.shape_matrices(model).b)) < 1e-14
 
+    def test_kernel_must_be_real_antisymmetric(self, rng):
+        # H is Hermitian antisymmetric, so purely imaginary: the model takes Im H
+        a, jumps = rand_antisym(rng, 4), (rng.normal(size=4),)
+        for complex_kernel in (1j * a, a.astype(complex)):
+            with pytest.raises(NotReal, match="h_im"):
+                liouvillian.QuadraticLindbladModel(n_modes=2, h_im=complex_kernel, jumps=jumps)
+        with pytest.raises(DimensionMismatch, match="antisymmetric"):
+            liouvillian.QuadraticLindbladModel(n_modes=2, h_im=a + 1e-6 * np.eye(4), jumps=jumps)
+        with pytest.raises(DimensionMismatch, match="4x4"):
+            liouvillian.QuadraticLindbladModel(n_modes=2, h_im=a[:2, :2], jumps=jumps)
+
     def test_empty_rejected(self):
-        model = liouvillian.QuadraticLindbladModel(n_modes=1, h=np.zeros((2, 2)), jumps=())
+        model = liouvillian.QuadraticLindbladModel(n_modes=1, h_im=np.zeros((2, 2)), jumps=())
         with pytest.raises(EmptyJumps):
             liouvillian.shape_matrices(model)
 
@@ -55,7 +67,7 @@ class TestBathAndShapes:
         m = bath_matrix(model.jumps)
         assert s.x.dtype == s.b.dtype == np.float64
         np.testing.assert_allclose(s.x + s.x.T, 8 * np.real(m), atol=1e-10)
-        np.testing.assert_allclose(s.x, np.real(4 * (1j * model.h + np.real(m))), atol=1e-13)
+        np.testing.assert_allclose(s.x, 4 * (np.real(m) - model.h_im), atol=1e-13)
         np.testing.assert_allclose(s.b, -8 * np.imag(m), atol=1e-13)
         assert np.array_equal(s.b, -s.b.T)
         assert np.array_equal(s.y, 1j * s.b)
@@ -64,7 +76,7 @@ class TestBathAndShapes:
     def test_hamiltonian_free_real_jumps_maximally_mixed(self, rng):
         # enough real jumps to make the drift full rank: unique Gamma = 0
         jumps = tuple(rng.normal(size=6) for _ in range(6))
-        model = liouvillian.QuadraticLindbladModel(n_modes=3, h=np.zeros((6, 6)), jumps=jumps)
+        model = liouvillian.QuadraticLindbladModel(n_modes=3, h_im=np.zeros((6, 6)), jumps=jumps)
         s = liouvillian.shape_matrices(model)
         np.testing.assert_allclose(s.b, 0.0, atol=1e-14)
         cov = liouvillian.ness_covariance(s)
@@ -79,7 +91,9 @@ class TestBathAndShapes:
             v[2 * j] = 0.5
             v[2 * j + 1] = -0.5j
             jumps.append(np.sqrt(0.8) * v)
-        model = liouvillian.QuadraticLindbladModel(n_modes=n, h=np.zeros((4, 4)), jumps=tuple(jumps))
+        model = liouvillian.QuadraticLindbladModel(
+            n_modes=n, h_im=np.zeros((4, 4)), jumps=tuple(jumps)
+        )
         cov = liouvillian.ness_covariance(liouvillian.shape_matrices(model))
         modes = gaussian.eigenmodes(cov.gamma)
         np.testing.assert_allclose(modes.gammas, 1.0, atol=1e-12)
@@ -158,7 +172,7 @@ class TestNess:
         # single decoupled undriven mode: x has a zero pair
         model = liouvillian.QuadraticLindbladModel(
             n_modes=2,
-            h=np.zeros((4, 4)),
+            h_im=np.zeros((4, 4)),
             jumps=(np.array([0.5, -0.5j, 0.0, 0.0]),),
         )
         with pytest.raises(SingularSylvester):
@@ -206,9 +220,7 @@ class TestNessTangents:
         analytic = liouvillian.ness_tangents(shape, [dx], [db], cov.gamma)
 
         def gamma_of(lam):
-            return numerics.solve_continuous_lyapunov(
-                shape.x + lam[0] * dx, 1j * (shape.b + lam[0] * db)
-            )
+            return 1j * numerics.LyapunovSolver(shape.x + lam[0] * dx).solve(shape.b + lam[0] * db)
 
         fd = geometry.tangents_finite_difference(gamma_of, np.zeros(1))
         assert np.max(np.abs(fd.d_gamma[0] - analytic.d_gamma[0])) < 1e-6
@@ -318,8 +330,9 @@ class TestSpectrumAgainstClosedForms:
         for l in model.jumps:
             by_hand += np.outer(l, l.conj())
         # the real assembly on each jump's support matches the complex sum bit for bit
-        assert np.array_equal(s.x, np.real(4.0 * (1j * model.h + np.real(by_hand))))
-        assert np.array_equal(s.b, np.imag(numerics.hermitize_antisymmetric(-8j * np.imag(by_hand))))
+        assert np.array_equal(s.x, 4.0 * (np.real(by_hand) - model.h_im))
+        b = -8.0 * np.imag(by_hand)
+        assert np.array_equal(s.b, 0.5 * (b - b.T))
         # the bath (and so the source) has support only on the edge sites
         assert np.max(np.abs(by_hand[2:6, :])) == 0.0
         assert np.max(np.abs(s.b[2:6, :])) == 0.0

