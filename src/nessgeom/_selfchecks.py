@@ -294,6 +294,9 @@ ALL_CHECKS = [
 
 
 def run_all(seed=0, cases=10, convention_flip=False):
+    """Each check's ``(name, passed, detail)``.  ``convention_flip`` flips the
+    sign of the Lyapunov source in the dense anchor check, which must then
+    fail (a negative control)."""
     results = []
     if cases <= 0:
         return results

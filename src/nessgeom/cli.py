@@ -14,6 +14,7 @@ import argparse
 import configparser
 import inspect
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -62,13 +63,20 @@ SYMBOL_MODELS = {
 MUC_KEYS = ("muc_pair", "muc_mode")
 
 
-def _check_params(model_name: str, params: dict) -> None:
+def _check_params(model_name: str, params: dict, axes=()) -> None:
     """Refuse, before any cell runs, a key the model does not take (a field
     of ``BoundaryXYParams``, or a symbol builder's parameter or one of the
     MUC keys), a value of a numeric key that is not a finite number, and a
-    boundary_xy ``n`` that is missing or not a whole number.  A value may be
-    the array of a grid axis."""
+    boundary_xy ``n`` that is missing or not a whole number.  ``axes`` pairs
+    each grid axis name with its values; a name given twice is refused,
+    since the header would record a value the cells did not use."""
     from . import models
+
+    for name, values in axes:
+        if name in params:
+            raise BadSpec(f"parameter {name!r} is given twice; name it in one --set, "
+                          f"--grid or --sizes only")
+        params = {**params, name: values}
 
     if model_name == "boundary_xy":
         accepted = tuple(f.name for f in fields(models.BoundaryXYParams))
@@ -188,15 +196,15 @@ class SweepSpec:
     def validate(self):
         if not self.axes:
             raise BadSpec("sweep needs at least one --grid axis")
-        if not self.quantities:
-            raise BadSpec("sweep needs --quantities")
         for name, start, stop, step in self.axes:
             if not np.all(np.isfinite((start, stop, step))):
                 raise BadSpec(f"axis {name}: start, stop and step must be finite, "
                               f"got {start!r}:{stop!r}:{step!r}")
             if step <= 0:
                 raise BadSpec(f"axis {name}: step must be positive")
-        _check_params(self.model, {**self.fixed, **{a[0]: _axis(*a[1:]) for a in self.axes}})
+        _check_params(self.model, self.fixed, [(a[0], _axis(*a[1:])) for a in self.axes])
+        if not self.quantities:
+            raise BadSpec("sweep needs --quantities")
         allowed = FINITE_QUANTITIES if self.model == "boundary_xy" else SYMBOL_QUANTITIES
         for q in self.quantities:
             if q not in allowed:
@@ -224,24 +232,15 @@ class ScalingSpec:
             raise BadSpec("scaling needs at least 4 sizes")
         if list(self.sizes) != sorted(self.sizes):
             raise BadSpec("sizes must be ascending")
-        if not self.quantities:
-            raise BadSpec("scaling needs --quantities")
         if self.model != "boundary_xy":
             raise BadSpec("finite-size scaling is defined for the boundary_xy model")
         # the sizes are the n of each run
-        _check_params(self.model, {**self.fixed, "n": np.asarray(self.sizes)})
+        _check_params(self.model, self.fixed, [("n", np.asarray(self.sizes))])
+        if not self.quantities:
+            raise BadSpec("scaling needs --quantities")
 
 
 # --- output ------------------------------------------------------------------------
-
-
-def _csv_header(spec_kind: str, model: str, fixed: dict) -> list[str]:
-    fixed_txt = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(fixed.items()))
-    return [
-        f"# nessgeom {spec_kind} v{__version__}",
-        f"# model: {model}",
-        f"# fixed: {fixed_txt}",
-    ]
 
 
 def _write_text(path: str | None, text: str):
@@ -255,47 +254,42 @@ def _write_text(path: str | None, text: str):
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _run_cells(tasks: list, jobs: int, chunksize: int) -> list[dict]:
-    """Each task's row, in order; on ``jobs`` worker processes when ``jobs > 1``."""
-    if jobs <= 1:
+def _run_grid(spec, names: list, points, chunksize: int) -> list[dict]:
+    """Each grid row's results, in order, on ``spec.jobs`` worker processes
+    when that is above 1.  A cell takes ``spec.fixed`` plus the row's value
+    of each axis in ``names`` (``validate`` refuses a name given twice)."""
+    tasks = [(spec.model, {**spec.fixed, **{k: float(v) for k, v in zip(names, row)}},
+              spec.quantities) for row in points]
+    if spec.jobs <= 1:
         return [_worker(t) for t in tasks]
     # imported here: the pool loads multiprocessing, which a serial run never uses
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
         return list(pool.map(_worker, tasks, chunksize=chunksize))
+
+
+def _csv_table(kind: str, spec, names: list, points, results: list[dict]) -> str:
+    """A ``#`` header (version, model, fixed parameters), then one line per grid row."""
+    fixed = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(spec.fixed.items()))
+    lines = [f"# nessgeom {kind} v{__version__}", f"# model: {spec.model}", f"# fixed: {fixed}",
+             ",".join([*names, *spec.quantities])]
+    for row, res in zip(points, results):
+        lines.append(",".join([_fmt(v) for v in row] + [_fmt(res[q]) for q in spec.quantities]))
+    return "\n".join(lines) + "\n"
 
 
 def run_sweep(spec: SweepSpec) -> str:
     spec.validate()
     names, points = spec.grid()
-    tasks = []
-    for row in points:
-        params = dict(spec.fixed)
-        params.update({name: float(v) for name, v in zip(names, row)})
-        tasks.append((spec.model, params, spec.quantities))
-    results = _run_cells(tasks, spec.jobs, chunksize=8)
+    results = _run_grid(spec, names, points, chunksize=8)
     if spec.fmt == "json":
-        rows = []
-        for row, res in zip(points, results):
-            record = {name: _fmt(v) for name, v in zip(names, row)}
-            record.update({q: _fmt(res[q]) for q in spec.quantities})
-            rows.append(record)
-        text = _json_text(
-            {
-                "model": spec.model,
-                "fixed": {k: spec.fixed[k] for k in sorted(spec.fixed)},
-                "rows": rows,
-            }
-        )
-        _write_text(spec.out, text)
-        return text
-    lines = _csv_header("sweep", spec.model, spec.fixed)
-    lines.append(",".join(list(names) + list(spec.quantities)))
-    for row, res in zip(points, results):
-        cells = [_fmt(v) for v in row] + [_fmt(res[q]) for q in spec.quantities]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+        rows = [{**{name: _fmt(v) for name, v in zip(names, row)},
+                 **{q: _fmt(res[q]) for q in spec.quantities}}
+                for row, res in zip(points, results)]
+        text = _json_text({"model": spec.model, "fixed": spec.fixed, "rows": rows})
+    else:
+        text = _csv_table("sweep", spec, names, points, results)
     _write_text(spec.out, text)
     return text
 
@@ -304,17 +298,10 @@ def run_scaling(spec: ScalingSpec) -> tuple[str, str]:
     from .numerics import fit_power_law
 
     spec.validate()
-    tasks = []
-    for n in spec.sizes:
-        params = dict(spec.fixed)
-        params["n"] = int(n)
-        tasks.append((spec.model, params, spec.quantities))
-    results = _run_cells(tasks, spec.jobs, chunksize=1)
-    lines = _csv_header("scaling", spec.model, spec.fixed)
-    lines.append(",".join(["n"] + list(spec.quantities)))
-    for n, res in zip(spec.sizes, results):
-        lines.append(",".join([str(int(n))] + [_fmt(res[q]) for q in spec.quantities]))
-    csv_text = "\n".join(lines) + "\n"
+    # the sizes are one grid axis, n
+    points = [(n,) for n in spec.sizes]
+    results = _run_grid(spec, ["n"], points, chunksize=1)
+    csv_text = _csv_table("scaling", spec, ["n"], points, results)
     fits = {}
     for q in spec.quantities:
         samples = [
@@ -338,36 +325,17 @@ def run_scaling(spec: ScalingSpec) -> tuple[str, str]:
         }
     report = {
         "model": spec.model,
-        "fixed": {k: spec.fixed[k] for k in sorted(spec.fixed)},
+        "fixed": spec.fixed,
         "sizes": [int(n) for n in spec.sizes],
         "fit_window": [int(spec.sizes[0]), int(spec.sizes[-1])],
         "fits": fits,
         "samples": {q: [_json_value(res[q]) for res in results] for q in spec.quantities},
     }
     json_text = _json_text(report)
-    if spec.out:
-        base = spec.out[:-4] if spec.out.endswith(".csv") else spec.out
-        _write_text(base + ".csv", csv_text)
-        _write_text(base + ".json", json_text)
-    else:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(json_text)
+    base = spec.out[:-4] if spec.out and spec.out.endswith(".csv") else spec.out
+    for ext, text in ((".csv", csv_text), (".json", json_text)):
+        _write_text(base + ext if base else None, text)
     return csv_text, json_text
-
-
-# --- oracle suite --------------------------------------------------------------------
-
-
-def run_oracle_suite(seed: int = 0, cases: int = 10, convention_flip: bool = False) -> list[tuple[str, bool, str]]:
-    """Randomized cross-module equivalence checks with recorded seeds.
-
-    ``convention_flip`` is a test hook that deliberately flips the sign of
-    the Lyapunov source in the dense anchor check; the suite must then
-    report that check as failed (negative control).
-    """
-    from . import _selfchecks
-
-    return _selfchecks.run_all(seed=seed, cases=cases, convention_flip=convention_flip)
 
 
 # --- geometry / spectrum single-point reports ----------------------------------------
@@ -377,7 +345,7 @@ def run_geometry(model: str, params: dict) -> dict:
     if model != "boundary_xy":
         raise BadSpec("geometry report is defined for the boundary_xy model")
     _check_params(model, params)
-    return _boundary_xy_point(params, ("gap", "gmax", "detg", "muc", "R", "purity"))
+    return _boundary_xy_point(params, FINITE_QUANTITIES)
 
 
 def run_spectrum(model: str, params: dict) -> dict:
@@ -427,41 +395,60 @@ def _parse_grid(items) -> list:
     return axes
 
 
-def _load_config(path: str | None, section: str) -> dict:
-    if path is None:
-        return {}
+_POINT_FLAGS = (
+    ("--model", {"default": "boundary_xy"}),
+    ("--set", {"action": "append", "metavar": "key=value"}),
+    ("--out", {}),
+    ("--config", {"help": "INI file whose [subcommand] section sets flags by long name"}),
+)
+_RUN_FLAGS = (
+    *_POINT_FLAGS,
+    ("--quantities", {"default": "", "metavar": "gap,gmax,muc"}),
+    ("--jobs", {"type": int, "help": "worker pool width (default: available cores)"}),
+)
+# each subcommand's help text and flags; a config file's keys are these flags
+_SUBCOMMANDS = {
+    "sweep": ("grid sweep to CSV", (
+        *_RUN_FLAGS,
+        ("--grid", {"action": "append", "metavar": "axis=start:stop:step"}),
+        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    )),
+    "scaling": ("finite-size scaling fits",
+                (*_RUN_FLAGS, ("--sizes", {"default": "", "metavar": "20,40,80"}))),
+    "geometry": ("one-point geometry report", _POINT_FLAGS),
+    "spectrum": ("gap report at one point", _POINT_FLAGS),
+    "oracle": ("randomized cross-module self checks", (
+        ("--seed", {"type": int, "default": 0}),
+        ("--cases", {"type": int, "default": 10}),
+        ("--convention-flip", {"action": "store_true", "help": "negative-control hook"}),
+    )),
+}
+
+
+def _config_words(args) -> list[str]:
+    """The ``[command]`` section of ``args.config`` as command-line words.
+
+    Each key is a flag's long name; ``set`` and ``grid`` take comma-separated
+    lists.  The words go before the explicit ones, so an explicit flag wins
+    and ``set`` entries merge key by key, while an explicit ``--grid``
+    replaces the file's axes.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise IoFailure(f"cannot read config file {path}")
-    if section not in parser:
-        return {}
-    return dict(parser[section])
-
-
-def _merge_config(args, section: str):
-    cfg = _load_config(args.config, section)
-    if "model" in cfg and args.model is None:
-        args.model = cfg["model"]
-    if "set" in cfg:
-        merged = _parse_set([s.strip() for s in cfg["set"].split(",") if s.strip()])
-        merged.update(_parse_set(args.set))
-        args._fixed = merged
-    else:
-        args._fixed = _parse_set(args.set)
-    if hasattr(args, "grid"):
-        grids = list(args.grid or [])
-        if not grids and "grid" in cfg:
-            grids = [s.strip() for s in cfg["grid"].split(",") if s.strip()]
-        args._axes = _parse_grid(grids)
-    if hasattr(args, "quantities"):
-        q = args.quantities or cfg.get("quantities")
-        args._quantities = tuple(s.strip() for s in (q or "").split(",") if s.strip())
-    if hasattr(args, "sizes"):
-        s = args.sizes or cfg.get("sizes")
-        args._sizes = tuple(int(x) for x in (s or "").split(",") if x.strip())
-    if getattr(args, "out", None) is None and "out" in cfg:
-        args.out = cfg["out"]
+    if not parser.read(args.config):
+        raise IoFailure(f"cannot read config file {args.config}")
+    if args.command not in parser:
+        return []
+    flags = dict(_SUBCOMMANDS[args.command][1])
+    words = []
+    for key, value in parser[args.command].items():
+        if "--" + key not in flags:
+            raise BadSpec(f"config key {key!r} names no flag of {args.command} "
+                          f"(accepted: {', '.join(f[2:] for f in flags)})")
+        if flags["--" + key].get("action") != "append":
+            words.append(f"--{key}={value}")
+        elif not (key == "grid" and args.grid):
+            words += [f"--{key}={v.strip()}" for v in value.split(",") if v.strip()]
+    return words
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,83 +457,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Geometry of fermionic Gaussian steady states: sweeps, scaling, spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, grid=False, sizes=False):
-        p.add_argument("--model", default=None)
-        p.add_argument("--set", action="append", metavar="key=value")
-        if grid:
-            p.add_argument("--grid", action="append", metavar="axis=start:stop:step")
-            p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        if sizes:
-            p.add_argument("--sizes", metavar="20,40,80")
-        p.add_argument("--quantities", metavar="gap,gmax,muc")
-        p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker pool width (default: available cores)")
-        p.add_argument("--config", default=None)
-
-    common(sub.add_parser("sweep", help="grid sweep to CSV"), grid=True)
-    common(sub.add_parser("scaling", help="finite-size scaling fits"), sizes=True)
-    for name, text in (("geometry", "one-point geometry report"),
-                       ("spectrum", "gap report at one point")):
-        point = sub.add_parser(name, help=text)
-        point.add_argument("--model", default=None)
-        point.add_argument("--set", action="append", metavar="key=value")
-        point.add_argument("--out", default=None)
-        point.add_argument("--config", default=None)
-    orc = sub.add_parser("oracle", help="randomized cross-module self checks")
-    orc.add_argument("--seed", type=int, default=0)
-    orc.add_argument("--cases", type=int, default=10)
-    orc.add_argument("--convention-flip", action="store_true", help="negative-control hook")
+    for command, (text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 
-def main(argv=None) -> int:
-    import os
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            _merge_config(args, "sweep")
-            spec = SweepSpec(
-                model=args.model or "boundary_xy",
-                fixed=args._fixed,
-                axes=args._axes,
-                quantities=args._quantities,
-                out=args.out,
-                jobs=args.jobs or os.cpu_count() or 1,
-                fmt=args.fmt,
-            )
-            run_sweep(spec)
-            return 0
-        if args.command == "scaling":
-            _merge_config(args, "scaling")
-            spec = ScalingSpec(
-                model=args.model or "boundary_xy",
-                fixed=args._fixed,
-                sizes=args._sizes,
-                quantities=args._quantities,
-                out=args.out,
-                jobs=args.jobs or os.cpu_count() or 1,
-            )
-            run_scaling(spec)
-            return 0
-        if args.command in ("geometry", "spectrum"):
-            _merge_config(args, args.command)
-            run = run_geometry if args.command == "geometry" else run_spectrum
-            report = run(args.model or "boundary_xy", args._fixed)
-            _write_text(args.out, _json_text(report))
-            return 0
+        if getattr(args, "config", None):
+            args = parser.parse_args([argv[0], *_config_words(args), *argv[1:]])
         if args.command == "oracle":
-            results = run_oracle_suite(
-                seed=args.seed, cases=args.cases, convention_flip=args.convention_flip
-            )
+            from . import _selfchecks
+
+            results = _selfchecks.run_all(seed=args.seed, cases=args.cases,
+                                          convention_flip=args.convention_flip)
             failed = [name for name, ok, _ in results if not ok]
             for name, ok, detail in results:
                 print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
             print(f"{len(results) - len(failed)}/{len(results)} checks passed")
             return 3 if failed else 0
+        fixed = _parse_set(args.set)
+        if args.command in ("geometry", "spectrum"):
+            run = run_geometry if args.command == "geometry" else run_spectrum
+            _write_text(args.out, _json_text(run(args.model, fixed)))
+            return 0
+        jobs = args.jobs or os.cpu_count() or 1
+        if args.command == "sweep":
+            run_sweep(SweepSpec(args.model, fixed, _parse_grid(args.grid),
+                                _names(args.quantities), args.out, jobs, args.format))
+        else:
+            sizes = tuple(int(n) for n in _names(args.sizes))
+            run_scaling(ScalingSpec(args.model, fixed, sizes, _names(args.quantities),
+                                    args.out, jobs))
     except BadSpec as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 1

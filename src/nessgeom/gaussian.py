@@ -39,10 +39,6 @@ class CovarianceMatrix:
     n_modes: int
     gamma: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.n_modes
-
 
 @dataclass(frozen=True)
 class EigenmodeDecomposition:

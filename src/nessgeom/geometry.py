@@ -56,10 +56,6 @@ class TangentSet:
             raise EvaluationFailure("one tangent matrix per parameter required")
 
     @property
-    def n_params(self) -> int:
-        return len(self.parameters)
-
-    @property
     def d_gamma(self) -> tuple[np.ndarray, ...]:
         """The tangents ``d_mu G`` as (purely imaginary) complex matrices."""
         return tuple(1j * d for d in self.d_a)
@@ -122,7 +118,7 @@ def qgt(gamma, tangents: TangentSet, *, check_rank: bool = True) -> GeometryResu
                     "rank along this direction and the continuity rule does not apply"
                 )
         parts.append((p_re, p_im, q_re, q_im))
-    p = tangents.n_params
+    p = len(tangents.d_a)
     g = np.zeros((p, p))
     u = np.zeros((p, p))
     for mu in range(p):

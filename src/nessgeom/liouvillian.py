@@ -20,9 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import geometry, numerics
+from . import gaussian, geometry, numerics
 from .errors import DimensionMismatch, EmptyJumps, InstabilityDetected
-from . import gaussian
 from .gaussian import CovarianceMatrix, EigenmodeDecomposition, as_gamma, validate
 from .geometry import GeometryResult, TangentSet
 

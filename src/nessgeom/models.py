@@ -23,13 +23,10 @@ from .errors import (
     GridTooSmall,
     OnCriticalSet,
 )
+from .gaussian import _PAULI_X, _PAULI_Y, _PAULI_Z, _kron_chain
 from .geometry import GeometryResult, incompatibility_ratio
 from .liouvillian import QuadraticLindbladModel
 from .momentum import SymbolModel
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 # --- closed XY chain ------------------------------------------------------------
@@ -356,6 +353,15 @@ def _xy_couplings(n: int, xx: float, yy: float, z: float) -> tuple[np.ndarray, .
     return rows[keep], cols[keep], vals[keep]
 
 
+def _edge_jumps(params: BoundaryXYParams) -> list[tuple[int, int, float]]:
+    """``(site, sign, rate)`` of each edge jump ``sqrt(rate) sigma^sign`` with a
+    positive rate: the first site, then the last, each gain (+1) before loss (-1)."""
+    edges = ((0, (params.kappa_l_plus, params.kappa_l_minus)),
+             (params.n - 1, (params.kappa_r_plus, params.kappa_r_minus)))
+    return [(site, sign, rate) for site, rates in edges
+            for sign, rate in zip((1, -1), rates) if rate > 0]
+
+
 def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel:
     """Boundary-driven XY chain as a quadratic Lindblad model.
 
@@ -372,18 +378,11 @@ def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel
     h_im = np.zeros((dim, dim))
     h_im[rows, cols] = -0.5 * vals  # H = -(i/2) K
     jumps = []
-    for site, (kp, km) in ((0, (params.kappa_l_plus, params.kappa_l_minus)),
-                           (n - 1, (params.kappa_r_plus, params.kappa_r_minus))):
-        if kp > 0:
-            vec = np.zeros(dim, dtype=complex)
-            vec[2 * site] = 0.5
-            vec[2 * site + 1] = 0.5j
-            jumps.append(np.sqrt(kp) * vec)  # sigma^+ = c^dag
-        if km > 0:
-            vec = np.zeros(dim, dtype=complex)
-            vec[2 * site] = 0.5
-            vec[2 * site + 1] = -0.5j
-            jumps.append(np.sqrt(km) * vec)  # sigma^- = c
+    for site, sign, rate in _edge_jumps(params):
+        vec = np.zeros(dim, dtype=complex)
+        vec[2 * site] = 0.5
+        vec[2 * site + 1] = 0.5j if sign > 0 else -0.5j  # sigma^+ = c^dag, sigma^- = c
+        jumps.append(np.sqrt(rate) * vec)
     return QuadraticLindbladModel(n_modes=n, h_im=h_im, jumps=tuple(jumps))
 
 
@@ -409,26 +408,16 @@ def boundary_xy_spin_operators(params: BoundaryXYParams) -> tuple[np.ndarray, li
     eye = np.eye(2, dtype=complex)
 
     def site_op(op: np.ndarray, j: int) -> np.ndarray:
-        out = np.array([[1.0]], dtype=complex)
-        for m in range(n):
-            out = np.kron(out, op if m == j else eye)
-        return out
+        return _kron_chain([op if m == j else eye for m in range(n)])
 
     h_dense = np.zeros((2**n, 2**n), dtype=complex)
     for j in range(n - 1):
-        h_dense += 0.5 * (1.0 + params.delta) * site_op(_SX, j) @ site_op(_SX, j + 1)
-        h_dense += 0.5 * (1.0 - params.delta) * site_op(_SY, j) @ site_op(_SY, j + 1)
+        h_dense += 0.5 * (1.0 + params.delta) * site_op(_PAULI_X, j) @ site_op(_PAULI_X, j + 1)
+        h_dense += 0.5 * (1.0 - params.delta) * site_op(_PAULI_Y, j) @ site_op(_PAULI_Y, j + 1)
     for j in range(n):
-        h_dense += params.h * site_op(_SZ, j)
-    splus = 0.5 * (_SX + 1j * _SY)
-    sminus = 0.5 * (_SX - 1j * _SY)
-    jumps = []
-    for site, (kp, km) in ((0, (params.kappa_l_plus, params.kappa_l_minus)),
-                           (n - 1, (params.kappa_r_plus, params.kappa_r_minus))):
-        if kp > 0:
-            jumps.append(np.sqrt(kp) * site_op(splus, site))
-        if km > 0:
-            jumps.append(np.sqrt(km) * site_op(sminus, site))
+        h_dense += params.h * site_op(_PAULI_Z, j)
+    ladder = {1: 0.5 * (_PAULI_X + 1j * _PAULI_Y), -1: 0.5 * (_PAULI_X - 1j * _PAULI_Y)}
+    jumps = [np.sqrt(rate) * site_op(ladder[sign], site) for site, sign, rate in _edge_jumps(params)]
     return h_dense, jumps
 
 

@@ -268,9 +268,10 @@ def uhlmann_loop_phase(
     if np.linalg.norm(pts[0] - pts[-1]) > 0:
         pts.append(pts[0])
     if steps is not None:
+        length = float(sum(np.linalg.norm(b - a) for a, b in zip(pts[:-1], pts[1:]))) or 1.0
         dense_pts = []
         for a, b in zip(pts[:-1], pts[1:]):
-            seg = max(1, int(round(steps * np.linalg.norm(b - a) / _loop_length(pts))))
+            seg = max(1, int(round(steps * np.linalg.norm(b - a) / length)))
             for t in np.linspace(0.0, 1.0, seg, endpoint=False):
                 dense_pts.append(a + t * (b - a))
         dense_pts.append(pts[0])
@@ -292,10 +293,6 @@ def uhlmann_loop_phase(
     w0 = sqrts[0]
     w_last = sqrts[-1] @ u
     return float(np.angle(np.trace(w_last.conj().T @ w0)))
-
-
-def _loop_length(pts) -> float:
-    return float(sum(np.linalg.norm(b - a) for a, b in zip(pts[:-1], pts[1:]))) or 1.0
 
 
 def thermal_state(h_dense: np.ndarray, beta: float) -> DenseState:

@@ -246,23 +246,37 @@ class TestScaling:
 
 
 class TestConfigAndMain:
-    def test_config_file_with_cli_override(self, tmp_path):
+    def test_config_file_with_cli_override(self, tmp_path, monkeypatch):
+        # every flag can be set in the file under its long name; an explicit
+        # flag wins, set entries merge key by key and an explicit --grid
+        # replaces the file's axes
         cfg = tmp_path / "job.ini"
         cfg.write_text(
             "[sweep]\n"
             "model = boundary_xy\n"
             "set = n=6, delta=1.25\n"
             "grid = h=0.3:0.3:0.1\n"
-            "quantities = gap\n",
+            "quantities = gap\n"
+            "format = json\n"
+            "jobs = 1\n",
             encoding="utf-8",
         )
-        out = tmp_path / "out.csv"
-        rc = cli.main(
-            ["sweep", "--config", str(cfg), "--set", "delta=1.0", "--out", str(out)]
-        )
+        specs = []
+        run_sweep = cli.run_sweep
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: specs.append(spec) or run_sweep(spec))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # the default the file's jobs replaces
+        out = tmp_path / "out.json"
+        rc = cli.main(["sweep", "--config", str(cfg), "--set", "delta=1.0",
+                       "--grid", "h=0.4:0.5:0.1", "--out", str(out)])
         assert rc == 0
-        header = out.read_text().splitlines()[2]
-        assert "delta=1" in header  # CLI value overrode the config value
+        report = json.loads(out.read_text())
+        assert report["fixed"] == {"n": 6, "delta": 1}  # CLI value overrode the config value
+        assert [row["h"] for row in report["rows"]] == ["0.40000000000000002", "0.5"]
+        assert specs[-1].jobs == 1
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[2] == "# fixed: delta=1.25,n=6" and lines[4].startswith("0.29999999999999999,")
 
     def test_spectrum_subcommand(self, tmp_path, capsys):
         rc = cli.main(
@@ -413,11 +427,36 @@ class TestConfigAndMain:
         assert out.read_text(encoding="utf-8").splitlines()[2] == "# fixed: n=6"
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # a parameter the model does not take, and a key that names no flag
+        # (a misspelt key used to be ignored silently)
         cfg = tmp_path / "job.ini"
-        cfg.write_text("[sweep]\nmodel = boundary_xy\nset = n=6, delt=1.0\n"
-                       "grid = h=0.3:0.3:0.1\nquantities = gap\n", encoding="utf-8")
-        assert cli.main(["sweep", "--config", str(cfg)]) == 1
-        assert "no parameter 'delt'" in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        for section, message in (
+            ("set = n=6, delt=1.0\nquantities = gap\n", "no parameter 'delt'"),
+            ("set = n=6\nquantites = gap\n",
+             "config key 'quantites' names no flag of sweep (accepted: model, set, out, "
+             "config, quantities, jobs, grid, format)"),
+        ):
+            cfg.write_text(f"[sweep]\nmodel = boundary_xy\ngrid = h=0.3:0.3:0.1\n{section}",
+                           encoding="utf-8")
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["sweep", "--set", "n=4", "--grid", "h=0.2:0.3:0.1", "--grid", "h=0.5:0.5:0.1"], "h"),
+        (["sweep", "--set", "n=4", "--set", "h=0.3", "--grid", "h=0.5:0.5:0.1"], "h"),
+        (["scaling", "--sizes", "4,6,8,10", "--set", "n=3"], "n"),
+    ], ids=["grid-twice", "set-and-grid", "set-and-sizes"])
+    def test_parameter_given_twice_rejected(self, tmp_path, capsys, argv, key):
+        # rows labelled h = 0.2 and 0.3 used to carry the values at h = 0.5,
+        # and the header recorded a fixed value the cells never used
+        out = tmp_path / "out"
+        argv = [*argv, "--model", "boundary_xy", "--quantities", "gap", "--jobs", "1"]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: ") and f"parameter {key!r} is given twice" in err
+        assert not list(tmp_path.iterdir())
 
     def test_oracle_exit_codes(self, capsys):
         assert cli.main(["oracle", "--seed", "3", "--cases", "2"]) == 0
