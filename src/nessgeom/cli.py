@@ -230,12 +230,12 @@ class ScalingSpec:
     def validate(self):
         if len(self.sizes) < 4:
             raise BadSpec("scaling needs at least 4 sizes")
-        if list(self.sizes) != sorted(self.sizes):
-            raise BadSpec("sizes must be ascending")
         if self.model != "boundary_xy":
             raise BadSpec("finite-size scaling is defined for the boundary_xy model")
-        # the sizes are the n of each run
-        _check_params(self.model, self.fixed, [("n", np.asarray(self.sizes))])
+        # the sizes are the n of each run, held to the rule of --set n=...
+        _check_params(self.model, self.fixed, [("n", tuple(self.sizes))])
+        if list(self.sizes) != sorted(self.sizes):
+            raise BadSpec("sizes must be ascending")
         if not self.quantities:
             raise BadSpec("scaling needs --quantities")
 
@@ -371,16 +371,22 @@ def run_spectrum(model: str, params: dict) -> dict:
 # --- argument plumbing ---------------------------------------------------------------
 
 
+def _number(text: str):
+    """``text`` as a float, or stripped when it is none (``_check_params``
+    names a numeric key's text value)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text.strip()
+
+
 def _parse_set(items) -> dict:
     out = {}
     for item in items or ():
         if "=" not in item:
             raise BadSpec(f"--set expects key=value, got {item!r}")
         k, v = item.split("=", 1)
-        try:
-            out[k.strip()] = float(v)
-        except ValueError:
-            out[k.strip()] = v.strip()
+        out[k.strip()] = _number(v)
     return out
 
 
@@ -433,7 +439,8 @@ def _config_words(args) -> list[str]:
     and ``set`` entries merge key by key, while an explicit ``--grid``
     replaces the file's axes.
     """
-    parser = configparser.ConfigParser()
+    # no interpolation: a value is taken as written, "%" included
+    parser = configparser.ConfigParser(interpolation=None)
     if not parser.read(args.config):
         raise IoFailure(f"cannot read config file {args.config}")
     if args.command not in parser:
@@ -452,13 +459,15 @@ def _config_words(args) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no flag prefixes: a flag is named in full, as its config key must be
     parser = argparse.ArgumentParser(
         prog="nessgeom",
         description="Geometry of fermionic Gaussian steady states: sweeps, scaling, spectra.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=text)
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
         for flag, options in flags:
             p.add_argument(flag, **options)
     return parser
@@ -495,7 +504,7 @@ def main(argv=None) -> int:
             run_sweep(SweepSpec(args.model, fixed, _parse_grid(args.grid),
                                 _names(args.quantities), args.out, jobs, args.format))
         else:
-            sizes = tuple(int(n) for n in _names(args.sizes))
+            sizes = tuple(_number(n) for n in _names(args.sizes))
             run_scaling(ScalingSpec(args.model, fixed, sizes, _names(args.quantities),
                                     args.out, jobs))
     except BadSpec as exc:

@@ -109,6 +109,18 @@ def _schur_pairs(b: np.ndarray, w: np.ndarray, cols: slice, tol: float) -> None:
     b[cols, cols] = t[np.ix_(perm, perm)]
 
 
+def _lower_gram(a: np.ndarray, block: int = 256) -> np.ndarray:
+    """``A^T A`` as a Fortran-ordered array that ``eigh`` can overwrite, with
+    the lower triangle of the C-ordered product on both sides: the numbers
+    LAPACK read from the copy it used to make, without that d x d copy."""
+    m = _matmul(a.T, a)
+    for i in range(0, m.shape[0], block):
+        j = i + block
+        m[i:j, j:] = m[j:, i:j].T
+        m[i:j, i:j] = np.tril(m[i:j, i:j]) + np.tril(m[i:j, i:j], -1).T
+    return m.T
+
+
 def real_eigenmodes(a: np.ndarray) -> EigenmodeDecomposition:
     """Canonical form of ``G = i A`` from the real antisymmetric ``A``.
 
@@ -133,7 +145,7 @@ def real_eigenmodes(a: np.ndarray) -> EigenmodeDecomposition:
     # "evd" is the divide and conquer that numpy's eigh runs
     from scipy.linalg import eigh
 
-    _, w = eigh(_matmul(a.T, a), driver="evd")
+    _, w = eigh(_lower_gram(a), driver="evd", overwrite_a=True)
     b = _matmul(w.T, _matmul(a, w))
     tol = 1e-12 * max(1.0, np.max(np.abs(a)))
     coupled = np.maximum(

@@ -131,27 +131,28 @@ def gap_report(x: np.ndarray) -> GapReport:
     """Dissipative gap, Sylvester gap and Liouvillian gap of the drift, all
     read from one real Schur factorization ``X = U T U^T``.
 
-    The Sylvester gap ``min |x_i + x_j|`` is the solver's ``pair_min``.
+    The Sylvester gap ``min |x_i + x_j|`` is the solver's ``pair_min`` rule.
     For the Liouvillian gap each 2x2 block of ``T`` is one conjugate pair,
     whose sum is the block's trace, and each 1x1 block a real eigenvalue
     ``x`` contributing ``2x`` (its singleton occupations belong to the
     odd-parity sector), which is why the three notions coincide.  ``U`` is
     orthogonal, so the eigenvector condition of ``T`` is that of ``X``.
+    The report takes the Schur path whatever the drift.
     """
-    solver = numerics.LyapunovSolver(x)
-    eigs = solver.spectrum
+    schur = numerics._SchurFactor(np.real(numerics._as_square(x, "x")))
+    eigs = schur.spectrum
     lowest = float(np.min(np.real(eigs)))
     if lowest < -1e-8 * max(np.max(np.abs(eigs)), 1e-300):
         raise InstabilityDetected(f"drift spectrum has Re x = {lowest:.3e} < 0; model unstable")
-    diag = np.diagonal(solver.t)
-    pairs = np.flatnonzero(np.diagonal(solver.t, -1))
+    diag = np.diagonal(schur.t)
+    pairs = np.flatnonzero(np.diagonal(schur.t, -1))
     single = np.ones(diag.size, dtype=bool)
     single[pairs] = single[pairs + 1] = False
     pair_sums = np.concatenate((2.0 * diag[single], diag[pairs] + diag[pairs + 1]))
-    _, cond = numerics.general_eigendecomposition(solver.t)
+    _, cond = numerics.general_eigendecomposition(schur.t)
     return GapReport(
         delta=2.0 * lowest,
-        delta_xhat=solver.pair_min,
+        delta_xhat=numerics._pair_min(eigs),
         delta_liouville=float(np.min(pair_sums)),
         spectrum=np.sort_complex(eigs),
         condition_estimate=cond,
@@ -171,11 +172,10 @@ def _slope_product(dx, a: np.ndarray) -> np.ndarray:
     """``P = dX A`` from the nonzeros of the real ``dX``: a triple
     ``(rows, cols, vals)``, or a dense matrix read through ``np.nonzero``.
 
-    Pass ``s`` adds the s-th nonzero of every row, ``P[r] += v A[c]``, so
-    each row takes its terms in column order and no row twice in one pass.
-    For slopes with at most two nonzeros per row and exact products (the
-    boundary-XY slopes are +-1 and +-2) this is the GEMM's result bit for
-    bit, at the cost of a gather per pass instead of a d x d x d product.
+    :func:`numerics._sparse_product` adds each row's terms in column order,
+    so for slopes with exact products (the boundary-XY slopes are +-1 and
+    +-2) this is the GEMM's result bit for bit, at the cost of a gather per
+    nonzero of the widest row instead of a d x d x d product.
     """
     if isinstance(dx, tuple):
         rows, cols, vals = (np.asarray(v) for v in dx)
@@ -184,16 +184,7 @@ def _slope_product(dx, a: np.ndarray) -> np.ndarray:
         dx = numerics._real(dx, "dX")
         rows, cols = np.nonzero(dx)
         vals = dx[rows, cols]
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    p = np.zeros_like(a)
-    for s in range(rank.max(initial=-1) + 1):
-        k = rank == s
-        term = a[cols[k]]
-        term *= vals[k, None]
-        p[rows[k]] += term
-    return p
+    return numerics._sparse_product(numerics._padded_rows(rows, cols, vals, a.shape[0]), a)
 
 
 def _tangent_source(a: np.ndarray, dx, db) -> np.ndarray:
@@ -230,7 +221,7 @@ def ness_tangents(
 ) -> TangentSet:
     """Steady-state tangents along the real directions ``(dX, dB = Im dY)``.
 
-    Every tangent is solved on one Schur factorization of ``X``.
+    Every tangent is solved on one factorization of ``X``.
     """
     if len(dxs) != len(dbs):
         raise DimensionMismatch("need matching dX and dB lists")
@@ -253,8 +244,9 @@ def point_geometry(
     ``dX`` dense or as its nonzeros ``(rows, cols, vals)``, ``dB`` dense or
     None where the source does not move.
 
-    The stage order holds the fewest d x d arrays: the Schur factorization
-    ``X = U T U^T``, the steady state ``A`` and the tangents on it; then,
+    The stage order holds the fewest d x d arrays: the factorization of
+    ``X`` (see :class:`numerics.LyapunovSolver`), the steady state ``A`` and
+    the tangents on it; then,
     with ``b`` and the factorization released, the frame of ``G = iA`` and
     the QGT.  A caller that does not keep ``shape`` lets ``b`` and ``x`` go.
 

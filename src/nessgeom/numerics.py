@@ -1,7 +1,8 @@
 """Dense linear-algebra and analysis kernels.
 
 Continuous Lyapunov solves (Schur-based, so defective drift matrices need no
-special casing), eigendecompositions, polynomial roots with cluster
+special casing, or in the eigenbasis of a boundary-driven drift, built from
+its kernel's normal modes), eigendecompositions, polynomial roots with cluster
 detection, periodic quadrature with point doubling, and log-log power-law
 fits.  All tolerances are relative to input norms with an absolute floor of
 1e-14.
@@ -29,21 +30,22 @@ from .errors import (
 ABS_FLOOR = 1e-14
 
 # Every d x d product and norm of a chain point runs on scipy's BLAS, the
-# library its Schur factorization and ``trsyl`` must use: numpy bundles a
+# library its LAPACK factorizations and ``trsyl`` must use: numpy bundles a
 # second OpenBLAS whose worker threads, once woken by a numpy GEMM or norm,
 # keep spinning and slow the next LAPACK call down by up to 40%.
 #
 # scipy.linalg takes about 0.3 s to import and the symbol path never calls
 # it, so it is imported on the first dense call: until then each handle
-# below is a stub that binds all three and runs the real routine, and after
+# below is a stub that binds all of them and runs the real routine, and after
 # that the globals are scipy's own wrappers.
 
 
 def _bind_scipy_handles() -> None:
-    global _gemm, _nrm2, _trsyl
+    global _gemm, _zgemm, _nrm2, _trsyl
     import scipy.linalg as sla
 
     _gemm = sla.get_blas_funcs("gemm", dtype=np.float64)
+    _zgemm = sla.get_blas_funcs("gemm", dtype=np.complex128)
     _nrm2 = sla.get_blas_funcs("nrm2", dtype=np.float64)
     _trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
 
@@ -56,7 +58,8 @@ def _first_call(name: str) -> Callable:
     return stub
 
 
-_gemm, _nrm2, _trsyl = _first_call("_gemm"), _first_call("_nrm2"), _first_call("_trsyl")
+_gemm, _zgemm = _first_call("_gemm"), _first_call("_zgemm")
+_nrm2, _trsyl = _first_call("_nrm2"), _first_call("_trsyl")
 
 
 def _transposed_operand(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -68,8 +71,9 @@ def _transposed_operand(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """Real ``a @ b`` on scipy's BLAS as a C-ordered array; with ``c``, the
+    """``a @ b`` on scipy's BLAS as a C-ordered array; with ``c``, the real
     update ``c -= a @ b`` in place (``c`` must not overlap ``a`` or ``b``).
+    A complex operand makes it ``zgemm``, which takes a copy of a real one.
 
     ``gemm`` is column-major, so it forms ``(a b)^T = b^T a^T``, whose
     column-major result is ``a b`` in row-major order.
@@ -77,7 +81,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.nda
     bt, trans_b = _transposed_operand(b)
     at, trans_a = _transposed_operand(a)
     if c is None:
-        return _gemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
+        gemm = _zgemm if "c" in (a.dtype.kind, b.dtype.kind) else _gemm
+        return gemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
     if not c.size:
         return c
     ct = c.T
@@ -227,33 +232,445 @@ def _solve_antisymmetric_lyapunov(t: np.ndarray, c: np.ndarray) -> None:
     c[k:, :k] = -z12.T
 
 
-class LyapunovSolver:
-    """Schur-factored solver for ``X A + A X^T = B`` with a fixed real drift.
+def _pair_min(spectrum: np.ndarray, block: int = 64) -> float:
+    """Sylvester gap ``min |x_i + x_j|`` over all pairs of the spectrum, a
+    block of rows at a time."""
+    return float(min(np.min(np.abs(spectrum[i:i + block, None] + spectrum))
+                     for i in range(0, spectrum.size, block)))
 
-    ``G = iA`` solves ``X G + G X^T = Y`` for the Hermitian antisymmetric,
-    hence purely imaginary, source ``Y = iB``, so the solve runs in real
-    arithmetic on the real antisymmetric ``B`` and ``A``.  The
-    Bartels-Stewart back-substitution runs on the real Schur form, so a
-    defective (Jordan-like) drift needs no special casing.  Factoring once
-    and reusing the triangular solve is what makes steady state plus tangent
-    sweeps cheap.
+
+def _padded_rows(rows, cols, vals, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros ``(rows, cols, vals)`` of a d-row matrix as ``(cols, vals)``,
+    each d x k: row r's nonzeros in column order, then zeros up to the widest
+    row's count k."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    width = int(rank.max(initial=-1)) + 1
+    padded_cols = np.zeros((d, width), dtype=np.intp)
+    padded_vals = np.zeros((d, width))
+    padded_cols[rows, rank], padded_vals[rows, rank] = cols, vals
+    return padded_cols, padded_vals
+
+
+def _sparse_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_padded_rows` of a real x with at most eight nonzeros in every
+    row (the boundary-XY drift has three), else None."""
+    if x.size and np.max(np.count_nonzero(x, axis=1)) > 8:
+        return None
+    rows, cols = np.nonzero(x)
+    return _padded_rows(rows, cols, x[rows, cols], x.shape[0])
+
+
+def _sparse_product(padded: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
+    """``S a`` for the sparse real S of :func:`_padded_rows`, a block of rows
+    at a time, so no temporary holds more than 2^15 entries.
+
+    Pass ``s`` adds each row's s-th nonzero, ``P[r] += v a[c]``, so every row
+    takes its terms in column order after a zero start; a padding term adds
+    ``0 a[0]``, which leaves every finite sum as it was.  For exact products
+    (slopes of +-1 and +-2) this is the GEMM's result bit for bit.
     """
+    cols, vals = padded
+    p = np.zeros((cols.shape[0],) + a.shape[1:], dtype=np.result_type(a, vals))
+    block = max(1, (1 << 15) // max(1, int(np.prod(a.shape[1:]))))
+    for i in range(0, p.shape[0], block):
+        rows = p[i:i + block]
+        for s in range(cols.shape[1]):
+            term = a[cols[i:i + block, s]]
+            term *= vals[i:i + block, s, None]
+            rows += term
+    return p
+
+
+class _SchurFactor:
+    """``X = U T U^T``, real Schur: the general path.  The Bartels-Stewart
+    back-substitution runs on T, so a defective (Jordan-like) drift needs no
+    special casing."""
+
+    path = "schur"
 
     def __init__(self, x: np.ndarray):
         import scipy.linalg as sla
 
-        x = np.real(_as_square(x, "x"))
-        self.x = x
-        self._x_norm = _frobenius(x)
         try:
             self.t, self.u = sla.schur(x, output="real")
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise ConvergenceFailure(f"real Schur factorization failed: {exc}") from exc
         self.spectrum = _quasi_triangular_eigenvalues(self.t)
-        scale = max(np.max(np.abs(self.spectrum)), ABS_FLOOR)
-        self.pair_min = float(
-            np.min(np.abs(self.spectrum[:, None] + self.spectrum[None, :]))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``A`` before its antisymmetrization, for an antisymmetric ``b``."""
+        # at most two d x d arrays besides b: each product's input goes as
+        # soon as it is read, and no transpose is buffered
+        z = _matmul(self.u.T, _matmul(b, self.u))
+        _subtract_transpose(z)
+        z *= 0.5
+        _solve_antisymmetric_lyapunov(self.t, z)
+        w = _matmul(z, self.u.T)
+        del z
+        a = _matmul(self.u, w)
+        del w
+        return a
+
+
+# Order of the smallest drift that takes the modes path.  On a 2-vCPU box the
+# modes path costs less per boundary-XY point from d = 80 up (9 against 11 ms
+# at d = 80, 25 against 40 ms at d = 160, 0.37 against 0.75 s at d = 640); the
+# constant keeps chains of up to 63 sites, the n = 40 sweeps among them, on
+# the Schur path's bits.
+MODES_MIN_DIM = 128
+# Ehrlich-Aberth sweeps before the modes path gives up.  The clean drifts
+# measured settle in 4-18 sweeps; the XX chain at zero field has double
+# eigenvalues and needs about 57, which the Schur path serves faster.
+_ABERTH_MAX_SWEEPS = 30
+# most rows of the symmetric part (the bath) that the modes path takes
+_BATH_MAX_RANK = 8
+_EPS = float(np.finfo(float).eps)
+
+
+class _Uncertified(Exception):
+    """The modes factorization failed one of its certificates."""
+
+
+def _bath_support(x: np.ndarray) -> np.ndarray | None:
+    """Rows of the symmetric part of a boundary-driven drift, or None.
+
+    The drift must have even order and ``X^T = P X P`` exactly, with
+    ``P = diag((-1)^k)``: its antisymmetric part couples even to odd
+    indices only, so it is the kernel ``[[0, J], [-J^T, 0]]`` in even/odd
+    order, and its symmetric part, on at most ``_BATH_MAX_RANK`` rows,
+    couples equal parities only.
+    """
+    if x.shape[0] % 2:
+        return None
+    even, odd, cross = x[0::2, 0::2], x[1::2, 1::2], x[0::2, 1::2]
+    if not (np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+            and np.array_equal(cross, -x[1::2, 0::2].T)):
+        return None
+    rows = np.concatenate((2 * np.flatnonzero(np.any(even, axis=1)),
+                           2 * np.flatnonzero(np.any(odd, axis=1)) + 1))
+    return np.sort(rows) if rows.size <= _BATH_MAX_RANK else None
+
+
+def _pair_guesses(mu: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Starting roots: the eigenvalues of each mode pair's own 2x2 problem
+    ``diag(i sigma, -i sigma) + C^H s C``, ``C = [c+, c-]``.
+
+    They are ``a +- sqrt(|beta|^2 - sigma^2)``: a conjugate pair, or two
+    real roots where the bath outweighs the splitting (the edge modes of
+    the ordered phase).  Aberth keeps both kinds as they start.
+    """
+    n = mu.size // 2
+    up, down = z[:n], z[n:]
+    a = np.einsum("ka,ab,kb->k", up.conj(), s, up).real
+    beta = np.einsum("ka,ab,kb->k", up.conj(), s, down)
+    disc = np.abs(beta) ** 2 - mu[:n].imag ** 2
+    root = np.sqrt(np.abs(disc)) * np.where(disc > 0.0, 1.0, 1j)
+    return np.concatenate((a + root, a - root))
+
+
+def _secular_matrices(cauchy: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``M = I - s G`` at each root of a block, from its Cauchy rows."""
+    r = math.isqrt(weights.shape[1])
+    m = -_matmul(cauchy, weights).reshape(-1, r, r)
+    m[:, np.arange(r), np.arange(r)] += 1.0
+    return m
+
+
+def _newton_steps(poles: np.ndarray, m: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """``p/p' = 1/(poles + tr(M^-1 s G_2))`` at each root of a block; 0 where
+    M is exactly singular, since there the root is exact."""
+    try:
+        return 1.0 / (poles + np.einsum("naa->n", np.linalg.solve(m, g2)))
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros(poles.size, dtype=complex)
+    for i in range(poles.size):
+        try:
+            steps[i] = 1.0 / (poles[i] + np.trace(np.linalg.solve(m[i], g2[i])))
+        except np.linalg.LinAlgError:
+            pass
+    return steps
+
+
+def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Every root of ``prod_k (lam - mu_k) det(I - s G(lam))`` with
+    ``G(lam) = sum_k c_k c_k^H / (lam - mu_k)``, from ``start``.
+
+    ``weights`` holds ``vec(s c_k c_k^H)`` in row k.  Ehrlich-Aberth in
+    Gauss-Seidel order, a block of roots at a time: the block's Cauchy rows
+    ``1/(lam_i - mu_k)`` times ``weights`` give ``M = I - s G``, their
+    squares ``s G_2 = -s G'``, so that ``p'/p = sum_k 1/(lam - mu_k) +
+    tr(M^-1 s G_2)``.  A root freezes once its Newton step is below
+    ``tol``.  Raises _Uncertified on a non-finite step or after
+    ``_ABERTH_MAX_SWEEPS`` sweeps.
+    """
+    d = mu.size
+    lam = start.copy()
+    block = max(1, min(d // 2, (1 << 15) // d))
+    # two block x d work arrays for every block of every sweep
+    work = np.empty((2, block, d), dtype=complex)
+    active = np.arange(d)
+    with np.errstate(all="ignore"):
+        for _ in range(_ABERTH_MAX_SWEEPS):
+            if not active.size:
+                break
+            settled = []
+            for i in range(0, active.size, block):
+                idx = active[i:i + block]
+                cauchy = np.subtract(lam[idx, None], mu, out=work[0, :idx.size])
+                np.reciprocal(cauchy, out=cauchy)
+                poles = np.sum(cauchy, axis=1)
+                m = _secular_matrices(cauchy, weights)
+                cauchy *= cauchy
+                g2 = _matmul(cauchy, weights).reshape(m.shape)
+                newton = _newton_steps(poles, m, g2)
+                gaps = np.subtract(lam[idx, None], lam, out=work[1, :idx.size])
+                gaps[np.arange(idx.size), idx] = np.inf
+                step = newton / (1.0 - newton * np.sum(np.reciprocal(gaps, out=gaps), axis=1))
+                if not np.all(np.isfinite(step)):
+                    raise _Uncertified("an Aberth step is not finite (coincident roots)")
+                lam[idx] -= step
+                settled.append(np.abs(newton) <= tol)
+            active = active[~np.concatenate(settled)]
+    if active.size:
+        raise _Uncertified(
+            f"{active.size} roots unsettled after {_ABERTH_MAX_SWEEPS} Aberth sweeps"
         )
+    return lam
+
+
+def _eigenvector_block(roots, mu, z, weights, w, v) -> np.ndarray:
+    """Unscaled complex eigenvectors of the modes factorization, d x
+    len(roots), at settled roots: ``v = sum_k u_k (c_k^H y)/(lam - mu_k)``
+    with y the null vector of ``I - s G(lam)``, assembled as W and V times
+    the Cauchy-scaled coefficients of the + and - modes."""
+    n = w.shape[0]
+    cauchy = np.reciprocal(roots[:, None] - mu)
+    try:
+        y = np.linalg.svd(_secular_matrices(cauchy, weights))[2][:, -1, :].conj()
+    except np.linalg.LinAlgError as exc:
+        raise _Uncertified(f"null vectors of the secular matrices: {exc}") from exc
+    coef = _matmul(z.conj(), y.T)
+    coef *= cauchy.T
+    del cauchy
+    plus = np.ascontiguousarray(coef[:n] + coef[n:])
+    minus = np.ascontiguousarray(coef[:n] - coef[n:])
+    vec = np.empty((2 * n, roots.size), dtype=complex)
+    vec[0::2] = _matmul(w, plus.view(float)).view(complex)
+    vec[1::2] = _matmul(v, minus.view(float)).view(complex)
+    vec[1::2] *= 1j
+    return vec
+
+
+def _scale_eigenvectors(vec: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Scale each column v of ``vec`` in place to ``v^T P v = 1`` where
+    ``pair`` is True (a root above the real axis), and otherwise rotate it
+    real and scale it to ``v^T P v = +-1``; returns those signs."""
+    def nu(cols):
+        return (np.einsum("kc,kc->c", cols[0::2], cols[0::2])
+                - np.einsum("kc,kc->c", cols[1::2], cols[1::2]))
+
+    vec[:, pair] /= np.sqrt(nu(vec[:, pair]))
+    real = np.flatnonzero(~pair)
+    phase = vec[np.argmax(np.abs(vec[:, real]), axis=0), real]
+    rotated = (vec[:, real] / (phase / np.abs(phase))).real
+    signs = np.sign(nu(rotated))
+    vec[:, real] = rotated / np.sqrt(np.abs(nu(rotated)))
+    return signs
+
+
+class _ModesFactor:
+    """``X = V Lambda V^-1`` for a boundary-driven drift ``X = K + E s E^T``
+    (see :func:`_bath_support`), from the normal modes of the kernel K and
+    a rank-r secular equation.
+
+    With ``J = W Sigma V^T`` (an n x n SVD) the modes of K are
+    ``u_k = [w_k; +-i v_k]/sqrt 2`` at ``mu_k = +-i sigma_k``, and the
+    eigenvalues of X are the roots of ``det(I - s G(lam))`` with
+    ``c_k = E^T u_k``.  Each eigenvector is ``sum_k u_k (c_k^H y) /
+    (lam - mu_k)``, y the null vector of ``I - s G(lam)``: a Cauchy matrix
+    times W and V.  The real basis ``V_r = [Re V+, Im V+, V_real]`` (a
+    column pair per conjugate pair, then the real roots) is held as
+    ``q = P V_r``: since ``X^T = P X P`` the left eigenvectors are ``P v``,
+    so with each ``v`` scaled to ``v^T P v = +-1`` the inverse is
+    ``V_r^-1 = N q^T``, N diagonal with 2, -2 and the signs of the real
+    roots.  A solve is then GEMMs and an O(d^2) division by
+    ``lam_i + lam_j``.
+
+    Certified before use, else _Uncertified: every root settled within
+    the sweep cap, the roots pair up as ``2m + q = d``, every root is
+    within ``2 ||q|| ||X V_r - V_r Lambda_r|| <= 1e-11 ||X||`` of the
+    spectrum of X (Bauer-Fike, as ``||V_r^-1|| <= 2 ||q||``), and
+    ``||N q^T V_r - I|| <= 1e-6``, so ``V_r`` is a basis and ``N q^T`` its
+    inverse.  ``x_rows`` and ``support`` are :func:`_sparse_rows` and
+    :func:`_bath_support` of x, neither None.
+    """
+
+    path = "modes"
+
+    def __init__(self, x: np.ndarray, x_rows, support: np.ndarray):
+        import scipy.linalg as sla
+
+        s = x[np.ix_(support, support)]
+        s = 0.5 * (s + s.T)
+        try:
+            w, sigma, vt = sla.svd(x[0::2, 1::2], lapack_driver="gesdd")
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise _Uncertified(f"SVD of the kernel failed: {exc}") from exc
+        v = vt.T
+        del vt
+        # c_k of the + modes: w on the even rows of the support, i v on the odd ones
+        up = np.where(support % 2 == 0, w[support // 2].T, 1j * v[support // 2].T)
+        z = np.concatenate((up, up.conj())) / math.sqrt(2.0)
+        mu = np.concatenate((1j * sigma, -1j * sigma))
+        weights = (_matmul(z, s)[:, :, None] * z.conj()[:, None, :]).reshape(mu.size, -1)
+        scale = float(sigma[0]) + float(np.max(np.abs(s))) * s.shape[0]  # >= ||X||_2
+        lam = _aberth_roots(mu, weights, _pair_guesses(mu, z, s), 4.0 * _EPS * scale)
+
+        cut = math.sqrt(_EPS) * scale
+        upper, real = lam[lam.imag > cut], lam[np.abs(lam.imag) <= cut].real
+        d, m = mu.size, upper.size
+        if 2 * m + real.size != d:
+            raise _Uncertified(f"{m} roots above the real axis, {d - m - real.size} below")
+        self.spectrum = np.concatenate((upper, upper.conj(), real))
+        self._alpha, self._beta, self._rho = upper.real, upper.imag, real
+        self._signs = np.concatenate((np.full(m, 2.0), np.full(m, -2.0), np.ones(real.size)))
+        self.q = np.empty((d, d))
+        roots = np.concatenate((upper, real))
+        # blocks of temporaries no larger than one d x d array
+        block = max(1, min(d // 2, (1 << 15) // d))
+        residual = 0.0
+        with np.errstate(all="ignore"):  # a non-finite vector fails the bound below
+            for j in range(0, roots.size, block):
+                k = np.arange(j, min(j + block, roots.size))
+                vec = _eigenvector_block(roots[k], mu, z, weights, w, v)
+                self._signs[k[k >= m] + m] = _scale_eigenvectors(vec, k < m)
+                xv = _sparse_product(x_rows, vec)
+                xv -= vec * roots[k]
+                residual += float(np.sum(xv.real ** 2 + xv.imag ** 2))
+                del xv
+                vec[1::2] *= -1.0
+                pair = k[k < m]
+                self.q[:, pair], self.q[:, pair + m] = vec[:, k < m].real, vec[:, k < m].imag
+                self.q[:, k[k >= m] + m] = vec[:, k >= m].real
+        del w, v
+        bound = 2.0 * _frobenius(self.q) * math.sqrt(residual)
+        if not bound <= 1e-11 * _frobenius(x):
+            raise _Uncertified(f"eigenpair bound {bound:.3e} above 1e-11 ||X||")
+        self._check_inverse(block)
+
+    def _check_inverse(self, block: int) -> None:
+        """``||N q^T V_r - I||_F <= 1e-6``, a block of columns at a time."""
+        d = self.q.shape[0]
+        err = 0.0
+        for j in range(0, d, block):
+            cols = self.q[:, j:j + block].copy()
+            cols[1::2] *= -1.0
+            prod = _matmul(self.q.T, cols)
+            prod *= self._signs[:, None]
+            prod[np.arange(j, j + cols.shape[1]), np.arange(cols.shape[1])] -= 1.0
+            err += float(np.sum(prod * prod))
+        if not math.sqrt(err) <= 1e-6:
+            raise _Uncertified(f"||V^-1 V - I|| = {math.sqrt(err):.3e} above 1e-6")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``A`` before its antisymmetrization: ``P q Z q^T P`` with
+        ``Lambda_r Z + Z Lambda_r^T = N q^T b q N``."""
+        q = self.q
+        rows = np.flatnonzero(np.any(b, axis=1))
+        if rows.size < b.shape[0]:  # a source on few rows, as the steady state's
+            q, b = q[rows], b[np.ix_(rows, rows)]
+        c = _matmul(q.T, _matmul(b, q))
+        del q, b
+        c *= self._signs[:, None]
+        c *= self._signs
+        _divide_by_pair_sums(c, self._alpha, self._beta, self._rho)
+        w = _matmul(self.q, c)
+        del c
+        a = _matmul(w, self.q.T)
+        del w
+        a[1::2] *= -1.0
+        a[:, 1::2] *= -1.0
+        return a
+
+
+def _divide_by_pair_sums(c: np.ndarray, alpha, beta, rho, block: int = 64) -> None:
+    """Overwrite ``c`` with the Z of ``Lambda_r Z + Z Lambda_r^T = c``.
+
+    ``Lambda_r`` is the real form of the spectrum in the order
+    ``[Re (m), Im (m), real (q)]``: ``[[alpha, beta], [-beta, alpha]]`` on
+    each pair, ``rho`` on each real root.  A 2x2 block of c splits into
+    its parts that commute and anticommute with ``[[0, 1], [-1, 0]]``; as
+    complex numbers they are divided by ``lam_i + conj(lam_j)`` and
+    ``conj(lam_i + lam_j)``.  A 2x1 or 1x2 block is one complex division,
+    a 1x1 block one real one.  Temporaries are a block of rows.
+    """
+    m = alpha.size
+    pairs, reals = slice(0, m), slice(2 * m, None)
+    for i in range(0, m, block):
+        re, im = slice(i, min(i + block, m)), slice(m + i, m + min(i + block, m))
+        a_i, b_i = alpha[re, None], beta[re, None]
+        c11, c12 = c[re, pairs], c[re, m:2 * m]
+        c21, c22 = c[im, pairs], c[im, m:2 * m]
+        sums = a_i + alpha
+        plus = ((c11 + c22) + 1j * (c12 - c21)) / (sums + 1j * (b_i - beta))
+        minus = ((c11 - c22) + 1j * (c12 + c21)) / (sums - 1j * (b_i + beta))
+        plus *= 0.5
+        minus *= 0.5
+        c11[...] = plus.real + minus.real
+        c22[...] = plus.real - minus.real
+        c12[...] = plus.imag + minus.imag
+        c21[...] = minus.imag - plus.imag
+        z = (c[re, reals] - 1j * c[im, reals]) / ((a_i + rho) + 1j * b_i)
+        c[re, reals], c[im, reals] = z.real, -z.imag
+    z = (c[reals, pairs] - 1j * c[reals, m:2 * m]) / ((rho[:, None] + alpha) + 1j * beta)
+    c[reals, pairs], c[reals, m:2 * m] = z.real, -z.imag
+    c[reals, reals] /= rho[:, None] + rho
+
+
+class LyapunovSolver:
+    """Factored solver for ``X A + A X^T = B`` with a fixed real drift.
+
+    ``G = iA`` solves ``X G + G X^T = Y`` for the Hermitian antisymmetric,
+    hence purely imaginary, source ``Y = iB``, so the solve runs in real
+    arithmetic on the real antisymmetric ``B`` and ``A``.  Factoring once
+    and reusing it is what makes steady state plus tangent sweeps cheap.
+
+    Two factorizations behind one interface.  A sparse boundary-driven
+    drift (see :func:`_sparse_rows` and :func:`_bath_support`) of order at
+    least ``MODES_MIN_DIM`` is factored in its eigenbasis
+    (:class:`_ModesFactor`); every other drift by real Schur
+    (:class:`_SchurFactor`), and so is a boundary-driven one whose modes
+    factorization fails a certificate or a solve's residual check.
+    ``path`` says which factorization serves the solves (``"schur"`` or
+    ``"modes"``), and ``fallback`` why the modes path was left, or None.
+    Both paths share the uniqueness rule and the residual check.
+    """
+
+    def __init__(self, x: np.ndarray):
+        x = np.real(_as_square(x, "x"))
+        self.x = x
+        self._x_norm = _frobenius(x)
+        # the modes path needs X's nonzeros, and at its orders the sparse
+        # residual product beats the GEMM
+        self._x_rows = _sparse_rows(x) if x.shape[0] >= MODES_MIN_DIM else None
+        self.fallback = None
+        self._factor = None
+        support = None if self._x_rows is None else _bath_support(x)
+        if support is not None:
+            try:
+                self._factor = _ModesFactor(x, self._x_rows, support)
+            except _Uncertified as exc:
+                self.fallback = str(exc)
+        if self._factor is None:
+            self._factor = _SchurFactor(x)
+        self.path = self._factor.path
+        self.spectrum = self._factor.spectrum
+        scale = max(np.max(np.abs(self.spectrum)), ABS_FLOOR)
+        self.pair_min = _pair_min(self.spectrum)
         self._singular = self.pair_min <= max(1e-12 * scale, ABS_FLOOR)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -267,25 +684,21 @@ class LyapunovSolver:
         b_norm = _frobenius(b)
         if _frobenius(b + b.T) > max(1e-12 * b_norm, ABS_FLOOR):
             raise NotAntisymmetric("Lyapunov source is not antisymmetric")
-        # at most two d x d arrays besides b: each product's input goes as
-        # soon as it is read, and no transpose is buffered
-        z = _matmul(self.u.T, _matmul(b, self.u))
-        _subtract_transpose(z)
-        z *= 0.5
-        _solve_antisymmetric_lyapunov(self.t, z)
-        w = _matmul(z, self.u.T)
-        del z
-        a = _matmul(self.u, w)
-        del w
+        a = self._factor.solve(b)
         _subtract_transpose(a)
         a *= 0.5
         # A is antisymmetric, so A X^T = -(X A)^T
-        res = _matmul(self.x, a)
+        res = _matmul(self.x, a) if self._x_rows is None else _sparse_product(self._x_rows, a)
         _subtract_transpose(res)
         res -= b
         res = _frobenius(res)
         bound = 1e-10 * (self._x_norm * _frobenius(a) + b_norm)
         if res > max(bound, ABS_FLOOR):
+            if self.path == "modes":  # the Schur path decides
+                self.fallback = f"solve residual {res:.3e} above {bound:.3e}"
+                self._factor = _SchurFactor(self.x)
+                self.path = self._factor.path
+                return self.solve(b)
             raise SingularSylvester(
                 f"Lyapunov residual {res:.3e} exceeds {bound:.3e}; equation is near singular"
             )

@@ -137,12 +137,29 @@ def test_slope_product_of_a_dense_direction(rng):
         assert np.linalg.norm(got - dx @ a) <= 1e-14 * np.linalg.norm(dx) * np.linalg.norm(a)
 
 
-# every function of a chain point that assembles, multiplies or takes norms of d x d arrays
+# every function of a chain point that assembles, multiplies or takes norms of d x d
+# arrays, the modes path's complex products on its Aberth and eigenvector blocks included
 ROUTED = (
     numerics.LyapunovSolver.__init__,
     numerics.LyapunovSolver.solve,
+    numerics._SchurFactor.__init__,
+    numerics._SchurFactor.solve,
     numerics._solve_quasi_triangular_sylvester,
     numerics._solve_antisymmetric_lyapunov,
+    numerics._ModesFactor.__init__,
+    numerics._eigenvector_block,
+    numerics._ModesFactor._check_inverse,
+    numerics._ModesFactor.solve,
+    numerics._bath_support,
+    numerics._pair_guesses,
+    numerics._secular_matrices,
+    numerics._newton_steps,
+    numerics._aberth_roots,
+    numerics._scale_eigenvectors,
+    numerics._divide_by_pair_sums,
+    numerics._sparse_rows,
+    numerics._sparse_product,
+    numerics._pair_min,
     liouvillian.shape_matrices,
     liouvillian.gap_report,
     liouvillian._slope_product,
@@ -150,6 +167,7 @@ ROUTED = (
     liouvillian._solve_tangents,
     liouvillian.point_geometry,
     gaussian.real_eigenmodes,
+    gaussian._lower_gram,
     gaussian._schur_pairs,
     geometry.qgt,
 )

@@ -393,8 +393,14 @@ class TestConfigAndMain:
           "--quantities", "gap", "--jobs", "1"], "axis h: start, stop and step must be finite"),
         (["sweep", "--model", "boundary_xy", "--set", "n=6", "--grid", "h=0:1:nan",
           "--quantities", "gap", "--jobs", "1"], "axis h: start, stop and step must be finite"),
+        (["scaling", "--model", "boundary_xy", "--sizes", "4,6.5,8,10", "--set", "delta=1.25",
+          "--quantities", "gap", "--jobs", "1"],
+         "n counts sites and must be a whole number, got (4.0, 6.5, 8.0, 10.0)"),
+        (["scaling", "--model", "boundary_xy", "--sizes", "4,six,8,10", "--set", "delta=1.25",
+          "--quantities", "gap", "--jobs", "1"], "parameter 'n' must be a number"),
     ], ids=["text-value", "fractional-n", "fractional-n-grid", "geometry", "spectrum",
-            "nan-set", "inf-set", "inf-grid-stop", "nan-grid-step"])
+            "nan-set", "inf-set", "inf-grid-stop", "nan-grid-step", "fractional-size",
+            "text-size"])
     def test_bad_parameter_values_rejected(self, tmp_path, capsys, argv, message):
         # refused when the spec is read, not as an error class in every cell
         # (a fractional n used to run int(n) sites under a header recording n;
@@ -442,6 +448,29 @@ class TestConfigAndMain:
             assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_config_value_taken_as_written(self, tmp_path):
+        # a "%" used to stop the run with an InterpolationSyntaxError traceback
+        cfg = tmp_path / "job.ini"
+        out = tmp_path / "a%b.csv"
+        cfg.write_text(f"[sweep]\nmodel = boundary_xy\nset = n=4\ngrid = h=0.3:0.3:0.1\n"
+                       f"quantities = gap\njobs = 1\nout = {out}\n", encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[3] == "h,gap"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["scaling", "--quantities", "gap", "--size", "4,6,8,10"], "--size"),
+        (["sweep", "--set", "n=4", "--grid", "h=0.3:0.3:0.1", "--quant", "gap"], "--quant"),
+    ], ids=["size", "quant"])
+    def test_flag_prefix_refused(self, tmp_path, capsys, argv, flag):
+        # argparse used to take --size and --quant for --sizes and --quantities,
+        # while a config key must name the flag in full
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--model", "boundary_xy", "--jobs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, key", [
         (["sweep", "--set", "n=4", "--grid", "h=0.2:0.3:0.1", "--grid", "h=0.5:0.5:0.1"], "h"),

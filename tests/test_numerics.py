@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nessgeom import liouvillian, momentum, numerics
+from nessgeom import gaussian, geometry, liouvillian, models, momentum, numerics
 from nessgeom.errors import (
     DegenerateInput,
     NoConvergence,
@@ -362,3 +362,203 @@ class TestPowerLawFit:
             numerics.fit_power_law([(1, 1.0), (2, 2.0), (3, 3.0)])
         with pytest.raises(NonPositiveValue):
             numerics.fit_power_law([(1, 1.0), (2, -2.0), (3, 3.0), (4, 4.0)])
+
+
+def _boundary_shape(n, delta, h):
+    p = models.BoundaryXYParams(delta=delta, h=h, n=n)
+    shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
+    return shape, models.boundary_xy_shape_derivatives(p)
+
+
+def _point_on(factor, shape, derivatives):
+    """Steady state, tangents, gmax, R and purity on one factorization,
+    called directly (below the crossover too); each solve meets the
+    solver's residual bound."""
+    def solve(b):
+        a = factor.solve(b)
+        a = 0.5 * (a - a.T)
+        res = np.linalg.norm(shape.x @ a + a @ shape.x.T - b)
+        assert res <= 1e-10 * (np.linalg.norm(shape.x) * np.linalg.norm(a) + np.linalg.norm(b))
+        return a
+
+    a = solve(shape.b)
+    d_a = [solve(liouvillian._tangent_source(a, dx, db)) for dx, db in derivatives.values()]
+    modes = gaussian.real_eigenmodes(a)
+    qgt = geometry.qgt(modes, geometry.TangentSet(tuple(derivatives), tuple(d_a)))
+    return {"a": a, "d_a": np.stack(d_a), "gmax": qgt.gmax(), "R": qgt.r_ratio,
+            "purity": gaussian.purity(modes)}
+
+
+def _modes(x):
+    return numerics._ModesFactor(x, numerics._sparse_rows(x), numerics._bath_support(x))
+
+
+def _assert_points_agree(got, want, rtol=1e-8):
+    for key in ("a", "d_a"):
+        assert np.linalg.norm(got[key] - want[key]) <= rtol * np.linalg.norm(want[key]), key
+    for key in ("gmax", "R", "purity"):
+        if want[key] is None:  # delta = 0: the Fisher matrix is singular on both paths
+            assert got[key] is None
+        else:
+            assert got[key] == pytest.approx(want[key], rel=rtol, abs=0.0), key
+
+
+def _long_double_refined(factor, x_rows, b, a, steps=3):
+    """``a`` refined against the residual ``b - X a - a X^T`` formed in long
+    double (X exact in double), each correction solved on ``factor``."""
+    cols, vals = x_rows
+    b, a = b.astype(np.longdouble), a.astype(np.longdouble)
+    for _ in range(steps):
+        xa = np.zeros_like(a)
+        for s in range(cols.shape[1]):
+            xa += vals[:, s, None].astype(np.longdouble) * a[cols[:, s]]
+        r = (b - (xa - xa.T)).astype(float)
+        da = factor.solve(0.5 * (r - r.T))
+        a = a + 0.5 * (da - da.T)
+    return a.astype(float)
+
+
+# LRMC, SRMC, delta = 0, a weak field, and real roots besides the LRMC edge pair's
+MODES_POINTS = [(1.25, 0.3), (1.25, 0.9), (0.0, 0.3), (0.5, 0.02), (1.5, 0.1)]
+
+
+class TestModesFactor:
+    def test_bath_support_reads_the_structure(self, rng):
+        shape, _ = _boundary_shape(40, 1.25, 0.3)
+        assert numerics._bath_support(shape.x).tolist() == [0, 1, 78, 79]
+        x = shape.x.copy()
+        x[10, 13] *= 1.0 + 1e-15  # X^T = P X P must hold exactly
+        assert numerics._bath_support(x) is None
+        assert numerics._bath_support(np.eye(20)) is None  # a bath on every row
+        assert numerics._bath_support(rng.normal(size=(20, 20))) is None
+        assert numerics._bath_support(np.eye(5)[:, ::-1]) is None  # odd order
+
+    @pytest.mark.parametrize("n", [40, 160, pytest.param(320, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("delta, h", MODES_POINTS)
+    def test_matches_schur_path(self, n, delta, h):
+        shape, derivatives = _boundary_shape(n, delta, h)
+        modes, schur = _modes(shape.x), numerics._SchurFactor(shape.x)
+        if (delta, h) == (1.5, 0.1):
+            assert modes._rho.size > 0
+        # each eigenvalue of either path within 1e-12 ||X|| of one of the other's
+        gaps = np.abs(modes.spectrum[:, None] - schur.spectrum[None, :])
+        assert modes.spectrum.size == schur.spectrum.size
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-12 * np.linalg.norm(
+            shape.x, 2)
+        _assert_points_agree(_point_on(modes, shape, derivatives),
+                             _point_on(schur, shape, derivatives))
+
+    @pytest.mark.slow
+    def test_weak_field_lrmc_matches_refined_reference(self):
+        # at delta = 1.25, h = 0.02, n = 320 the Schur path's own R is 1.7e-8
+        # off the long-double-refined value (the modes path's 4.6e-10), so
+        # this point is held to that reference rather than to the Schur path
+        shape, derivatives = _boundary_shape(320, 1.25, 0.02)
+        modes, schur = _modes(shape.x), numerics._SchurFactor(shape.x)
+        x_rows = numerics._sparse_rows(shape.x)
+        got = _point_on(modes, shape, derivatives)
+        a = _long_double_refined(schur, x_rows, shape.b, got["a"])
+        d_a = [_long_double_refined(schur, x_rows, liouvillian._tangent_source(a, dx, db), da)
+               for (dx, db), da in zip(derivatives.values(), got["d_a"])]
+        ref = gaussian.real_eigenmodes(a)
+        qgt = geometry.qgt(ref, geometry.TangentSet(tuple(derivatives), tuple(d_a)))
+        _assert_points_agree(got, {"a": a, "d_a": np.stack(d_a), "gmax": qgt.gmax(),
+                                   "R": qgt.r_ratio, "purity": gaussian.purity(ref)})
+
+    def test_modes_path_runs_at_the_scaling_sizes(self):
+        for n in (numerics.MODES_MIN_DIM // 2, 320):
+            solver = numerics.LyapunovSolver(_boundary_shape(n, 1.25, 0.3)[0].x)
+            assert (solver.path, solver.fallback) == ("modes", None)
+        solver = numerics.LyapunovSolver(_boundary_shape(40, 1.25, 0.3)[0].x)
+        assert (solver.path, solver.fallback) == ("schur", None)  # below the crossover
+
+    @pytest.mark.parametrize("n", [40, 160, pytest.param(320, marks=pytest.mark.slow)])
+    def test_xx_chain_at_zero_field_gives_the_schur_numbers(self, n, monkeypatch):
+        # J's singular values pair up and X has double eigenvalues: Aberth
+        # needs ~57 sweeps, so the cap sends the point to the Schur path
+        shape, derivatives = _boundary_shape(n, 0.0, 0.0)
+        with pytest.raises(numerics._Uncertified, match="unsettled after 30 Aberth sweeps"):
+            _modes(shape.x)
+        point = liouvillian.point_geometry(shape, derivatives)
+        monkeypatch.setattr(numerics, "MODES_MIN_DIM", 10**9)
+        want = liouvillian.point_geometry(shape, derivatives)
+        assert point.a.tobytes() == want.a.tobytes() and point.gap == want.gap
+        for got, ref in zip(point.tangents.d_a, want.tangents.d_a):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_certificate_failure_falls_back_to_schur(self, monkeypatch):
+        shape, derivatives = _boundary_shape(160, 1.25, 0.3)
+        monkeypatch.setattr(numerics, "_ABERTH_MAX_SWEEPS", 1)
+        solver = numerics.LyapunovSolver(shape.x)
+        assert solver.path == "schur"
+        assert solver.fallback == "320 roots unsettled after 1 Aberth sweeps"
+        point = liouvillian.point_geometry(shape, derivatives)
+        monkeypatch.setattr(numerics, "MODES_MIN_DIM", 10**9)
+        want = liouvillian.point_geometry(shape, derivatives)
+        assert point.a.tobytes() == want.a.tobytes() and point.gap == want.gap
+        assert point.qgt.gmax() == want.qgt.gmax()
+
+    def test_failed_solve_residual_falls_back_to_schur(self, monkeypatch):
+        shape, _ = _boundary_shape(160, 1.25, 0.3)
+        solver = numerics.LyapunovSolver(shape.x)
+        assert solver.path == "modes"
+        spoiled = numerics._ModesFactor.solve
+        monkeypatch.setattr(numerics._ModesFactor, "solve",
+                            lambda self, b: 1.001 * spoiled(self, b))
+        a = solver.solve(shape.b)
+        assert solver.path == "schur" and solver.fallback.startswith("solve residual")
+        want = numerics._SchurFactor(shape.x).solve(shape.b)
+        assert np.array_equal(a, 0.5 * (want - want.T))
+
+    def test_singular_secular_matrix_is_an_exact_root(self):
+        m = np.array([np.eye(2), np.diag([1.0, 0.0])], dtype=complex)
+        g2 = np.array([np.eye(2), np.eye(2)], dtype=complex)
+        steps = numerics._newton_steps(np.array([1.0, 1.0], dtype=complex), m, g2)
+        assert steps.tolist() == [1.0 / 3.0, 0.0]
+
+    def test_divide_by_pair_sums_solves_the_real_block_form(self, rng):
+        m, q = 5, 3
+        alpha, beta, rho = rng.uniform(0.1, 1.0, m), rng.normal(size=m), rng.uniform(0.1, 1.0, q)
+        lam = np.zeros((2 * m + q, 2 * m + q))
+        lam[:m, :m] = lam[m:2 * m, m:2 * m] = np.diag(alpha)
+        lam[:m, m:2 * m], lam[m:2 * m, :m] = np.diag(beta), -np.diag(beta)
+        lam[2 * m:, 2 * m:] = np.diag(rho)
+        c = rand_antisym(rng, 2 * m + q)
+        z = c.copy()
+        numerics._divide_by_pair_sums(z, alpha, beta, rho, block=2)
+        assert np.linalg.norm(lam @ z + z @ lam.T - c) <= 1e-13 * np.linalg.norm(c)
+
+    def test_sparse_product_matches_the_dense_one(self, rng):
+        x = np.where(rng.uniform(size=(70, 70)) < 0.05, rng.normal(size=(70, 70)), 0.0)
+        x[3] = 0.0  # an empty row
+        rows = numerics._sparse_rows(x)
+        for a in (rng.normal(size=(70, 70)), rng.normal(size=(70, 9)) + 1j * rng.normal(size=(70, 9))):
+            got = numerics._sparse_product(rows, a)
+            assert np.linalg.norm(got - x @ a) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(a)
+        assert numerics._sparse_rows(rng.normal(size=(10, 10))) is None
+
+    def test_modes_factor_and_solve_hold_few_arrays(self, rng):
+        import tracemalloc
+
+        n = 256
+        d = 2 * n
+        shape, derivatives = _boundary_shape(n, 1.25, 0.3)
+        _modes(shape.x)
+        tracemalloc.start()
+        try:
+            solver = numerics.LyapunovSolver(shape.x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert solver.path == "modes"
+        # q alone, where the Schur path holds T and U
+        assert held <= 1.1 * 8 * d * d
+        source = liouvillian._tangent_source(solver.solve(shape.b), *derivatives["h"])
+        tracemalloc.start()
+        try:
+            solver.solve(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two d x d arrays and a few blocks, as on the Schur path
+        assert peak <= 2.5 * 8 * d * d

@@ -165,3 +165,20 @@ class TestPointGeometryFrame:
         monkeypatch.setattr(gaussian, "real_eigenmodes", inflated)
         with pytest.raises(NormExceedsOne):
             liouvillian.point_geometry(shape)
+
+
+class TestLowerGram:
+    @pytest.mark.parametrize("d", [2, 64, 66, 130, 640])
+    def test_eigh_reads_the_numbers_of_the_copy_it_no_longer_makes(self, rng, d):
+        import scipy.linalg as sla
+
+        from nessgeom import numerics
+
+        a = rand_antisym(rng, d)
+        m = numerics._matmul(a.T, a)
+        want = np.tril(m) + np.tril(m, -1).T
+        got = gaussian._lower_gram(a)
+        assert got.flags.f_contiguous and got.tobytes(order="F") == want.tobytes(order="F")
+        # the frame's eigh on it, in place, gives the eigenvectors of the copying call bit for bit
+        ref = sla.eigh(m, driver="evd")[1]
+        assert sla.eigh(got, driver="evd", overwrite_a=True)[1].tobytes() == ref.tobytes()
