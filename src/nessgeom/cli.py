@@ -362,6 +362,7 @@ def run_spectrum(model: str, params: dict) -> dict:
             "delta_liouville": rep.delta_liouville,
             "near_defective": rep.near_defective,
             "condition_estimate": _json_value(rep.condition_estimate),
+            "condition_estimator": rep.condition_estimator,
             "spectrum": [[float(z.real), float(z.imag)] for z in rep.spectrum],
         }
     out = _symbol_point(model, params, ("gap",))

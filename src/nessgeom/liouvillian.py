@@ -89,14 +89,21 @@ class PointGeometry:
 
 @dataclass(frozen=True)
 class GapReport:
-    """The three spectral-gap notions plus the drift spectrum."""
+    """The three spectral-gap notions plus the drift spectrum, and an
+    estimate of its eigenvector condition named by ``condition_estimator``;
+    ``near_defective`` when that estimate exceeds ``NEAR_DEFECTIVE``."""
 
     delta: float
     delta_xhat: float
     delta_liouville: float
     spectrum: np.ndarray
     condition_estimate: float
+    condition_estimator: str
     near_defective: bool
+
+
+# eigenvector condition above which a drift is flagged as nearly defective
+NEAR_DEFECTIVE = 1e8
 
 
 def shape_matrices(model: QuadraticLindbladModel) -> ShapeMatrices:
@@ -129,34 +136,32 @@ def shape_matrices(model: QuadraticLindbladModel) -> ShapeMatrices:
 
 def gap_report(x: np.ndarray) -> GapReport:
     """Dissipative gap, Sylvester gap and Liouvillian gap of the drift, all
-    read from one real Schur factorization ``X = U T U^T``.
+    read from ``numerics.LyapunovSolver(x)``, the factorization the point's
+    geometry is solved on, so ``delta`` is ``point_geometry``'s gap bit for
+    bit.
 
-    The Sylvester gap ``min |x_i + x_j|`` is the solver's ``pair_min`` rule.
-    For the Liouvillian gap each 2x2 block of ``T`` is one conjugate pair,
-    whose sum is the block's trace, and each 1x1 block a real eigenvalue
-    ``x`` contributing ``2x`` (its singleton occupations belong to the
-    odd-parity sector), which is why the three notions coincide.  ``U`` is
-    orthogonal, so the eigenvector condition of ``T`` is that of ``X``.
-    The report takes the Schur path whatever the drift.
+    The Sylvester gap ``min |x_i + x_j|`` is the solver's ``pair_min``.  The
+    Liouvillian gap is the least sum over each conjugate pair and twice each
+    real eigenvalue ``x`` (its singleton occupations belong to the
+    odd-parity sector), which is why the three notions coincide.  The
+    factorization also estimates the eigenvector condition (see
+    ``condition_estimator``).
     """
-    schur = numerics._SchurFactor(np.real(numerics._as_square(x, "x")))
-    eigs = schur.spectrum
+    solver = numerics.LyapunovSolver(x)
+    eigs = solver.spectrum
     lowest = float(np.min(np.real(eigs)))
     if lowest < -1e-8 * max(np.max(np.abs(eigs)), 1e-300):
         raise InstabilityDetected(f"drift spectrum has Re x = {lowest:.3e} < 0; model unstable")
-    diag = np.diagonal(schur.t)
-    pairs = np.flatnonzero(np.diagonal(schur.t, -1))
-    single = np.ones(diag.size, dtype=bool)
-    single[pairs] = single[pairs + 1] = False
-    pair_sums = np.concatenate((2.0 * diag[single], diag[pairs] + diag[pairs + 1]))
-    _, cond = numerics.general_eigendecomposition(schur.t)
+    factor = solver._factor
+    cond = factor.condition_estimate()
     return GapReport(
         delta=2.0 * lowest,
-        delta_xhat=numerics._pair_min(eigs),
-        delta_liouville=float(np.min(pair_sums)),
+        delta_xhat=solver.pair_min,
+        delta_liouville=float(np.min(factor.pair_sums())),
         spectrum=np.sort_complex(eigs),
         condition_estimate=cond,
-        near_defective=bool(cond > 1e8),
+        condition_estimator=factor.condition_estimator,
+        near_defective=bool(cond > NEAR_DEFECTIVE),
     )
 
 

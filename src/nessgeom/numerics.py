@@ -41,11 +41,10 @@ ABS_FLOOR = 1e-14
 
 
 def _bind_scipy_handles() -> None:
-    global _gemm, _zgemm, _nrm2, _trsyl
+    global _gemm, _nrm2, _trsyl
     import scipy.linalg as sla
 
     _gemm = sla.get_blas_funcs("gemm", dtype=np.float64)
-    _zgemm = sla.get_blas_funcs("gemm", dtype=np.complex128)
     _nrm2 = sla.get_blas_funcs("nrm2", dtype=np.float64)
     _trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
 
@@ -58,8 +57,7 @@ def _first_call(name: str) -> Callable:
     return stub
 
 
-_gemm, _zgemm = _first_call("_gemm"), _first_call("_zgemm")
-_nrm2, _trsyl = _first_call("_nrm2"), _first_call("_trsyl")
+_gemm, _nrm2, _trsyl = _first_call("_gemm"), _first_call("_nrm2"), _first_call("_trsyl")
 
 
 def _transposed_operand(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -71,9 +69,9 @@ def _transposed_operand(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` on scipy's BLAS as a C-ordered array; with ``c``, the real
-    update ``c -= a @ b`` in place (``c`` must not overlap ``a`` or ``b``).
-    A complex operand makes it ``zgemm``, which takes a copy of a real one.
+    """``a @ b`` of real arrays on scipy's BLAS as a C-ordered array; with
+    ``c``, the update ``c -= a @ b`` in place (``c`` must not overlap ``a``
+    or ``b``).
 
     ``gemm`` is column-major, so it forms ``(a b)^T = b^T a^T``, whose
     column-major result is ``a b`` in row-major order.
@@ -81,8 +79,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.nda
     bt, trans_b = _transposed_operand(b)
     at, trans_a = _transposed_operand(a)
     if c is None:
-        gemm = _zgemm if "c" in (a.dtype.kind, b.dtype.kind) else _gemm
-        return gemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
+        return _gemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
     if not c.size:
         return c
     ct = c.T
@@ -289,6 +286,7 @@ class _SchurFactor:
     special casing."""
 
     path = "schur"
+    condition_estimator = "schur_eig_2norm"
 
     def __init__(self, x: np.ndarray):
         import scipy.linalg as sla
@@ -298,6 +296,20 @@ class _SchurFactor:
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise ConvergenceFailure(f"real Schur factorization failed: {exc}") from exc
         self.spectrum = _quasi_triangular_eigenvalues(self.t)
+
+    def pair_sums(self) -> np.ndarray:
+        """The sum of each conjugate pair, a 2x2 block's trace, and twice
+        each real eigenvalue, a 1x1 block."""
+        diag = np.diagonal(self.t)
+        pairs = np.flatnonzero(np.diagonal(self.t, -1))
+        single = np.ones(diag.size, dtype=bool)
+        single[pairs] = single[pairs + 1] = False
+        return np.concatenate((2.0 * diag[single], diag[pairs] + diag[pairs + 1]))
+
+    def condition_estimate(self) -> float:
+        """Condition of the eigenvectors of T, a full ``eig``; U is
+        orthogonal, so it is that of X."""
+        return general_eigendecomposition(self.t)[1]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``A`` before its antisymmetrization, for an antisymmetric ``b``."""
@@ -314,16 +326,24 @@ class _SchurFactor:
         return a
 
 
-# Order of the smallest drift that takes the modes path.  On a 2-vCPU box the
-# modes path costs less per boundary-XY point from d = 80 up (9 against 11 ms
-# at d = 80, 25 against 40 ms at d = 160, 0.37 against 0.75 s at d = 640); the
-# constant keeps chains of up to 63 sites, the n = 40 sweeps among them, on
-# the Schur path's bits.
-MODES_MIN_DIM = 128
+# Order of the smallest drift that takes the modes path: the whole-cell
+# crossover.  Median ms per boundary-XY cell through cli.evaluate_point (all
+# six quantities: one factorization, three solves, the frame and the QGT),
+# over 16 cells of delta in {0.25, 0.75, 1.25, 1.5} by h in {0.33, 0.63,
+# 0.93, 1.23}, 11 alternating pairs in one process on a shared 2-vCPU box:
+#
+#   d            48    56    64    72    80    96    128
+#   Schur path   3.45  4.25  5.07  8.34  9.34  17.05  31.22
+#   modes path   4.12  4.30  4.73  6.95  6.74  10.92  16.77
+#   modes lower  5/11  5/11  8/11  11/11 11/11 11/11  11/11
+MODES_MIN_DIM = 64
 # Ehrlich-Aberth sweeps before the modes path gives up.  The clean drifts
-# measured settle in 4-18 sweeps; the XX chain at zero field has double
-# eigenvalues and needs about 57, which the Schur path serves faster.
+# measured settle in 4-27 sweeps, the slowest at small fields near the
+# ordered phase's flat band.  A stalled drift, with nine in ten of its roots
+# still moving after _ABERTH_CHECK_SWEEPS sweeps (a tight cluster of singular
+# values), is sent to the Schur path before it costs more than that path.
 _ABERTH_MAX_SWEEPS = 30
+_ABERTH_CHECK_SWEEPS = 5
 # most rows of the symmetric part (the bath) that the modes path takes
 _BATH_MAX_RANK = 8
 _EPS = float(np.finfo(float).eps)
@@ -359,7 +379,7 @@ def _pair_guesses(mu: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     They are ``a +- sqrt(|beta|^2 - sigma^2)``: a conjugate pair, or two
     real roots where the bath outweighs the splitting (the edge modes of
-    the ordered phase).  Aberth keeps both kinds as they start.
+    the ordered phase).
     """
     n = mu.size // 2
     up, down = z[:n], z[n:]
@@ -370,28 +390,45 @@ def _pair_guesses(mu: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate((a + root, a - root))
 
 
+def _real_weights(weights: np.ndarray) -> np.ndarray:
+    """The real ``2d x 2r^2`` matrix R with ``(C W).view(float) =
+    C.view(float) R`` for the complex d x r^2 ``weights`` W, so that each
+    complex product of the modes path is one real GEMM."""
+    real = np.empty((2 * weights.shape[0], 2 * weights.shape[1]))
+    real[0::2, 0::2] = real[1::2, 1::2] = weights.real
+    real[0::2, 1::2] = weights.imag
+    real[1::2, 0::2] = -weights.imag
+    return real
+
+
+def _weighted(cauchy: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_k cauchy_ik s c_k c_k^H`` for each row i of the C-ordered
+    complex ``cauchy``, as r x r blocks; ``weights`` is :func:`_real_weights`."""
+    r = math.isqrt(weights.shape[1] // 2)
+    return _matmul(cauchy.view(float), weights).view(complex).reshape(-1, r, r)
+
+
 def _secular_matrices(cauchy: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``M = I - s G`` at each root of a block, from its Cauchy rows."""
-    r = math.isqrt(weights.shape[1])
-    m = -_matmul(cauchy, weights).reshape(-1, r, r)
+    m = _weighted(cauchy, weights)
+    m *= -1.0
+    r = m.shape[1]
     m[:, np.arange(r), np.arange(r)] += 1.0
     return m
 
 
-def _newton_steps(poles: np.ndarray, m: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """``p/p' = 1/(poles + tr(M^-1 s G_2))`` at each root of a block; 0 where
-    M is exactly singular, since there the root is exact."""
+def _secular_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``M^-1 rhs`` for each r x r secular matrix of a block, by one batched
+    LU.  An exactly singular M (its root is exact) is solved with its
+    diagonal raised by ``eps ||M||_max``: a large, finite solution along its
+    null vector."""
     try:
-        return 1.0 / (poles + np.einsum("naa->n", np.linalg.solve(m, g2)))
+        return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError:
-        pass
-    steps = np.zeros(poles.size, dtype=complex)
-    for i in range(poles.size):
-        try:
-            steps[i] = 1.0 / (poles[i] + np.trace(np.linalg.solve(m[i], g2[i])))
-        except np.linalg.LinAlgError:
-            pass
-    return steps
+        m = m.copy()
+        r = m.shape[1]
+        m[:, np.arange(r), np.arange(r)] += _EPS * np.max(np.abs(m), axis=(1, 2))[:, None]
+        return np.linalg.solve(m, rhs)
 
 
 def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
@@ -399,42 +436,68 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
     """Every root of ``prod_k (lam - mu_k) det(I - s G(lam))`` with
     ``G(lam) = sum_k c_k c_k^H / (lam - mu_k)``, from ``start``.
 
-    ``weights`` holds ``vec(s c_k c_k^H)`` in row k.  Ehrlich-Aberth in
-    Gauss-Seidel order, a block of roots at a time: the block's Cauchy rows
-    ``1/(lam_i - mu_k)`` times ``weights`` give ``M = I - s G``, their
-    squares ``s G_2 = -s G'``, so that ``p'/p = sum_k 1/(lam - mu_k) +
-    tr(M^-1 s G_2)``.  A root freezes once its Newton step is below
-    ``tol``.  Raises _Uncertified on a non-finite step or after
-    ``_ABERTH_MAX_SWEEPS`` sweeps.
+    ``weights`` is :func:`_real_weights` of ``vec(s c_k c_k^H)`` in row k.
+    The polynomial is real, so a start above the real axis (its pair's
+    other start, at the same offset in the second half, is its conjugate)
+    is iterated alone and its partner kept as its conjugate; real starts
+    are iterated in full.  A mirrored root whose imaginary part falls below
+    its step may be heading for two real roots, which a conjugate pair
+    cannot reach: the two are then moved apart by the step along the real
+    axis and iterated in full.
+
+    Ehrlich-Aberth a block of roots at a time, each block seeing the roots
+    of the blocks before it (one block, all roots at once, up to 2^15
+    Cauchy entries): the block's Cauchy rows ``1/(lam_i - mu_k)`` times
+    ``weights`` give ``M = I - s G``, their squares ``s G_2 = -s G'``, so
+    that ``p'/p = sum_k 1/(lam - mu_k) + tr(M^-1 s G_2)``.  A root freezes
+    once its Newton step is below ``tol``.  Raises _Uncertified on a
+    non-finite step, when nine in ten of the iterated roots still move after
+    ``_ABERTH_CHECK_SWEEPS`` sweeps, or after ``_ABERTH_MAX_SWEEPS``.
     """
     d = mu.size
+    n = d // 2
     lam = start.copy()
-    block = max(1, min(d // 2, (1 << 15) // d))
-    # two block x d work arrays for every block of every sweep
-    work = np.empty((2, block, d), dtype=complex)
-    active = np.arange(d)
+    mirrored = np.zeros(d, dtype=bool)
+    mirrored[:n] = start[:n].imag > 0.0
+    active = np.concatenate((np.arange(n), np.flatnonzero(~mirrored[:n]) + n))
+    iterated = active.size
     with np.errstate(all="ignore"):
-        for _ in range(_ABERTH_MAX_SWEEPS):
+        for sweep in range(_ABERTH_MAX_SWEEPS):
             if not active.size:
                 break
-            settled = []
+            if sweep == _ABERTH_CHECK_SWEEPS and 10 * active.size > 9 * iterated:
+                raise _Uncertified(
+                    f"{active.size} of {iterated} roots unsettled after {sweep} Aberth sweeps"
+                )
+            block = max(1, min(active.size, (1 << 15) // d))
+            settled, split = [], []
             for i in range(0, active.size, block):
                 idx = active[i:i + block]
-                cauchy = np.subtract(lam[idx, None], mu, out=work[0, :idx.size])
-                np.reciprocal(cauchy, out=cauchy)
+                cauchy = np.reciprocal(lam[idx, None] - mu)
                 poles = np.sum(cauchy, axis=1)
                 m = _secular_matrices(cauchy, weights)
                 cauchy *= cauchy
-                g2 = _matmul(cauchy, weights).reshape(m.shape)
-                newton = _newton_steps(poles, m, g2)
-                gaps = np.subtract(lam[idx, None], lam, out=work[1, :idx.size])
+                y = _secular_solve(m, _weighted(cauchy, weights))
+                newton = 1.0 / (poles + np.einsum("naa->n", y))
+                gaps = lam[idx, None] - lam
                 gaps[np.arange(idx.size), idx] = np.inf
-                step = newton / (1.0 - newton * np.sum(np.reciprocal(gaps, out=gaps), axis=1))
+                step = newton / (1.0 - newton * np.sum(np.reciprocal(gaps), axis=1))
                 if not np.all(np.isfinite(step)):
                     raise _Uncertified("an Aberth step is not finite (coincident roots)")
                 lam[idx] -= step
-                settled.append(np.abs(newton) <= tol)
+                mirror = mirrored[idx]
+                done = np.abs(newton) <= tol
+                low = mirror & ~done & (np.abs(lam[idx].imag) <= np.abs(step))
+                lam[idx[mirror] + n] = lam[idx[mirror]].conj()
+                settled.append(done)
+                split.append((idx[low], np.abs(step[low]) + tol))
             active = active[~np.concatenate(settled)]
+            split, spread = (np.concatenate(a) for a in zip(*split))
+            if split.size:  # un-mirror: iterate both members in full, apart
+                lam[split + n] = lam[split].conj() - spread
+                lam[split] += spread
+                mirrored[split] = False
+                active = np.concatenate((active, split + n))
     if active.size:
         raise _Uncertified(
             f"{active.size} roots unsettled after {_ABERTH_MAX_SWEEPS} Aberth sweeps"
@@ -446,14 +509,16 @@ def _eigenvector_block(roots, mu, z, weights, w, v) -> np.ndarray:
     """Unscaled complex eigenvectors of the modes factorization, d x
     len(roots), at settled roots: ``v = sum_k u_k (c_k^H y)/(lam - mu_k)``
     with y the null vector of ``I - s G(lam)``, assembled as W and V times
-    the Cauchy-scaled coefficients of the + and - modes."""
+    the Cauchy-scaled coefficients of the + and - modes.  y is the largest
+    column of ``(I - s G)^-1``, a step of inverse iteration from each unit
+    vector: its residual is at most ``sqrt(r)`` times the smallest singular
+    value."""
     n = w.shape[0]
     cauchy = np.reciprocal(roots[:, None] - mu)
-    try:
-        y = np.linalg.svd(_secular_matrices(cauchy, weights))[2][:, -1, :].conj()
-    except np.linalg.LinAlgError as exc:
-        raise _Uncertified(f"null vectors of the secular matrices: {exc}") from exc
-    coef = _matmul(z.conj(), y.T)
+    m = _secular_matrices(cauchy, weights)
+    inv = _secular_solve(m, np.broadcast_to(np.eye(m.shape[1]), m.shape))
+    col = np.argmax(np.sum(inv.real ** 2 + inv.imag ** 2, axis=1), axis=1)
+    coef = np.einsum("kr,br->kb", z.conj(), inv[np.arange(roots.size), :, col])
     coef *= cauchy.T
     del cauchy
     plus = np.ascontiguousarray(coef[:n] + coef[n:])
@@ -500,8 +565,12 @@ class _ModesFactor:
     roots.  A solve is then GEMMs and an O(d^2) division by
     ``lam_i + lam_j``.
 
-    Certified before use, else _Uncertified: every root settled within
-    the sweep cap, the roots pair up as ``2m + q = d``, every root is
+    Refused before Aberth, with _Uncertified, when two singular values of
+    J above ``1e-12 sigma_max`` coincide to that tolerance: a double pole,
+    as in the XX chain at zero field.  Certified before use, else
+    _Uncertified: every root settled within the sweep cap (see
+    :func:`_aberth_roots` for its early exit), the roots pair up as
+    ``2m + q = d``, every root is
     within ``2 ||q|| ||X V_r - V_r Lambda_r|| <= 1e-11 ||X||`` of the
     spectrum of X (Bauer-Fike, as ``||V_r^-1|| <= 2 ||q||``), and
     ``||N q^T V_r - I|| <= 1e-6``, so ``V_r`` is a basis and ``N q^T`` its
@@ -510,6 +579,7 @@ class _ModesFactor:
     """
 
     path = "modes"
+    condition_estimator = "modes_frobenius"
 
     def __init__(self, x: np.ndarray, x_rows, support: np.ndarray):
         import scipy.linalg as sla
@@ -522,11 +592,18 @@ class _ModesFactor:
             raise _Uncertified(f"SVD of the kernel failed: {exc}") from exc
         v = vt.T
         del vt
+        # a double pole of the secular equation (the XX chain at zero field),
+        # which Aberth cannot settle; edge modes near zero are not one
+        tol = 1e-12 * sigma[0]
+        if np.any(np.diff(sigma[sigma > tol]) >= -tol):
+            raise _Uncertified("two singular values of the kernel coincide")
         # c_k of the + modes: w on the even rows of the support, i v on the odd ones
         up = np.where(support % 2 == 0, w[support // 2].T, 1j * v[support // 2].T)
         z = np.concatenate((up, up.conj())) / math.sqrt(2.0)
         mu = np.concatenate((1j * sigma, -1j * sigma))
-        weights = (_matmul(z, s)[:, :, None] * z.conj()[:, None, :]).reshape(mu.size, -1)
+        zs = np.einsum("ka,ab->kb", z, s)
+        weights = _real_weights((zs[:, :, None] * z.conj()[:, None, :]).reshape(mu.size, -1))
+        del zs
         scale = float(sigma[0]) + float(np.max(np.abs(s))) * s.shape[0]  # >= ||X||_2
         lam = _aberth_roots(mu, weights, _pair_guesses(mu, z, s), 4.0 * _EPS * scale)
 
@@ -540,8 +617,8 @@ class _ModesFactor:
         self._signs = np.concatenate((np.full(m, 2.0), np.full(m, -2.0), np.ones(real.size)))
         self.q = np.empty((d, d))
         roots = np.concatenate((upper, real))
-        # blocks of temporaries no larger than one d x d array
-        block = max(1, min(d // 2, (1 << 15) // d))
+        # blocks of temporaries of at most 2^15 entries
+        block = max(1, (1 << 15) // d)
         residual = 0.0
         with np.errstate(all="ignore"):  # a non-finite vector fails the bound below
             for j in range(0, roots.size, block):
@@ -561,6 +638,16 @@ class _ModesFactor:
         if not bound <= 1e-11 * _frobenius(x):
             raise _Uncertified(f"eigenpair bound {bound:.3e} above 1e-11 ||X||")
         self._check_inverse(block)
+
+    def pair_sums(self) -> np.ndarray:
+        """The sum ``2 Re lam`` of each conjugate pair and twice each real root."""
+        return 2.0 * np.concatenate((self._alpha, self._rho))
+
+    def condition_estimate(self) -> float:
+        """``||V_r||_F ||V_r^-1||_F = ||q||_F ||N q^T||_F``, in O(d^2); it
+        bounds the 2-norm condition of ``V_r`` from above."""
+        cols = np.sum(self.q * self.q, axis=0)
+        return math.sqrt(float(np.sum(cols)) * float(np.sum(self._signs ** 2 * cols)))
 
     def _check_inverse(self, block: int) -> None:
         """``||N q^T V_r - I||_F <= 1e-6``, a block of columns at a time."""

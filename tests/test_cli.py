@@ -288,9 +288,9 @@ class TestConfigAndMain:
         assert report["delta"] > 0
         assert report["delta_xhat"] == pytest.approx(report["delta"], rel=1e-6)
 
-    @pytest.mark.parametrize("n", [6, 40])
+    @pytest.mark.parametrize("n", [6, 40, 160, pytest.param(320, marks=pytest.mark.slow)])
     def test_spectrum_delta_is_the_geometry_gap(self, n, tmp_path, capsys):
-        # both subcommands read the gap from the same Schur factorization
+        # both subcommands read the gap from the same factorization
         point = ["--model", "boundary_xy", "--set", f"n={n}", "--set", "delta=1.25",
                  "--set", "h=0.3"]
         assert cli.main(["spectrum", *point]) == 0

@@ -17,7 +17,7 @@ from nessgeom.errors import (
     SingularSylvester,
 )
 
-from conftest import rand_antisym, rand_stable_model
+from conftest import dense_slope, rand_antisym, rand_stable_model
 
 
 class TestLyapunov:
@@ -466,18 +466,52 @@ class TestModesFactor:
                                    "R": qgt.r_ratio, "purity": gaussian.purity(ref)})
 
     def test_modes_path_runs_at_the_scaling_sizes(self):
-        for n in (numerics.MODES_MIN_DIM // 2, 320):
+        for n in (numerics.MODES_MIN_DIM // 2, 40, 320):
             solver = numerics.LyapunovSolver(_boundary_shape(n, 1.25, 0.3)[0].x)
             assert (solver.path, solver.fallback) == ("modes", None)
-        solver = numerics.LyapunovSolver(_boundary_shape(40, 1.25, 0.3)[0].x)
-        assert (solver.path, solver.fallback) == ("schur", None)  # below the crossover
+        below = numerics.MODES_MIN_DIM // 2 - 1  # below the crossover
+        solver = numerics.LyapunovSolver(_boundary_shape(below, 1.25, 0.3)[0].x)
+        assert (solver.path, solver.fallback) == ("schur", None)
+
+    def test_a_sweep_row_takes_the_modes_path(self):
+        # the delta = 1.5 row of the n = 40 sweep grid; at h = 0.891 a
+        # mirrored start heads for two real roots and is iterated in full
+        for h in (0.041, 0.291, 0.591, 0.891, 1.191):
+            solver = numerics.LyapunovSolver(_boundary_shape(40, 1.5, h)[0].x)
+            assert (solver.path, solver.fallback) == ("modes", None)
+        assert _modes(_boundary_shape(40, 1.5, 0.891)[0].x)._rho.size == 2
+
+    @pytest.mark.parametrize("n", [32, 40, 48, 63])
+    def test_small_orders_match_the_refined_reference(self, n):
+        # A and the tangents against long-double-refined solutions of the
+        # same sources; scipy's own A is only reproduced bit for bit by the
+        # Schur path, so gmax and purity are held to it at 1e-6
+        shape, derivatives = _boundary_shape(n, 1.25, 0.3)
+        x_rows = numerics._sparse_rows(shape.x)
+        schur = numerics._SchurFactor(shape.x)
+        got = _point_on(_modes(shape.x), shape, derivatives)
+        a = _long_double_refined(schur, x_rows, shape.b, got["a"])
+        assert np.linalg.norm(got["a"] - a) <= 1e-11 * np.linalg.norm(a)
+        for (dx, db), d_a in zip(derivatives.values(), got["d_a"]):
+            source = liouvillian._tangent_source(got["a"], dx, db)
+            ref = _long_double_refined(schur, x_rows, source, d_a)
+            assert np.linalg.norm(d_a - ref) <= 1e-11 * np.linalg.norm(ref)
+        a = sla.solve_continuous_lyapunov(shape.x, shape.b)
+        a = 0.5 * (a - a.T)
+        d_as = []
+        for dx, _ in derivatives.values():
+            dx = dense_slope(dx, 2 * n)
+            d_as.append(sla.solve_continuous_lyapunov(shape.x, -(dx @ a + a @ dx.T)))
+        ref = geometry.qgt(1j * a, geometry.TangentSet(tuple(derivatives), tuple(d_as)))
+        assert got["gmax"] == pytest.approx(ref.gmax(), rel=1e-6)
+        assert got["purity"] == pytest.approx(gaussian.purity(1j * a), rel=1e-6)
 
     @pytest.mark.parametrize("n", [40, 160, pytest.param(320, marks=pytest.mark.slow)])
     def test_xx_chain_at_zero_field_gives_the_schur_numbers(self, n, monkeypatch):
-        # J's singular values pair up and X has double eigenvalues: Aberth
-        # needs ~57 sweeps, so the cap sends the point to the Schur path
+        # J's singular values pair up and X has double eigenvalues: the
+        # modes path refuses before Aberth and the point takes the Schur path
         shape, derivatives = _boundary_shape(n, 0.0, 0.0)
-        with pytest.raises(numerics._Uncertified, match="unsettled after 30 Aberth sweeps"):
+        with pytest.raises(numerics._Uncertified, match="two singular values of the kernel"):
             _modes(shape.x)
         point = liouvillian.point_geometry(shape, derivatives)
         monkeypatch.setattr(numerics, "MODES_MIN_DIM", 10**9)
@@ -486,12 +520,32 @@ class TestModesFactor:
         for got, ref in zip(point.tangents.d_a, want.tangents.d_a):
             assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("n", [40, 160])
+    def test_stalled_aberth_gives_up_early(self, n):
+        # test_cli's NEAR_SINGULAR point: a tight cluster of singular values
+        # that Aberth does not resolve within the sweep cap
+        shape, _ = _boundary_shape(n, 1.0, 1.1304758631173196e-4)
+        with pytest.raises(numerics._Uncertified, match="unsettled after 5 Aberth sweeps"):
+            _modes(shape.x)
+
+    def test_condition_estimate_is_that_of_the_real_basis(self):
+        shape, _ = _boundary_shape(40, 1.25, 0.3)
+        modes = _modes(shape.x)
+        v_r = modes.q.copy()
+        v_r[1::2] *= -1.0
+        want = np.linalg.norm(v_r) * np.linalg.norm(np.linalg.inv(v_r))
+        assert modes.condition_estimate() == pytest.approx(want, rel=1e-10)
+        rep = liouvillian.gap_report(shape.x)
+        assert rep.condition_estimator == "modes_frobenius"
+        assert rep.condition_estimate == modes.condition_estimate()
+        assert rep.delta_liouville == rep.delta
+
     def test_certificate_failure_falls_back_to_schur(self, monkeypatch):
         shape, derivatives = _boundary_shape(160, 1.25, 0.3)
         monkeypatch.setattr(numerics, "_ABERTH_MAX_SWEEPS", 1)
         solver = numerics.LyapunovSolver(shape.x)
         assert solver.path == "schur"
-        assert solver.fallback == "320 roots unsettled after 1 Aberth sweeps"
+        assert solver.fallback == "161 roots unsettled after 1 Aberth sweeps"
         point = liouvillian.point_geometry(shape, derivatives)
         monkeypatch.setattr(numerics, "MODES_MIN_DIM", 10**9)
         want = liouvillian.point_geometry(shape, derivatives)
@@ -511,10 +565,16 @@ class TestModesFactor:
         assert np.array_equal(a, 0.5 * (want - want.T))
 
     def test_singular_secular_matrix_is_an_exact_root(self):
+        # an exactly singular M gives a finite solution along its null vector,
+        # so the Newton step 1/(poles + tr(M^-1 s G_2)) vanishes to rounding
         m = np.array([np.eye(2), np.diag([1.0, 0.0])], dtype=complex)
         g2 = np.array([np.eye(2), np.eye(2)], dtype=complex)
-        steps = numerics._newton_steps(np.array([1.0, 1.0], dtype=complex), m, g2)
-        assert steps.tolist() == [1.0 / 3.0, 0.0]
+        y = numerics._secular_solve(m, g2)
+        assert np.all(np.isfinite(y))
+        steps = 1.0 / (1.0 + np.einsum("naa->n", y))
+        assert steps[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert abs(steps[1]) <= 1e-15
+        assert np.abs(y[1, 0]).max() <= 1e-15 * np.abs(y[1, 1]).max()  # along e_2
 
     def test_divide_by_pair_sums_solves_the_real_block_form(self, rng):
         m, q = 5, 3
