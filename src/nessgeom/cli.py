@@ -103,6 +103,19 @@ def _check_params(model_name: str, params: dict, axes=()) -> None:
         raise BadSpec("model 'boundary_xy' needs n, the number of sites (--set n=...)")
 
 
+def _check_quantities(command: str, model_name: str, quantities: tuple) -> None:
+    """Refuse an empty ``--quantities``, a name the model lacks and a name given twice."""
+    if not quantities:
+        raise BadSpec(f"{command} needs --quantities")
+    accepted = FINITE_QUANTITIES if model_name == "boundary_xy" else SYMBOL_QUANTITIES
+    for i, q in enumerate(quantities):
+        if q not in accepted:
+            raise BadSpec(f"--quantities: model {model_name!r} has no quantity {q!r} "
+                          f"(accepted: {', '.join(accepted)})")
+        if q in quantities[:i]:
+            raise BadSpec(f"--quantities names {q!r} twice")
+
+
 def _boundary_xy_params(params: dict):
     """A boundary_xy point from CLI parameters; unset rates keep the dataclass defaults."""
     from . import models
@@ -203,12 +216,7 @@ class SweepSpec:
             if step <= 0:
                 raise BadSpec(f"axis {name}: step must be positive")
         _check_params(self.model, self.fixed, [(a[0], _axis(*a[1:])) for a in self.axes])
-        if not self.quantities:
-            raise BadSpec("sweep needs --quantities")
-        allowed = FINITE_QUANTITIES if self.model == "boundary_xy" else SYMBOL_QUANTITIES
-        for q in self.quantities:
-            if q not in allowed:
-                raise BadSpec(f"quantity {q!r} not supported for model {self.model!r}")
+        _check_quantities("sweep", self.model, self.quantities)
 
     def grid(self):
         axes_values = [_axis(*a[1:]) for a in self.axes]
@@ -234,10 +242,9 @@ class ScalingSpec:
             raise BadSpec("finite-size scaling is defined for the boundary_xy model")
         # the sizes are the n of each run, held to the rule of --set n=...
         _check_params(self.model, self.fixed, [("n", tuple(self.sizes))])
-        if list(self.sizes) != sorted(self.sizes):
-            raise BadSpec("sizes must be ascending")
-        if not self.quantities:
-            raise BadSpec("scaling needs --quantities")
+        if list(self.sizes) != sorted(set(self.sizes)):
+            raise BadSpec(f"--sizes must ascend, each size once: {','.join(map(_fmt, self.sizes))}")
+        _check_quantities("scaling", self.model, self.quantities)
 
 
 # --- output ------------------------------------------------------------------------

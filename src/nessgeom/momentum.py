@@ -447,7 +447,7 @@ def _contour_integral(
         m = vals.shape[0]
         step = radius * np.exp(2j * np.pi * np.arange(m) / m)
         size = np.sum(np.max(np.abs(vals).reshape(m, -1), axis=1)) * 2.0 * np.pi * radius / m
-        return np.tensordot(vals, step, axes=(0, 0)) / m, float(size)
+        return _contract(step[None], vals.reshape(m, -1)).reshape(vals.shape[1:]) / m, float(size)
 
     vals = sample(2.0 * np.pi * np.arange(points) / points)
     prev, _ = estimate(vals)

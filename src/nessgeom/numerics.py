@@ -132,48 +132,14 @@ def _subtract_transpose(m: np.ndarray, block: int = 64) -> None:
 _SYLVESTER_LEAF = 64
 
 
-def _opens_block(t: np.ndarray, i: int) -> bool:
-    """True when rows ``i, i+1`` of a real Schur form hold one 2x2 block.
-
-    This is LAPACK's rule (a nonzero subdiagonal entry), so the block
-    scan below and the splits of the blocked solve agree with ``trsyl``.
-    """
-    return i + 1 < t.shape[0] and t[i + 1, i] != 0.0
-
-
-# cos(atan2(0, w) / 2) for w < 0: the factor Python's ``complex(w) ** 0.5``
-# puts on the real part of the root of a negative discriminant, kept so that
-# the spectrum matches the scalar form bit for bit
-_COS_HALF_PI = math.cos(math.atan2(0.0, -1.0) * 0.5)
-
-
-def _quasi_triangular_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real Schur form from its 1x1 / 2x2 diagonal blocks.
-
-    A 2x2 block opens at every nonzero subdiagonal entry (a real Schur form
-    never has two in a row).  Its discriminant root is taken as
-    ``complex(w) ** 0.5`` takes it: libm ``pow(|w|, 0.5)``, which is not
-    always ``sqrt``, and a real part ``root * cos(pi/2)`` when ``w < 0``.
-    """
-    eigs = np.diagonal(t).astype(complex)
-    i = np.flatnonzero(np.diagonal(t, -1))
-    a, b, c, d = t[i, i], t[i, i + 1], t[i + 1, i], t[i + 1, i + 1]
-    tr, det = a + d, a * d - b * c
-    w = tr * tr / 4.0 - det
-    root = np.array([math.pow(v, 0.5) for v in np.abs(w).tolist()])
-    neg = w < 0.0
-    disc_re = np.where(neg, root * _COS_HALF_PI, root)
-    disc_im = np.where(neg, root, 0.0)
-    half = tr / 2.0
-    eigs.real[i], eigs.imag[i] = half + disc_re, disc_im
-    eigs.real[i + 1], eigs.imag[i + 1] = half - disc_re, 0.0 - disc_im
-    return eigs
-
-
 def _split_index(t: np.ndarray) -> int:
-    """Middle index of a quasi-triangular ``t`` that does not cut a 2x2 block."""
+    """Middle index of a quasi-triangular ``t`` that does not cut a 2x2 block.
+
+    A nonzero subdiagonal entry opens a block (LAPACK's rule), so the splits
+    of the blocked solve agree with ``trsyl``.
+    """
     k = t.shape[0] // 2
-    return k + 1 if _opens_block(t, k - 1) else k
+    return k + 1 if t[k, k - 1] != 0.0 else k
 
 
 def _solve_quasi_triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
@@ -283,7 +249,12 @@ def _sparse_product(padded: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.
 class _SchurFactor:
     """``X = U T U^T``, real Schur: the general path.  The Bartels-Stewart
     back-substitution runs on T, so a defective (Jordan-like) drift needs no
-    special casing."""
+    special casing.
+
+    T is LAPACK's standardized form: a 2x2 block ``[[a, b], [c, a]]`` opens
+    at every nonzero subdiagonal entry and holds the pair
+    ``a +- i sqrt|b| sqrt|c|``, ``dlanv2``'s formula, so ``spectrum`` is
+    ``gees``'s ``wr + i wi`` bit for bit."""
 
     path = "schur"
     condition_estimator = "schur_eig_2norm"
@@ -295,16 +266,17 @@ class _SchurFactor:
             self.t, self.u = sla.schur(x, output="real")
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise ConvergenceFailure(f"real Schur factorization failed: {exc}") from exc
-        self.spectrum = _quasi_triangular_eigenvalues(self.t)
+        t = self.t
+        i = np.flatnonzero(np.diagonal(t, -1))
+        self.spectrum = np.diagonal(t).astype(complex)
+        self.spectrum.imag[i] = np.sqrt(np.abs(t[i, i + 1])) * np.sqrt(np.abs(t[i + 1, i]))
+        self.spectrum.imag[i + 1] = -self.spectrum.imag[i]
 
     def pair_sums(self) -> np.ndarray:
-        """The sum of each conjugate pair, a 2x2 block's trace, and twice
-        each real eigenvalue, a 1x1 block."""
-        diag = np.diagonal(self.t)
-        pairs = np.flatnonzero(np.diagonal(self.t, -1))
-        single = np.ones(diag.size, dtype=bool)
-        single[pairs] = single[pairs + 1] = False
-        return np.concatenate((2.0 * diag[single], diag[pairs] + diag[pairs + 1]))
+        """The sum ``2a`` of each conjugate pair and twice each real
+        eigenvalue: twice the diagonal, less the second row of each block."""
+        second = np.flatnonzero(np.diagonal(self.t, -1)) + 1
+        return 2.0 * np.delete(np.diagonal(self.t), second)
 
     def condition_estimate(self) -> float:
         """Condition of the eigenvectors of T, a full ``eig``; U is

@@ -487,6 +487,25 @@ class TestConfigAndMain:
         assert err.startswith("spec error: ") and f"parameter {key!r} is given twice" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, words", [
+        (["scaling", "--sizes", "4,6,8,10", "--quantities", "gap,foo"], ("--quantities", "'foo'")),
+        (["sweep", "--set", "n=4", "--grid", "h=0.3:0.3:0.1", "--quantities", "gap,foo"],
+         ("--quantities", "'foo'")),
+        (["scaling", "--sizes", "4,6,8,10", "--quantities", "gap,gap"], ("--quantities", "twice")),
+        (["sweep", "--set", "n=4", "--grid", "h=0.3:0.3:0.1", "--quantities", "gap,gap"],
+         ("--quantities", "twice")),
+        (["scaling", "--sizes", "4,4,6,8", "--quantities", "gap"], ("--sizes", "4,4,6,8")),
+    ], ids=["scaling-unknown", "sweep-unknown", "scaling-quantity-twice", "sweep-quantity-twice",
+            "size-twice"])
+    def test_quantities_and_sizes_checked(self, tmp_path, capsys, argv, words):
+        # scaling used to write an all-undefined column for an unknown name,
+        # and two identical columns or rows for a name or size given twice
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--model", "boundary_xy", "--jobs", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: ") and all(w in err for w in words)
+        assert not list(tmp_path.iterdir())
+
     def test_oracle_exit_codes(self, capsys):
         assert cli.main(["oracle", "--seed", "3", "--cases", "2"]) == 0
         capsys.readouterr()

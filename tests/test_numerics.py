@@ -134,10 +134,6 @@ class TestBlockedSylvester:
         t = _quasi_triangular(rng, n, 0)
         k = numerics._split_index(t)
         assert k == n // 2 + 1 and t[k, k - 1] == 0.0
-        eigs = numerics._quasi_triangular_eigenvalues(t)
-        np.testing.assert_allclose(
-            np.sort_complex(eigs), np.sort_complex(np.linalg.eigvals(t)), atol=1e-10
-        )
 
     @settings(max_examples=15, deadline=None)
     @given(n=blocked_sizes, seed=st.integers(0, 2**32 - 1))
@@ -362,6 +358,52 @@ class TestPowerLawFit:
             numerics.fit_power_law([(1, 1.0), (2, 2.0), (3, 3.0)])
         with pytest.raises(NonPositiveValue):
             numerics.fit_power_law([(1, 1.0), (2, -2.0), (3, 3.0), (4, 4.0)])
+
+
+def _gees_spectrum(x):
+    """``(wr, wi)`` of LAPACK's ``gees`` after the workspace query
+    ``scipy.linalg.schur`` makes."""
+    gees = sla.get_lapack_funcs("gees", (x,))
+    lwork = gees(lambda *_: None, x, lwork=-1)[-2][0].real.astype(np.int_)
+    _, _, wr, wi, _, _, info = gees(lambda *_: None, x, lwork=lwork)
+    assert info == 0
+    return wr, wi
+
+
+# boundary-XY points (n, delta, h), and the seeds and orders of random drifts;
+# orders above 75 (80 and 150) take LAPACK's aggressive-deflation QR, the rest
+# its small-order one
+SCHUR_DRIFTS = [(4, 1.25, 0.3), (20, 1.25, 0.3), (31, 1.25, 0.3), (40, 1.0, 0.01),
+                ("random", 1, 7), ("random", 2, 33), ("random", 3, 150)]
+
+
+class TestSchurSpectrum:
+    @pytest.mark.parametrize("case", SCHUR_DRIFTS, ids=str)
+    def test_spectrum_is_lapacks_bit_for_bit(self, case, monkeypatch):
+        # each 2x2 block [[a, b], [c, a]] of T holds a +- i sqrt|b| sqrt|c|, as in dlanv2
+        monkeypatch.setattr(numerics, "MODES_MIN_DIM", 10**9)
+        if case[0] == "random":
+            n = case[2]
+            x = np.random.default_rng(case[1]).normal(size=(n, n))
+        else:
+            x = _boundary_shape(*case)[0].x
+        solver = numerics.LyapunovSolver(x)
+        assert solver.path == "schur"
+        wr, wi = _gees_spectrum(x)
+        assert solver.spectrum.real.tobytes() == wr.tobytes()
+        assert solver.spectrum.imag.tobytes() == wi.tobytes()
+
+    @pytest.mark.parametrize("n, path", [(20, "schur"), (40, "modes"), (160, "modes")])
+    def test_three_gaps_are_one_number(self, n, path):
+        x = _boundary_shape(n, 1.25, 0.3)[0].x
+        assert numerics.LyapunovSolver(x).path == path
+        rep = liouvillian.gap_report(x)
+        assert rep.delta == rep.delta_xhat == rep.delta_liouville
+
+    def test_three_gaps_are_one_number_on_random_models(self, rng):
+        for _ in range(20):
+            rep = liouvillian.gap_report(liouvillian.shape_matrices(rand_stable_model(rng, 4)).x)
+            assert rep.delta == rep.delta_xhat == rep.delta_liouville
 
 
 def _boundary_shape(n, delta, h):

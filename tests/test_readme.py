@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nessgeom import cli
+from nessgeom import cli, numerics
 
 README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README_TEXT, flags=re.MULTILINE | re.DOTALL)
@@ -53,3 +53,11 @@ def test_readme_config_keys_are_flags(index, tmp_path):
     command = re.match(r"\[(\w+)\]", INI[index]).group(1)
     args = argparse.Namespace(config=str(cfg), command=command, grid=None)
     _parses([command, *cli._config_words(args)])
+
+
+def test_readme_modes_path_numbers_are_the_codes():
+    # the crossover order and the two Aberth sweep limits, as numerics sets them
+    text = " ".join(README_TEXT.split())
+    assert set(re.findall(r"\border (\d+)", text)) == {str(numerics.MODES_MIN_DIM)}
+    assert re.findall(r"within (\d+) sweeps", text) == [str(numerics._ABERTH_MAX_SWEEPS)]
+    assert re.findall(r"after (\d+) Aberth sweeps", text) == [str(numerics._ABERTH_CHECK_SWEEPS)]
