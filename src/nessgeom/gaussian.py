@@ -28,9 +28,6 @@ from .errors import (
 )
 from .numerics import _matmul
 
-# scipy.linalg is imported inside the functions that call it, so that the
-# symbol path, which never does, starts without it (see numerics)
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -77,9 +74,7 @@ def validate(gamma) -> CovarianceMatrix:
     if np.max(np.abs(g + g.T)) > 1e-12 * scale:
         raise NotAntisymmetric("gamma is not antisymmetric")
     # Hermitian and antisymmetric: g = i Im g, whose spectrum is +- the singular values of Im g
-    from scipy.linalg import svdvals
-
-    check_norm(svdvals(np.imag(g)))
+    check_norm(np.linalg.svd(np.imag(g), compute_uv=False))
     return CovarianceMatrix(n_modes=g.shape[0] // 2, gamma=g)
 
 
@@ -88,7 +83,8 @@ def _schur_pairs(b: np.ndarray, w: np.ndarray, cols: slice, tol: float) -> None:
     form, in place, rotating ``w[:, cols]`` along.
 
     The 2x2 blocks come first; the 1x1 (zero) eigenvalues follow in pairs,
-    which stays orthogonal through degenerate and zero modes.
+    which stays orthogonal through degenerate and zero modes.  numpy has no
+    real Schur form, so this is the frame's one scipy call.
     """
     from scipy.linalg import schur
 
@@ -107,18 +103,6 @@ def _schur_pairs(b: np.ndarray, w: np.ndarray, cols: slice, tol: float) -> None:
     perm = np.array(pairs + singles)
     w[:, cols] = _matmul(w[:, cols], z[:, perm])
     b[cols, cols] = t[np.ix_(perm, perm)]
-
-
-def _lower_gram(a: np.ndarray, block: int = 256) -> np.ndarray:
-    """``A^T A`` as a Fortran-ordered array that ``eigh`` can overwrite, with
-    the lower triangle of the C-ordered product on both sides: the numbers
-    LAPACK read from the copy it used to make, without that d x d copy."""
-    m = _matmul(a.T, a)
-    for i in range(0, m.shape[0], block):
-        j = i + block
-        m[i:j, j:] = m[j:, i:j].T
-        m[i:j, i:j] = np.tril(m[i:j, i:j]) + np.tril(m[i:j, i:j], -1).T
-    return m.T
 
 
 def real_eigenmodes(a: np.ndarray) -> EigenmodeDecomposition:
@@ -141,11 +125,7 @@ def real_eigenmodes(a: np.ndarray) -> EigenmodeDecomposition:
         raise DimensionMismatch(f"covariance matrix must be square of even size, got {a.shape}")
     if dim == 0:
         return EigenmodeDecomposition(q=np.zeros((0, 0)), gammas=np.zeros(0))
-    # scipy's eigh, on the BLAS of the solves before it (see numerics);
-    # "evd" is the divide and conquer that numpy's eigh runs
-    from scipy.linalg import eigh
-
-    _, w = eigh(_lower_gram(a), driver="evd", overwrite_a=True)
+    _, w = np.linalg.eigh(_matmul(a.T, a), UPLO="L")
     b = _matmul(w.T, _matmul(a, w))
     tol = 1e-12 * max(1.0, np.max(np.abs(a)))
     coupled = np.maximum(

@@ -5,7 +5,8 @@ special casing, or in the eigenbasis of a boundary-driven drift, built from
 its kernel's normal modes), eigendecompositions, polynomial roots with cluster
 detection, periodic quadrature with point doubling, and log-log power-law
 fits.  All tolerances are relative to input norms with an absolute floor of
-1e-14.
+1e-14.  Everything runs on numpy's LAPACK and BLAS except the real Schur
+path, which imports scipy's ``schur`` and ``trsyl`` where it runs.
 """
 from __future__ import annotations
 
@@ -28,71 +29,32 @@ from .errors import (
 )
 
 ABS_FLOOR = 1e-14
-
-# Every d x d product and norm of a chain point runs on scipy's BLAS, the
-# library its LAPACK factorizations and ``trsyl`` must use: numpy bundles a
-# second OpenBLAS whose worker threads, once woken by a numpy GEMM or norm,
-# keep spinning and slow the next LAPACK call down by up to 40%.
-#
-# scipy.linalg takes about 0.3 s to import and the symbol path never calls
-# it, so it is imported on the first dense call: until then each handle
-# below is a stub that binds all of them and runs the real routine, and after
-# that the globals are scipy's own wrappers.
-
-
-def _bind_scipy_handles() -> None:
-    global _gemm, _nrm2, _trsyl
-    import scipy.linalg as sla
-
-    _gemm = sla.get_blas_funcs("gemm", dtype=np.float64)
-    _nrm2 = sla.get_blas_funcs("nrm2", dtype=np.float64)
-    _trsyl = sla.get_lapack_funcs("trsyl", dtype=np.float64)
-
-
-def _first_call(name: str) -> Callable:
-    def stub(*args, **kwargs):
-        _bind_scipy_handles()
-        return globals()[name](*args, **kwargs)
-
-    return stub
-
-
-_gemm, _nrm2, _trsyl = _first_call("_gemm"), _first_call("_nrm2"), _first_call("_trsyl")
-
-
-def _transposed_operand(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``(m, trans)`` with ``op(m) = x^T`` for ``gemm``; C- and F-ordered
-    ``x`` need no copy, any other view is copied by the wrapper."""
-    if x.flags.f_contiguous and not x.flags.c_contiguous:
-        return x, True
-    return x.T, False
+# below it a sum of squares may have lost digits to underflow
+_SQUARES_FLOOR = 1e-280
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` of real arrays on scipy's BLAS as a C-ordered array; with
-    ``c``, the update ``c -= a @ b`` in place (``c`` must not overlap ``a``
-    or ``b``).
-
-    ``gemm`` is column-major, so it forms ``(a b)^T = b^T a^T``, whose
-    column-major result is ``a b`` in row-major order.
-    """
-    bt, trans_b = _transposed_operand(b)
-    at, trans_a = _transposed_operand(a)
+    """``a @ b`` of real arrays as a C-ordered array; with ``c``, the update
+    ``c -= a @ b`` in place (``c`` must not overlap ``a`` or ``b``)."""
     if c is None:
-        return _gemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
-    if not c.size:
-        return c
-    ct = c.T
-    out = _gemm(-1.0, bt, at, beta=1.0, c=ct, trans_a=trans_b, trans_b=trans_a, overwrite_c=True)
-    if out is not ct:  # a non-contiguous c was updated on a copy
-        c[...] = out.T
+        return a @ b
+    c -= a @ b
     return c
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of a real array on scipy's BLAS."""
+    """Frobenius norm of a real array, scaled where its sum of squares
+    would under- or overflow (``np.linalg.norm`` returns 0 at 1e-200)."""
     v = np.ravel(a, order="K")
-    return float(_nrm2(v)) if v.size else 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        squares = float(np.dot(v, v)) if v.size else 0.0
+    if _SQUARES_FLOOR < squares < math.inf:
+        return math.sqrt(squares)
+    top = float(np.max(np.abs(v))) if v.size else 0.0
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    v = v / top
+    return top * math.sqrt(float(np.dot(v, v)))
 
 
 def _real(a, name: str) -> np.ndarray:
@@ -153,7 +115,9 @@ def _solve_quasi_triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarra
     """
     m, n = c.shape
     if max(m, n) <= _SYLVESTER_LEAF:
-        z, scale, info = _trsyl(a, b, c, tranb="T")
+        from scipy.linalg.lapack import dtrsyl
+
+        z, scale, info = dtrsyl(a, b, c, tranb="T")
         if info < 0:  # pragma: no cover - argument error
             raise SingularSylvester(f"trsyl failed with info={info}")
         c[...] = z if scale == 1.0 else z / scale
@@ -260,10 +224,10 @@ class _SchurFactor:
     condition_estimator = "schur_eig_2norm"
 
     def __init__(self, x: np.ndarray):
-        import scipy.linalg as sla
+        from scipy.linalg import schur
 
         try:
-            self.t, self.u = sla.schur(x, output="real")
+            self.t, self.u = schur(x, output="real")
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise ConvergenceFailure(f"real Schur factorization failed: {exc}") from exc
         t = self.t
@@ -298,22 +262,12 @@ class _SchurFactor:
         return a
 
 
-# Order of the smallest drift that takes the modes path: the whole-cell
-# crossover.  Median ms per boundary-XY cell through cli.evaluate_point (all
-# six quantities: one factorization, three solves, the frame and the QGT),
-# over 16 cells of delta in {0.25, 0.75, 1.25, 1.5} by h in {0.33, 0.63,
-# 0.93, 1.23}, 11 alternating pairs in one process on a shared 2-vCPU box:
-#
-#   d            48    56    64    72    80    96    128
-#   Schur path   3.45  4.25  5.07  8.34  9.34  17.05  31.22
-#   modes path   4.12  4.30  4.73  6.95  6.74  10.92  16.77
-#   modes lower  5/11  5/11  8/11  11/11 11/11 11/11  11/11
-MODES_MIN_DIM = 64
-# Ehrlich-Aberth sweeps before the modes path gives up.  The clean drifts
-# measured settle in 4-27 sweeps, the slowest at small fields near the
-# ordered phase's flat band.  A stalled drift, with nine in ten of its roots
-# still moving after _ABERTH_CHECK_SWEEPS sweeps (a tight cluster of singular
-# values), is sent to the Schur path before it costs more than that path.
+# Ehrlich-Aberth sweeps before a start is given up.  The clean drifts
+# measured settle in 4-27 sweeps from the pair guesses, the slowest at small
+# fields near the ordered phase's flat band.  A stalled start, with nine in
+# ten of its roots still moving after _ABERTH_CHECK_SWEEPS sweeps (a tight
+# cluster of singular values), is given up before it costs more than the
+# Schur path; the modes path then restarts once from LAPACK's eigenvalues.
 _ABERTH_MAX_SWEEPS = 30
 _ABERTH_CHECK_SWEEPS = 5
 # most rows of the symmetric part (the bath) that the modes path takes
@@ -360,6 +314,19 @@ def _pair_guesses(mu: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     disc = np.abs(beta) ** 2 - mu[:n].imag ** 2
     root = np.sqrt(np.abs(disc)) * np.where(disc > 0.0, 1.0, 1j)
     return np.concatenate((a + root, a - root))
+
+
+def _eigenvalue_start(x: np.ndarray) -> np.ndarray:
+    """Starting roots from LAPACK's eigenvalues of x, in the layout of the
+    pair guesses: the roots above the real axis, then the first half of the
+    real ones; their conjugates, then the second half."""
+    try:
+        lam = np.linalg.eigvals(x)
+    except np.linalg.LinAlgError as exc:
+        raise _Uncertified(f"eigenvalues of the drift failed: {exc}") from exc
+    upper, real = lam[lam.imag > 0.0], lam[lam.imag == 0.0]
+    half = real.size // 2
+    return np.concatenate((upper, real[:half], upper.conj(), real[half:]))
 
 
 def _real_weights(weights: np.ndarray) -> np.ndarray:
@@ -529,20 +496,21 @@ class _ModesFactor:
     eigenvalues of X are the roots of ``det(I - s G(lam))`` with
     ``c_k = E^T u_k``.  Each eigenvector is ``sum_k u_k (c_k^H y) /
     (lam - mu_k)``, y the null vector of ``I - s G(lam)``: a Cauchy matrix
-    times W and V.  The real basis ``V_r = [Re V+, Im V+, V_real]`` (a
-    column pair per conjugate pair, then the real roots) is held as
+    times W and V.  The real basis ``V_r = [Re v_1, Im v_1, ..., V_real]``
+    (a column pair per root above the real axis, then the real roots) is held as
     ``q = P V_r``: since ``X^T = P X P`` the left eigenvectors are ``P v``,
     so with each ``v`` scaled to ``v^T P v = +-1`` the inverse is
-    ``V_r^-1 = N q^T``, N diagonal with 2, -2 and the signs of the real
-    roots.  A solve is then GEMMs and an O(d^2) division by
+    ``V_r^-1 = N q^T``, N diagonal with 2, -2 on each pair and the signs of
+    the real roots.  A solve is then GEMMs and an O(d^2) division by
     ``lam_i + lam_j``.
 
     Refused before Aberth, with _Uncertified, when two singular values of
     J above ``1e-12 sigma_max`` coincide to that tolerance: a double pole,
     as in the XX chain at zero field.  Certified before use, else
     _Uncertified: every root settled within the sweep cap (see
-    :func:`_aberth_roots` for its early exit), the roots pair up as
-    ``2m + q = d``, every root is
+    :func:`_aberth_roots` for its early exit; a start that stalls is given
+    up and Aberth restarts once from LAPACK's eigenvalues of X), the roots
+    pair up as ``2m + q = d``, every root is
     within ``2 ||q|| ||X V_r - V_r Lambda_r|| <= 1e-11 ||X||`` of the
     spectrum of X (Bauer-Fike, as ``||V_r^-1|| <= 2 ||q||``), and
     ``||N q^T V_r - I|| <= 1e-6``, so ``V_r`` is a basis and ``N q^T`` its
@@ -554,13 +522,11 @@ class _ModesFactor:
     condition_estimator = "modes_frobenius"
 
     def __init__(self, x: np.ndarray, x_rows, support: np.ndarray):
-        import scipy.linalg as sla
-
         s = x[np.ix_(support, support)]
         s = 0.5 * (s + s.T)
         try:
-            w, sigma, vt = sla.svd(x[0::2, 1::2], lapack_driver="gesdd")
-        except (np.linalg.LinAlgError, ValueError) as exc:
+            w, sigma, vt = np.linalg.svd(x[0::2, 1::2])
+        except np.linalg.LinAlgError as exc:
             raise _Uncertified(f"SVD of the kernel failed: {exc}") from exc
         v = vt.T
         del vt
@@ -577,7 +543,14 @@ class _ModesFactor:
         weights = _real_weights((zs[:, :, None] * z.conj()[:, None, :]).reshape(mu.size, -1))
         del zs
         scale = float(sigma[0]) + float(np.max(np.abs(s))) * s.shape[0]  # >= ||X||_2
-        lam = _aberth_roots(mu, weights, _pair_guesses(mu, z, s), 4.0 * _EPS * scale)
+        step_tol = 4.0 * _EPS * scale
+        try:
+            lam = _aberth_roots(mu, weights, _pair_guesses(mu, z, s), step_tol)
+        except _Uncertified as stalled:
+            try:
+                lam = _aberth_roots(mu, weights, _eigenvalue_start(x), step_tol)
+            except _Uncertified as exc:
+                raise _Uncertified(f"{stalled}; from LAPACK's eigenvalues, {exc}") from exc
 
         cut = math.sqrt(_EPS) * scale
         upper, real = lam[lam.imag > cut], lam[np.abs(lam.imag) <= cut].real
@@ -585,8 +558,8 @@ class _ModesFactor:
         if 2 * m + real.size != d:
             raise _Uncertified(f"{m} roots above the real axis, {d - m - real.size} below")
         self.spectrum = np.concatenate((upper, upper.conj(), real))
-        self._alpha, self._beta, self._rho = upper.real, upper.imag, real
-        self._signs = np.concatenate((np.full(m, 2.0), np.full(m, -2.0), np.ones(real.size)))
+        self._lam, self._rho = upper, real
+        self._signs = np.concatenate((np.tile([2.0, -2.0], m), np.ones(real.size)))
         self.q = np.empty((d, d))
         roots = np.concatenate((upper, real))
         # blocks of temporaries of at most 2^15 entries
@@ -603,7 +576,8 @@ class _ModesFactor:
                 del xv
                 vec[1::2] *= -1.0
                 pair = k[k < m]
-                self.q[:, pair], self.q[:, pair + m] = vec[:, k < m].real, vec[:, k < m].imag
+                self.q[:, 2 * pair] = vec[:, k < m].real
+                self.q[:, 2 * pair + 1] = vec[:, k < m].imag
                 self.q[:, k[k >= m] + m] = vec[:, k >= m].real
         del w, v
         bound = 2.0 * _frobenius(self.q) * math.sqrt(residual)
@@ -613,7 +587,7 @@ class _ModesFactor:
 
     def pair_sums(self) -> np.ndarray:
         """The sum ``2 Re lam`` of each conjugate pair and twice each real root."""
-        return 2.0 * np.concatenate((self._alpha, self._rho))
+        return 2.0 * np.concatenate((self._lam.real, self._rho))
 
     def condition_estimate(self) -> float:
         """``||V_r||_F ||V_r^-1||_F = ||q||_F ||N q^T||_F``, in O(d^2); it
@@ -646,7 +620,7 @@ class _ModesFactor:
         del q, b
         c *= self._signs[:, None]
         c *= self._signs
-        _divide_by_pair_sums(c, self._alpha, self._beta, self._rho)
+        _divide_by_pair_sums(c, self._lam, self._rho)
         w = _matmul(self.q, c)
         del c
         a = _matmul(w, self.q.T)
@@ -656,38 +630,42 @@ class _ModesFactor:
         return a
 
 
-def _divide_by_pair_sums(c: np.ndarray, alpha, beta, rho, block: int = 64) -> None:
-    """Overwrite ``c`` with the Z of ``Lambda_r Z + Z Lambda_r^T = c``.
+def _divide_by_pair_sums(c: np.ndarray, lam: np.ndarray, rho: np.ndarray,
+                         block: int = 64) -> None:
+    """Overwrite the C-ordered antisymmetric ``c`` with the Z of
+    ``Lambda_r Z + Z Lambda_r^T = c``.
 
-    ``Lambda_r`` is the real form of the spectrum in the order
-    ``[Re (m), Im (m), real (q)]``: ``[[alpha, beta], [-beta, alpha]]`` on
-    each pair, ``rho`` on each real root.  A 2x2 block of c splits into
-    its parts that commute and anticommute with ``[[0, 1], [-1, 0]]``; as
-    complex numbers they are divided by ``lam_i + conj(lam_j)`` and
-    ``conj(lam_i + lam_j)``.  A 2x1 or 1x2 block is one complex division,
-    a 1x1 block one real one.  Temporaries are a block of rows.
+    ``Lambda_r`` is the real form of the spectrum in the order of q's
+    columns: ``[[alpha, beta], [-beta, alpha]]`` on rows and columns 2j,
+    2j+1 for each root ``lam_j = alpha + i beta`` above the real axis, then
+    ``rho`` on each real root.  The columns of each pair are read as one
+    complex number ``c[r, 2j] + i c[r, 2j+1]`` (a view, no copy).  On the
+    two rows A, B of a pair, ``A - iB`` and ``A + iB`` are the parts of the
+    2x2 blocks that commute and anticommute with ``[[0, 1], [-1, 0]]``;
+    they are divided by ``lam_i + conj(lam_j)`` and ``conj(lam_i + lam_j)``.
+    A real row's numbers are divided by ``rho_k + conj(lam_j)``, the pair
+    rows' real columns are their negated transpose (Z is antisymmetric),
+    and the real block is divided by ``rho_k + rho_l``.  Temporaries are a
+    block of pair rows.
     """
-    m = alpha.size
-    pairs, reals = slice(0, m), slice(2 * m, None)
+    m = lam.size
+    pairs = c[:, :2 * m].view(complex)
+    conj = lam.conj()
     for i in range(0, m, block):
-        re, im = slice(i, min(i + block, m)), slice(m + i, m + min(i + block, m))
-        a_i, b_i = alpha[re, None], beta[re, None]
-        c11, c12 = c[re, pairs], c[re, m:2 * m]
-        c21, c22 = c[im, pairs], c[im, m:2 * m]
-        sums = a_i + alpha
-        plus = ((c11 + c22) + 1j * (c12 - c21)) / (sums + 1j * (b_i - beta))
-        minus = ((c11 - c22) + 1j * (c12 + c21)) / (sums - 1j * (b_i + beta))
-        plus *= 0.5
-        minus *= 0.5
-        c11[...] = plus.real + minus.real
-        c22[...] = plus.real - minus.real
-        c12[...] = plus.imag + minus.imag
-        c21[...] = minus.imag - plus.imag
-        z = (c[re, reals] - 1j * c[im, reals]) / ((a_i + rho) + 1j * b_i)
-        c[re, reals], c[im, reals] = z.real, -z.imag
-    z = (c[reals, pairs] - 1j * c[reals, m:2 * m]) / ((rho[:, None] + alpha) + 1j * beta)
-    c[reals, pairs], c[reals, m:2 * m] = z.real, -z.imag
-    c[reals, reals] /= rho[:, None] + rho
+        j = min(i + block, m)
+        a, b = pairs[2 * i:2 * j:2], pairs[2 * i + 1:2 * j:2]
+        ib = 1j * b
+        commuting = a - ib
+        commuting /= lam[i:j, None] + conj
+        ib += a
+        ib /= (lam[i:j, None] + lam).conj()
+        np.add(commuting, ib, out=a)
+        a *= 0.5
+        np.subtract(commuting, ib, out=b)
+        b *= 0.5j
+    pairs[2 * m:] /= rho[:, None] + conj
+    c[:2 * m, 2 * m:] = -c[2 * m:, :2 * m].T
+    c[2 * m:, 2 * m:] /= rho[:, None] + rho
 
 
 class LyapunovSolver:
@@ -699,9 +677,8 @@ class LyapunovSolver:
     and reusing it is what makes steady state plus tangent sweeps cheap.
 
     Two factorizations behind one interface.  A sparse boundary-driven
-    drift (see :func:`_sparse_rows` and :func:`_bath_support`) of order at
-    least ``MODES_MIN_DIM`` is factored in its eigenbasis
-    (:class:`_ModesFactor`); every other drift by real Schur
+    drift (see :func:`_sparse_rows` and :func:`_bath_support`) is factored
+    in its eigenbasis (:class:`_ModesFactor`); every other drift by real Schur
     (:class:`_SchurFactor`), and so is a boundary-driven one whose modes
     factorization fails a certificate or a solve's residual check.
     ``path`` says which factorization serves the solves (``"schur"`` or
@@ -713,9 +690,8 @@ class LyapunovSolver:
         x = np.real(_as_square(x, "x"))
         self.x = x
         self._x_norm = _frobenius(x)
-        # the modes path needs X's nonzeros, and at its orders the sparse
-        # residual product beats the GEMM
-        self._x_rows = _sparse_rows(x) if x.shape[0] >= MODES_MIN_DIM else None
+        # the modes path needs X's nonzeros, and the residual check takes them too
+        self._x_rows = _sparse_rows(x)
         self.fallback = None
         self._factor = None
         support = None if self._x_rows is None else _bath_support(x)
@@ -771,18 +747,16 @@ def general_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, float]:
     matrix; values ``>~ 1e8`` flag a nearly defective (Jordan-like)
     spectrum.
     """
-    import scipy.linalg as sla
-
     a = _as_square(a)
     try:
-        vals, vecs = sla.eig(np.asarray(a, dtype=float))
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        vals, vecs = np.linalg.eig(np.asarray(a, dtype=float))
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     with np.errstate(all="ignore"):
         cond = float(np.linalg.cond(vecs))
     if not np.isfinite(cond):
         cond = np.inf
-    return vals, cond
+    return vals.astype(complex, copy=False), cond
 
 
 def polynomial_roots(coefficients: Sequence[complex]) -> np.ndarray:

@@ -1,19 +1,22 @@
-"""The chain point's products and norms on scipy's BLAS.
+"""The chain point's products and norms, and what it takes from scipy.
 
-``numerics._matmul`` and ``numerics._frobenius`` against numpy, the routed
-point against scipy's own Lyapunov solver, and a source guard that keeps
-numpy's BLAS entry points out of the routed functions and out of the symbol
-path's sums over sample points.
+``numerics._matmul`` and ``numerics._frobenius`` against numpy, the Schur
+path's point against scipy's own Lyapunov solver, a modes-path point with
+scipy unimportable, and a source guard that keeps bare BLAS entry points out
+of the chain point's functions (its products and norms go through
+``_matmul`` and the scaled ``_frobenius``) and out of the symbol path's sums
+over sample points.
 """
 import ast
 import inspect
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from nessgeom import gaussian, geometry, liouvillian, models, momentum, numerics
+from nessgeom import cli, gaussian, geometry, liouvillian, models, momentum, numerics
 
 from conftest import dense_slope
 
@@ -85,16 +88,21 @@ class TestMatmul:
                   np.zeros((0, 0)), np.zeros((3, 0)), np.array([[2.5]])):
             want = np.linalg.norm(x)
             assert abs(numerics._frobenius(x) - want) <= 1e-14 * want
-        # nrm2 scales where numpy's sqrt(x . x) underflows
-        want = 1e-200 * np.linalg.norm(big)
-        assert abs(numerics._frobenius(1e-200 * big) - want) <= 1e-14 * want
+        # scaled where numpy's sqrt(x . x) under- or overflows
+        for scale in (1e-200, 1e200):
+            for x in (big, big.T, big[:, 3:]):
+                want = scale * np.linalg.norm(x)
+                assert abs(numerics._frobenius(scale * x) - want) <= 1e-14 * want
+        assert numerics._frobenius(np.array([[1e-320]])) == 1e-320  # subnormal
+        assert numerics._frobenius(np.array([[np.inf, 1.0]])) == np.inf
+        assert np.isnan(numerics._frobenius(np.array([[np.nan, 1.0]])))
 
 
 @pytest.mark.parametrize("n", [2, 32, 33, 40])
 def test_point_geometry_matches_scipy(n, monkeypatch):
     # d = 64, 66 and 80 split the Schur path's recursion around its leaf;
     # the modes path is held to a refined reference in test_numerics
-    monkeypatch.setattr(numerics, "MODES_MIN_DIM", 10**9)
+    monkeypatch.setattr(numerics, "_bath_support", lambda x: None)
     p = models.BoundaryXYParams(delta=1.25, h=0.3, n=n)
     shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(p))
     derivatives = models.boundary_xy_shape_derivatives(p)
@@ -140,8 +148,11 @@ def test_slope_product_of_a_dense_direction(rng):
         assert np.linalg.norm(got - dx @ a) <= 1e-14 * np.linalg.norm(dx) * np.linalg.norm(a)
 
 
-# every function of a chain point that assembles, multiplies or takes norms of d x d
-# arrays, the modes path's complex products on its Aberth and eigenvector blocks included
+# every function of a chain point that assembles, multiplies or takes norms of
+# d x d arrays, the modes path's complex products on its Aberth and eigenvector
+# blocks included: each product goes through numerics._matmul and each norm
+# through numerics._frobenius, which TestMatmul holds to numpy in every layout
+# (a bare np.linalg.norm reads 0 on a 1e-200 array)
 ROUTED = (
     numerics.LyapunovSolver.__init__,
     numerics.LyapunovSolver.solve,
@@ -172,7 +183,6 @@ ROUTED = (
     liouvillian._solve_tangents,
     liouvillian.point_geometry,
     gaussian.real_eigenmodes,
-    gaussian._lower_gram,
     gaussian._schur_pairs,
     geometry.qgt,
 )
@@ -180,8 +190,7 @@ ROUTED = (
 # threaded GEMM slowed the batched 4x4 solves after it 3-4x, and took 8 ms for
 # a 512-point contour sum that einsum forms in 0.05 ms (2-vCPU box)
 BLAS_FREE_SUMS = (momentum._contract, momentum._contour_integral)
-NUMPY_BLAS = {"np.dot", "np.linalg.norm", "np.linalg.eigh", "np.linalg.eigvalsh",
-              "np.tensordot", "np.matmul", "np.inner", "np.vdot"}
+NUMPY_BLAS = {"np.dot", "np.linalg.norm", "np.tensordot", "np.matmul", "np.inner", "np.vdot"}
 
 
 def _numpy_blas_uses(source: str) -> list[str]:
@@ -205,3 +214,32 @@ def test_guard_sees_numpy_blas():
 @pytest.mark.parametrize("func", ROUTED + BLAS_FREE_SUMS, ids=lambda f: f.__qualname__)
 def test_routed_functions_stay_off_numpy_blas(func):
     assert _numpy_blas_uses(inspect.getsource(func)) == []
+
+
+# boundary-XY cells that take the modes path: the warm-up size, the scaling
+# run's smallest size, a sweep cell and a flat-band cell that restarts Aberth
+MODES_CELLS = [dict(n=n, delta=delta, h=h) for n, delta, h in
+               ((4, 1.25, 0.3), (20, 1.25, 0.3), (40, 1.25, 0.3), (40, 1.0, 0.041))]
+
+
+def _without_scipy(monkeypatch):
+    for name in [m for m in sys.modules if m.split(".")[0] == "scipy"] + ["scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)  # any scipy import now fails
+
+
+@pytest.mark.parametrize("params", MODES_CELLS,
+                         ids=lambda p: "n={n},delta={delta},h={h}".format(**p))
+def test_modes_path_point_calls_no_scipy(params, monkeypatch):
+    want = cli.evaluate_point("boundary_xy", params, cli.FINITE_QUANTITIES)
+    _without_scipy(monkeypatch)
+    assert cli.evaluate_point("boundary_xy", params, cli.FINITE_QUANTITIES) == want
+    shape = liouvillian.shape_matrices(models.build_boundary_driven_xy(
+        models.BoundaryXYParams(**params)))
+    assert liouvillian.gap_report(shape.x).condition_estimator == "modes_frobenius"
+
+
+def test_schur_path_point_needs_scipy(monkeypatch):
+    # the XX chain at zero field refuses the modes path: real Schur is scipy's
+    _without_scipy(monkeypatch)
+    with pytest.raises(ImportError):
+        cli.evaluate_point("boundary_xy", {"n": 40, "delta": 0.0, "h": 0.0}, cli.FINITE_QUANTITIES)

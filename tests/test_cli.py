@@ -300,6 +300,8 @@ class TestConfigAndMain:
         assert spectrum["delta"] == json.loads(out.read_text())["gap"]
 
     def test_spectrum_of_a_defective_drift_is_strict_json(self, monkeypatch, capsys):
+        # the Schur path's condition estimate, from a full eig of T
+        monkeypatch.setattr(numerics, "_bath_support", lambda x: None)
         eig = numerics.general_eigendecomposition
         monkeypatch.setattr(numerics, "general_eigendecomposition",
                             lambda x: (eig(x)[0], np.inf))
@@ -598,8 +600,8 @@ BOUNDARY_XY_ROW = (
 
 def test_symbol_cells_start_on_numpy_alone(tmp_path):
     # scipy.linalg and the process pool cost about 0.3 s of start-up that the
-    # symbol path never uses; a chain cell after them binds scipy's handles
-    # on its first dense call and must read as it does in a fresh process
+    # symbol path never uses; a chain cell after them must read as it does in
+    # a fresh process
     out = str(tmp_path / "rc.csv")
     code = (
         "import json, sys\n"
@@ -622,6 +624,40 @@ def test_symbol_cells_start_on_numpy_alone(tmp_path):
     fresh = _fresh_python("import json\nimport nessgeom.cli as cli\n" + BOUNDARY_XY_ROW)
     assert fresh.returncode == 0, fresh.stderr
     assert row == fresh.stdout.strip()
+
+
+def _sweep_modules(out, n, grid):
+    """Code that runs one ``boundary_xy`` sweep at size n and prints the
+    scipy modules loaded."""
+    return (
+        "import json, sys\n"
+        "import nessgeom.cli as cli\n"
+        f"assert cli.main(['sweep', '--model', 'boundary_xy', '--set', 'n={n}', {grid},"
+        f" '--quantities', 'gap,gmax,detg,muc,R,purity', '--out', {out!r}, '--jobs', '1']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+
+
+def test_chain_sweeps_start_on_numpy_alone(tmp_path):
+    # every boundary-driven cell takes the modes path, which runs on numpy's
+    # LAPACK and BLAS; the delta = 1, h = 0.041 cell of the flat band stalls
+    # Aberth from the pair guesses and settles from LAPACK's eigenvalues
+    out = str(tmp_path / "bx.csv")
+    grid = "'--grid', 'delta=1.0:1.25:0.25', '--grid', 'h=0.041:0.341:0.3'"
+    code = "".join(_sweep_modules(out, n, grid) for n in (4, 20, 40))
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]"] * 3
+    assert "Error" not in Path(out).read_text()
+
+
+def test_zero_field_xx_cell_loads_scipy(tmp_path):
+    # the XX chain at zero field refuses the modes path (J's singular values
+    # pair up); its real Schur factorization is scipy's
+    out = str(tmp_path / "xx.csv")
+    run = _fresh_python(_sweep_modules(out, 40, "'--set', 'delta=0', '--grid', 'h=0:0:1'"))
+    assert run.returncode == 0, run.stderr
+    assert "scipy.linalg" in json.loads(run.stdout)
 
 
 def test_traced_names_resolve_on_the_package(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -381,7 +382,7 @@ class TestSchurSpectrum:
     @pytest.mark.parametrize("case", SCHUR_DRIFTS, ids=str)
     def test_spectrum_is_lapacks_bit_for_bit(self, case, monkeypatch):
         # each 2x2 block [[a, b], [c, a]] of T holds a +- i sqrt|b| sqrt|c|, as in dlanv2
-        monkeypatch.setattr(numerics, "MODES_MIN_DIM", 10**9)
+        monkeypatch.setattr(numerics, "_bath_support", lambda x: None)
         if case[0] == "random":
             n = case[2]
             x = np.random.default_rng(case[1]).normal(size=(n, n))
@@ -394,7 +395,9 @@ class TestSchurSpectrum:
         assert solver.spectrum.imag.tobytes() == wi.tobytes()
 
     @pytest.mark.parametrize("n, path", [(20, "schur"), (40, "modes"), (160, "modes")])
-    def test_three_gaps_are_one_number(self, n, path):
+    def test_three_gaps_are_one_number(self, n, path, monkeypatch):
+        if path == "schur":
+            monkeypatch.setattr(numerics, "_bath_support", lambda x: None)
         x = _boundary_shape(n, 1.25, 0.3)[0].x
         assert numerics.LyapunovSolver(x).path == path
         rep = liouvillian.gap_report(x)
@@ -413,9 +416,8 @@ def _boundary_shape(n, delta, h):
 
 
 def _point_on(factor, shape, derivatives):
-    """Steady state, tangents, gmax, R and purity on one factorization,
-    called directly (below the crossover too); each solve meets the
-    solver's residual bound."""
+    """Steady state, tangents, gmax, R, |U| and purity on one factorization,
+    called directly; each solve meets the solver's residual bound."""
     def solve(b):
         a = factor.solve(b)
         a = 0.5 * (a - a.T)
@@ -428,7 +430,7 @@ def _point_on(factor, shape, derivatives):
     modes = gaussian.real_eigenmodes(a)
     qgt = geometry.qgt(modes, geometry.TangentSet(tuple(derivatives), tuple(d_a)))
     return {"a": a, "d_a": np.stack(d_a), "gmax": qgt.gmax(), "R": qgt.r_ratio,
-            "purity": gaussian.purity(modes)}
+            "U": abs(qgt.u[0, 1]), "purity": gaussian.purity(modes)}
 
 
 def _modes(x):
@@ -458,6 +460,37 @@ def _long_double_refined(factor, x_rows, b, a, steps=3):
         da = factor.solve(0.5 * (r - r.T))
         a = a + 0.5 * (da - da.T)
     return a.astype(float)
+
+
+def _refined_point(got, shape, derivatives):
+    """The point of :func:`_point_on` with ``got``'s A and tangents refined
+    in long double (each correction solved on the Schur path)."""
+    schur, x_rows = numerics._SchurFactor(shape.x), numerics._sparse_rows(shape.x)
+    a = _long_double_refined(schur, x_rows, shape.b, got["a"])
+    d_a = [_long_double_refined(schur, x_rows, liouvillian._tangent_source(a, dx, db), da)
+           for (dx, db), da in zip(derivatives.values(), got["d_a"])]
+    modes = gaussian.real_eigenmodes(a)
+    qgt = geometry.qgt(modes, geometry.TangentSet(tuple(derivatives), tuple(d_a)))
+    return {"a": a, "d_a": np.stack(d_a), "gmax": qgt.gmax(), "R": qgt.r_ratio,
+            "U": abs(qgt.u[0, 1]), "purity": gaussian.purity(modes)}
+
+
+def _record_aberth(monkeypatch):
+    """Record each start ``_aberth_roots`` is given and how it ended."""
+    aberth, starts, outcomes = numerics._aberth_roots, [], []
+
+    def recorded(mu, weights, start, tol):
+        starts.append(start)
+        try:
+            roots = aberth(mu, weights, start, tol)
+        except numerics._Uncertified as exc:
+            outcomes.append(str(exc))
+            raise
+        outcomes.append("settled")
+        return roots
+
+    monkeypatch.setattr(numerics, "_aberth_roots", recorded)
+    return starts, outcomes
 
 
 # LRMC, SRMC, delta = 0, a weak field, and real roots besides the LRMC edge pair's
@@ -496,24 +529,27 @@ class TestModesFactor:
         # off the long-double-refined value (the modes path's 4.6e-10), so
         # this point is held to that reference rather than to the Schur path
         shape, derivatives = _boundary_shape(320, 1.25, 0.02)
-        modes, schur = _modes(shape.x), numerics._SchurFactor(shape.x)
-        x_rows = numerics._sparse_rows(shape.x)
-        got = _point_on(modes, shape, derivatives)
-        a = _long_double_refined(schur, x_rows, shape.b, got["a"])
-        d_a = [_long_double_refined(schur, x_rows, liouvillian._tangent_source(a, dx, db), da)
-               for (dx, db), da in zip(derivatives.values(), got["d_a"])]
-        ref = gaussian.real_eigenmodes(a)
-        qgt = geometry.qgt(ref, geometry.TangentSet(tuple(derivatives), tuple(d_a)))
-        _assert_points_agree(got, {"a": a, "d_a": np.stack(d_a), "gmax": qgt.gmax(),
-                                   "R": qgt.r_ratio, "purity": gaussian.purity(ref)})
+        got = _point_on(_modes(shape.x), shape, derivatives)
+        _assert_points_agree(got, _refined_point(got, shape, derivatives))
+
+    @pytest.mark.slow
+    def test_seed5_scaling_point_matches_refined_reference(self):
+        # the n = 320 point of the seed-5 chain_scaling run: against the
+        # long-double-refined point, the modes path's R and muc are 2.4e-8 off
+        # and the Schur path's 1.5e-6 (as is scipy's solve_continuous_lyapunov)
+        shape, derivatives = _boundary_shape(320, 1.25, 0.3118290266967333)
+        got = _point_on(_modes(shape.x), shape, derivatives)
+        ref = _refined_point(got, shape, derivatives)
+        for key in ("a", "d_a"):
+            assert np.linalg.norm(got[key] - ref[key]) <= 1e-8 * np.linalg.norm(ref[key]), key
+        for key in ("R", "U"):
+            assert got[key] == pytest.approx(ref[key], rel=1e-7, abs=0.0), key
 
     def test_modes_path_runs_at_the_scaling_sizes(self):
-        for n in (numerics.MODES_MIN_DIM // 2, 40, 320):
+        # no order floor: the warm-up cell and the smallest scaling size too
+        for n in (2, 4, 20, 31, 40, 320):
             solver = numerics.LyapunovSolver(_boundary_shape(n, 1.25, 0.3)[0].x)
             assert (solver.path, solver.fallback) == ("modes", None)
-        below = numerics.MODES_MIN_DIM // 2 - 1  # below the crossover
-        solver = numerics.LyapunovSolver(_boundary_shape(below, 1.25, 0.3)[0].x)
-        assert (solver.path, solver.fallback) == ("schur", None)
 
     def test_a_sweep_row_takes_the_modes_path(self):
         # the delta = 1.5 row of the n = 40 sweep grid; at h = 0.891 a
@@ -556,19 +592,49 @@ class TestModesFactor:
         with pytest.raises(numerics._Uncertified, match="two singular values of the kernel"):
             _modes(shape.x)
         point = liouvillian.point_geometry(shape, derivatives)
-        monkeypatch.setattr(numerics, "MODES_MIN_DIM", 10**9)
+        monkeypatch.setattr(numerics, "_bath_support", lambda x: None)
         want = liouvillian.point_geometry(shape, derivatives)
         assert point.a.tobytes() == want.a.tobytes() and point.gap == want.gap
         for got, ref in zip(point.tangents.d_a, want.tangents.d_a):
             assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [40, 160])
-    def test_stalled_aberth_gives_up_early(self, n):
-        # test_cli's NEAR_SINGULAR point: a tight cluster of singular values
-        # that Aberth does not resolve within the sweep cap
-        shape, _ = _boundary_shape(n, 1.0, 1.1304758631173196e-4)
-        with pytest.raises(numerics._Uncertified, match="unsettled after 5 Aberth sweeps"):
-            _modes(shape.x)
+    def test_stalled_aberth_restarts_and_certifies(self, n, monkeypatch):
+        # the flat band of the ordered phase (delta = 1, h = 0.041, a chain_sweep
+        # cell): J's singular values cluster, Aberth from the pair guesses gives
+        # up after 5 sweeps and settles from LAPACK's eigenvalues
+        shape, derivatives = _boundary_shape(n, 1.0, 0.041)
+        starts, outcomes = _record_aberth(monkeypatch)
+        solver = numerics.LyapunovSolver(shape.x)
+        assert (solver.path, solver.fallback) == ("modes", None)
+        assert re.fullmatch(r"\d+ of \d+ roots unsettled after 5 Aberth sweeps", outcomes[0])
+        assert outcomes[1:] == ["settled"]
+        # the restart's layout: the roots above the real axis, half the real
+        # ones, their conjugates, the other half
+        start, m = starts[1], np.count_nonzero(starts[1].imag > 0.0)
+        assert np.array_equal(start[n:n + m], start[:m].conj())
+        assert not np.any(start[m:n].imag) and not np.any(start[n + m:].imag)
+        _assert_points_agree(_point_on(solver._factor, shape, derivatives),
+                             _point_on(numerics._SchurFactor(shape.x), shape, derivatives))
+
+    def test_near_singular_restart_is_refused_by_its_certificate(self, monkeypatch):
+        # test_cli's NEAR_SINGULAR point: the restart settles, but the Cauchy
+        # eigenvectors of so tight a cluster miss the eigenpair bound
+        shape, _ = _boundary_shape(40, 1.0, 1.1304758631173196e-4)
+        _, outcomes = _record_aberth(monkeypatch)
+        solver = numerics.LyapunovSolver(shape.x)
+        assert outcomes[1:] == ["settled"]
+        assert solver.path == "schur" and solver.fallback.startswith("eigenpair bound")
+
+    @pytest.mark.parametrize("n", [40, 160])
+    def test_both_starts_stalled_fall_back_to_schur(self, n, monkeypatch):
+        shape, _ = _boundary_shape(n, 1.0, 0.041)
+        monkeypatch.setattr(numerics, "_ABERTH_MAX_SWEEPS", 1)
+        solver = numerics.LyapunovSolver(shape.x)
+        assert solver.path == "schur"
+        assert re.fullmatch(r"\d+ roots unsettled after 1 Aberth sweeps; from LAPACK's "
+                            r"eigenvalues, \d+ roots unsettled after 1 Aberth sweeps",
+                            solver.fallback)
 
     def test_condition_estimate_is_that_of_the_real_basis(self):
         shape, _ = _boundary_shape(40, 1.25, 0.3)
@@ -587,9 +653,11 @@ class TestModesFactor:
         monkeypatch.setattr(numerics, "_ABERTH_MAX_SWEEPS", 1)
         solver = numerics.LyapunovSolver(shape.x)
         assert solver.path == "schur"
-        assert solver.fallback == "161 roots unsettled after 1 Aberth sweeps"
+        assert re.fullmatch(r"161 roots unsettled after 1 Aberth sweeps; from LAPACK's "
+                            r"eigenvalues, \d+ roots unsettled after 1 Aberth sweeps",
+                            solver.fallback)
         point = liouvillian.point_geometry(shape, derivatives)
-        monkeypatch.setattr(numerics, "MODES_MIN_DIM", 10**9)
+        monkeypatch.setattr(numerics, "_bath_support", lambda x: None)
         want = liouvillian.point_geometry(shape, derivatives)
         assert point.a.tobytes() == want.a.tobytes() and point.gap == want.gap
         assert point.qgt.gmax() == want.qgt.gmax()
@@ -621,13 +689,14 @@ class TestModesFactor:
     def test_divide_by_pair_sums_solves_the_real_block_form(self, rng):
         m, q = 5, 3
         alpha, beta, rho = rng.uniform(0.1, 1.0, m), rng.normal(size=m), rng.uniform(0.1, 1.0, q)
-        lam = np.zeros((2 * m + q, 2 * m + q))
-        lam[:m, :m] = lam[m:2 * m, m:2 * m] = np.diag(alpha)
-        lam[:m, m:2 * m], lam[m:2 * m, :m] = np.diag(beta), -np.diag(beta)
+        lam = np.zeros((2 * m + q, 2 * m + q))  # a 2x2 block per pair, then the reals
+        pairs = np.arange(m)
+        lam[2 * pairs, 2 * pairs] = lam[2 * pairs + 1, 2 * pairs + 1] = alpha
+        lam[2 * pairs, 2 * pairs + 1], lam[2 * pairs + 1, 2 * pairs] = beta, -beta
         lam[2 * m:, 2 * m:] = np.diag(rho)
         c = rand_antisym(rng, 2 * m + q)
         z = c.copy()
-        numerics._divide_by_pair_sums(z, alpha, beta, rho, block=2)
+        numerics._divide_by_pair_sums(z, alpha + 1j * beta, rho, block=2)
         assert np.linalg.norm(lam @ z + z @ lam.T - c) <= 1e-13 * np.linalg.norm(c)
 
     def test_sparse_product_matches_the_dense_one(self, rng):

@@ -56,8 +56,7 @@ def test_readme_config_keys_are_flags(index, tmp_path):
 
 
 def test_readme_modes_path_numbers_are_the_codes():
-    # the crossover order and the two Aberth sweep limits, as numerics sets them
+    # the two Aberth sweep limits, as numerics sets them
     text = " ".join(README_TEXT.split())
-    assert set(re.findall(r"\border (\d+)", text)) == {str(numerics.MODES_MIN_DIM)}
     assert re.findall(r"within (\d+) sweeps", text) == [str(numerics._ABERTH_MAX_SWEEPS)]
     assert re.findall(r"after (\d+) Aberth sweeps", text) == [str(numerics._ABERTH_CHECK_SWEEPS)]
