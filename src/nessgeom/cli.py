@@ -16,7 +16,7 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -127,26 +127,46 @@ def _boundary_xy_params(params: dict):
     )
 
 
-def _boundary_xy_point(params: dict, quantities: tuple[str, ...]) -> dict:
+def _boundary_xy_rows(stack: list[dict], quantities: tuple[str, ...]) -> list[dict | None]:
+    """The values of boundary_xy cells of one order n, each set of reservoir
+    rates one stack through :func:`liouvillian.point_geometry`.  A cell that
+    leaves the happy path (its parameters raise, or see point_geometry) is
+    None, for :func:`evaluate_point` to compute alone; a stack of one raises
+    instead."""
     from . import gaussian, liouvillian, models
 
-    p = _boundary_xy_params(params)
+    rates: dict = {}
+    for i, params in enumerate(stack):
+        try:
+            p = _boundary_xy_params(params)
+        except Exception:  # noqa: BLE001 - the cell alone names the error
+            if len(stack) == 1:
+                raise
+            continue
+        # the cells that differ only in delta and h share the rates
+        rates.setdefault(replace(p, delta=0.0, h=0.0), []).append((i, p))
     geom_needed = {"gmax", "detg", "muc", "R"} & set(quantities)
-    # no name holds the model or its shape matrices: point_geometry frees
-    # them as soon as its stages are done with them
-    point = liouvillian.point_geometry(
-        liouvillian.shape_matrices(models.build_boundary_driven_xy(p)),
-        models.boundary_xy_shape_derivatives(p) if geom_needed else None,
-    )
     cells = {
-        "gap": lambda: point.gap,
-        "purity": lambda: gaussian.purity(point.modes),
-        "gmax": lambda: point.qgt.gmax(),
-        "detg": lambda: float(np.linalg.det(point.qgt.g)),
-        "muc": lambda: abs(float(point.qgt.u[0, 1])),
-        "R": lambda: point.qgt.r_ratio,
+        "gap": lambda point: point.gap,
+        "purity": lambda point: gaussian.purity(point.modes),
+        "gmax": lambda point: point.qgt.gmax(),
+        "detg": lambda point: float(np.linalg.det(point.qgt.g)),
+        "muc": lambda point: abs(float(point.qgt.u[0, 1])),
+        "R": lambda point: point.qgt.r_ratio,
     }
-    return {q: cells[q]() for q in quantities if q in cells}
+    rows: list = [None] * len(stack)
+    for group in rates.values():
+        ps = [p for _, p in group]
+        # no name holds the drifts: point_geometry frees them as soon as its
+        # stages are done with them
+        points = liouvillian.point_geometry(
+            models.boundary_xy_shapes(ps),
+            models.boundary_xy_shape_derivatives(ps[0]) if geom_needed else None,
+        )
+        for (i, _), point in zip(group, points):
+            if point is not None:
+                rows[i] = {q: cells[q](point) for q in quantities if q in cells}
+    return rows
 
 
 def _symbol_point(model_name: str, params: dict, quantities: tuple[str, ...]) -> dict:
@@ -171,8 +191,9 @@ def _symbol_point(model_name: str, params: dict, quantities: tuple[str, ...]) ->
 
 
 def evaluate_point(model_name: str, params: dict, quantities: tuple[str, ...]) -> dict:
+    """The values of one cell: a boundary_xy cell is a stack of one."""
     if model_name == "boundary_xy":
-        return _boundary_xy_point(params, quantities)
+        return _boundary_xy_rows([params], quantities)[0]
     if model_name in SYMBOL_MODELS:
         return _symbol_point(model_name, params, quantities)
     raise BadSpec(f"unknown model {model_name!r}")
@@ -188,7 +209,49 @@ def _worker(task):
     return row
 
 
+def _stacks(tasks: list) -> list[list[int]]:
+    """Task indices, in grid order within a stack: the boundary_xy cells of
+    one order n in stacks of :func:`numerics.stack_size`, every other cell
+    alone."""
+    from . import numerics
+
+    orders: dict = {}
+    stacks = []
+    for i, (model_name, params, _) in enumerate(tasks):
+        if model_name != "boundary_xy":
+            stacks.append([i])
+            continue
+        key = params["n"]
+        if key not in orders or len(orders[key]) == numerics.stack_size(2 * int(key)):
+            orders[key] = []
+            stacks.append(orders[key])
+        orders[key].append(i)
+    return stacks
+
+
+def _stack_worker(tasks: list) -> list[dict]:
+    """The rows of one stack's tasks: a boundary_xy stack of more than one
+    cell in one pass, each cell it leaves (or all, should the pass raise)
+    alone through :func:`_worker`."""
+    if len(tasks) == 1:
+        return [_worker(tasks[0])]
+    quantities = tasks[0][2]
+    try:
+        rows = _boundary_xy_rows([params for _, params, _ in tasks], quantities)
+    except Exception:  # noqa: BLE001 - every cell then names its own error
+        rows = [None] * len(tasks)
+    return [_worker(task) if row is None else {**dict.fromkeys(quantities), **row}
+            for task, row in zip(tasks, rows)]
+
+
 # --- specs -------------------------------------------------------------------------
+
+
+def _check_jobs(jobs: int) -> None:
+    """Refuse a worker pool narrower than one process (``--jobs 0`` used to
+    mean every core, and a negative width a serial run)."""
+    if jobs < 1:
+        raise BadSpec(f"--jobs must be at least 1, got {jobs}")
 
 
 def _axis(start: float, stop: float, step: float) -> np.ndarray:
@@ -207,6 +270,7 @@ class SweepSpec:
     fmt: str = "csv"
 
     def validate(self):
+        _check_jobs(self.jobs)
         if not self.axes:
             raise BadSpec("sweep needs at least one --grid axis")
         for name, start, stop, step in self.axes:
@@ -236,6 +300,7 @@ class ScalingSpec:
     jobs: int = 1
 
     def validate(self):
+        _check_jobs(self.jobs)
         if len(self.sizes) < 4:
             raise BadSpec("scaling needs at least 4 sizes")
         if self.model != "boundary_xy":
@@ -262,18 +327,29 @@ def _write_text(path: str | None, text: str):
 
 
 def _run_grid(spec, names: list, points, chunksize: int) -> list[dict]:
-    """Each grid row's results, in order, on ``spec.jobs`` worker processes
-    when that is above 1.  A cell takes ``spec.fixed`` plus the row's value
-    of each axis in ``names`` (``validate`` refuses a name given twice)."""
+    """Each grid row's results, in order, a stack of cells at a time (see
+    :func:`_stacks`) on ``spec.jobs`` worker processes when that is above 1.
+    A cell takes ``spec.fixed`` plus the row's value of each axis in
+    ``names`` (``validate`` refuses a name given twice)."""
     tasks = [(spec.model, {**spec.fixed, **{k: float(v) for k, v in zip(names, row)}},
               spec.quantities) for row in points]
+    order = _stacks(tasks)
+    stacks = [[tasks[i] for i in stack] for stack in order]
     if spec.jobs <= 1:
-        return [_worker(t) for t in tasks]
-    # imported here: the pool loads multiprocessing, which a serial run never uses
-    from concurrent.futures import ProcessPoolExecutor
+        done = [_stack_worker(s) for s in stacks]
+    else:
+        # imported here: the pool loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-        return list(pool.map(_worker, tasks, chunksize=chunksize))
+        if len(stacks) < len(tasks):  # stacks of several cells go one at a time
+            chunksize = 1
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            done = list(pool.map(_stack_worker, stacks, chunksize=chunksize))
+    results = [None] * len(tasks)
+    for stack, rows in zip(order, done):
+        for i, row in zip(stack, rows):
+            results[i] = row
+    return results
 
 
 def _csv_table(kind: str, spec, names: list, points, results: list[dict]) -> str:
@@ -352,7 +428,7 @@ def run_geometry(model: str, params: dict) -> dict:
     if model != "boundary_xy":
         raise BadSpec("geometry report is defined for the boundary_xy model")
     _check_params(model, params)
-    return _boundary_xy_point(params, FINITE_QUANTITIES)
+    return evaluate_point(model, params, FINITE_QUANTITIES)
 
 
 def run_spectrum(model: str, params: dict) -> dict:
@@ -507,7 +583,7 @@ def main(argv=None) -> int:
             run = run_geometry if args.command == "geometry" else run_spectrum
             _write_text(args.out, _json_text(run(args.model, fixed)))
             return 0
-        jobs = args.jobs or os.cpu_count() or 1
+        jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
         if args.command == "sweep":
             run_sweep(SweepSpec(args.model, fixed, _parse_grid(args.grid),
                                 _names(args.quantities), args.out, jobs, args.format))

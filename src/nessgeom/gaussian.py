@@ -52,11 +52,15 @@ def as_gamma(state) -> np.ndarray:
     return np.asarray(state, dtype=complex)
 
 
-def check_norm(occupations: np.ndarray) -> None:
-    """Raise NormExceedsOne when an occupation ``|g_k|`` exceeds 1."""
-    top = float(np.max(occupations)) if occupations.size else 0.0
-    if top > 1.0 + 1e-10:
-        raise NormExceedsOne(f"spectral norm {top:.12f} exceeds 1")
+def check_norm(occupations: np.ndarray) -> np.ndarray:
+    """Raise NormExceedsOne when an occupation ``|g_k|`` exceeds 1.  Of a
+    stack (k, n) of more than one cell, return which cells pass instead."""
+    top = np.max(occupations, axis=-1, initial=0.0)
+    passed = ~(top > 1.0 + 1e-10)
+    if np.ndim(occupations) == 1 or len(occupations) == 1:
+        if not np.all(passed):
+            raise NormExceedsOne(f"spectral norm {float(np.max(top)):.12f} exceeds 1")
+    return passed
 
 
 def validate(gamma) -> CovarianceMatrix:
@@ -106,7 +110,8 @@ def _schur_pairs(b: np.ndarray, w: np.ndarray, cols: slice, tol: float) -> None:
 
 
 def real_eigenmodes(a: np.ndarray) -> EigenmodeDecomposition:
-    """Canonical form of ``G = i A`` from the real antisymmetric ``A``.
+    """Canonical form of ``G = i A`` from the real antisymmetric ``A``, or of
+    each matrix of a stack (k, d, d), whose q and occupations are stacked.
 
     The eigenvalues ``g_k^2`` of ``A^T A = -A^2`` come in pairs, so a real
     ``eigh`` gives an orthonormal ``W`` whose column pairs span the planes
@@ -114,38 +119,47 @@ def real_eigenmodes(a: np.ndarray) -> EigenmodeDecomposition:
     Each ``g_k`` and its orientation are read from the 2x2 blocks of ``B``
     (``sqrt(eig(A^T A))`` would lose half the digits of a small ``g_k``).
     Where ``eigh`` mixes the planes of near-equal ``g_k``, the coupled
-    blocks get a small real Schur form.  Blocks are canonicalized to
-    ``g_k >= 0`` and sorted descending; the eigenmode Majoranas are
-    ``z = Q^T w``.
+    blocks get a small real Schur form, on that matrix alone.  Blocks are
+    canonicalized to ``g_k >= 0`` and sorted descending; the eigenmode
+    Majoranas are ``z = Q^T w``.
     """
     a = np.asarray(a, dtype=float)
-    dim = a.shape[0]
+    dim = a.shape[-1]
     n = dim // 2
-    if a.ndim != 2 or a.shape != (dim, dim) or dim % 2:
+    if a.ndim not in (2, 3) or a.shape[-2] != dim or dim % 2:
         raise DimensionMismatch(f"covariance matrix must be square of even size, got {a.shape}")
     if dim == 0:
-        return EigenmodeDecomposition(q=np.zeros((0, 0)), gammas=np.zeros(0))
-    _, w = np.linalg.eigh(_matmul(a.T, a), UPLO="L")
-    b = _matmul(w.T, _matmul(a, w))
-    tol = 1e-12 * max(1.0, np.max(np.abs(a)))
-    coupled = np.maximum(
-        np.maximum(np.abs(b[0::2, 0::2]), np.abs(b[0::2, 1::2])),
-        np.maximum(np.abs(b[1::2, 0::2]), np.abs(b[1::2, 1::2])),
-    ) > tol
-    np.fill_diagonal(coupled, False)
-    # coupled blocks sit in runs: block k ends a run when no block up to k
-    # couples past it
+        return EigenmodeDecomposition(q=np.zeros(a.shape), gammas=np.zeros(a.shape[:-1]))
+    _, w = np.linalg.eigh(_matmul(a.swapaxes(-1, -2), a), UPLO="L")
+    b = _matmul(w.swapaxes(-1, -2), _matmul(a, w))
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), keepdims=True))
+    # a 2x2 block couples when one of its entries exceeds tol
+    big = np.abs(b) > tol
+    coupled = (big[..., 0::2, 0::2] | big[..., 0::2, 1::2]
+               | big[..., 1::2, 0::2] | big[..., 1::2, 1::2])
     k = np.arange(n)
-    farthest = np.where(coupled.any(axis=1), n - 1 - np.argmax(coupled[:, ::-1], axis=1), k)
-    ends = np.flatnonzero(np.maximum.accumulate(farthest) == k)
-    for lo, hi in zip(np.concatenate(([0], ends[:-1] + 1)), ends):
-        if hi > lo:
-            _schur_pairs(b, w, slice(2 * lo, 2 * hi + 2), tol)
-    g = 0.5 * (b[2 * k, 2 * k + 1] - b[2 * k + 1, 2 * k])
-    order = np.argsort(-np.abs(g), kind="stable")
-    flip = (g[order] < 0.0).astype(int)
-    cols = np.stack((2 * order + flip, 2 * order + 1 - flip), axis=1).reshape(-1)
-    return EigenmodeDecomposition(q=w[:, cols], gammas=np.abs(g[order]))
+    coupled[..., k, k] = False
+    # views, one matrix per cell, so that _schur_pairs writes through
+    cells = (b, w, coupled, tol) if a.ndim == 3 else (b[None], w[None], coupled[None], tol[None])
+    for bc, wc, near, tc in zip(*cells):
+        if not near.any():
+            continue
+        # coupled blocks sit in runs: block k ends a run when no block up to k
+        # couples past it
+        farthest = np.where(near.any(axis=1), n - 1 - np.argmax(near[:, ::-1], axis=1), k)
+        ends = np.flatnonzero(np.maximum.accumulate(farthest) == k)
+        for lo, hi in zip(np.concatenate(([0], ends[:-1] + 1)), ends):
+            if hi > lo:
+                _schur_pairs(bc, wc, slice(2 * lo, 2 * hi + 2), tc.item())
+    g = 0.5 * (b[..., 2 * k, 2 * k + 1] - b[..., 2 * k + 1, 2 * k])
+    order = np.argsort(-np.abs(g), axis=-1, kind="stable")
+    g = np.take_along_axis(g, order, axis=-1)
+    flip = (g < 0.0).astype(int)
+    cols = np.stack((2 * order + flip, 2 * order + 1 - flip), axis=-1).reshape(a.shape[:-1])
+    # each q column-major, as w[:, cols] of one matrix is: the layout picks
+    # the BLAS path, and so the last bits, of the products with q
+    q = np.take_along_axis(w.swapaxes(-1, -2), cols[..., :, None], axis=-2).swapaxes(-1, -2)
+    return EigenmodeDecomposition(q=q, gammas=np.abs(g))
 
 
 def eigenmodes(gamma) -> EigenmodeDecomposition:

@@ -87,8 +87,8 @@ def make_tangents(parameters: Sequence[str], d_gammas: Sequence[np.ndarray]) -> 
 def _plane_parts(e: np.ndarray) -> tuple[np.ndarray, ...]:
     """``Re p, Im p, Re q, Im q`` of every 2x2 block ``E_bc`` of ``e``, where
     ``E = Re p + Im p J + Re q Z + Im q X`` with ``J = [[0, 1], [-1, 0]]``."""
-    e00, e01 = e[0::2, 0::2], e[0::2, 1::2]
-    e10, e11 = e[1::2, 0::2], e[1::2, 1::2]
+    e00, e01 = e[..., 0::2, 0::2], e[..., 0::2, 1::2]
+    e10, e11 = e[..., 1::2, 0::2], e[..., 1::2, 1::2]
     return 0.5 * (e00 + e11), 0.5 * (e01 - e10), 0.5 * (e00 - e11), 0.5 * (e01 + e10)
 
 
@@ -99,55 +99,70 @@ def qgt(gamma, tangents: TangentSet, *, check_rank: bool = True) -> GeometryResu
     :func:`nessgeom.gaussian.eigenmodes`.  ``check_rank=False`` skips the
     rank-change flag so that limits toward the pure manifold can be probed;
     the continuity rule still zeroes the degenerate pair terms.
+
+    A canonical form of a stack (see :func:`nessgeom.gaussian.real_eigenmodes`)
+    with stacked tangents gives g, u, q and r_ratio with the same leading
+    axis, r_ratio NaN where undefined; in a stack of more than one, a cell
+    whose tangent changes rank gets NaN g and u instead of the raise.
     """
     modes = gaussian.eigenmodes(gamma)
     gs = modes.gammas
-    gg = np.outer(gs, gs)
+    gg = gs[..., :, None] * gs[..., None, :]
     degenerate = np.abs(1.0 - gg) < DEGENERACY_TOL
     co = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, 1.0 - gg))
     counter = 1.0 / (1.0 + gg)
     del gg
+    lead = gs.shape[:-1]
+    changes = np.zeros(lead, dtype=bool)
     parts = []
     for d_a in tangents.d_a:
-        p_re, p_im, q_re, q_im = _plane_parts(_matmul(modes.q.T, _matmul(d_a, modes.q)))
-        if check_rank:
-            scale = max(np.max(np.abs(d_a)), 1e-300)
-            if np.any(degenerate & (np.hypot(p_re, p_im) > 1e-8 * scale)):
+        p_re, p_im, q_re, q_im = _plane_parts(
+            _matmul(np.swapaxes(modes.q, -1, -2), _matmul(d_a, modes.q)))
+        if check_rank and degenerate.any():
+            scale = np.maximum(np.max(np.abs(d_a), axis=(-2, -1), keepdims=True), 1e-300)
+            changes |= np.any(degenerate & (np.hypot(p_re, p_im) > 1e-8 * scale), axis=(-2, -1))
+            if np.any(changes) and changes.size == 1:
                 raise RankChangeSingularity(
                     "tangent has weight on a pure-pure mode pair: the state changes "
                     "rank along this direction and the continuity rule does not apply"
                 )
         parts.append((p_re, p_im, q_re, q_im))
     p = len(tangents.d_a)
-    g = np.zeros((p, p))
-    u = np.zeros((p, p))
+    g = np.zeros(lead + (p, p))
+    u = np.zeros(lead + (p, p))
     for mu in range(p):
         pr_m, pi_m, qr_m, qi_m = parts[mu]
         for nu in range(mu, p):
             pr_n, pi_n, qr_n, qi_n = parts[nu]
-            g[mu, nu] = g[nu, mu] = 0.25 * np.sum(
-                co * (pr_m * pr_n + pi_m * pi_n) + counter * (qr_m * qr_n + qi_m * qi_n)
+            g[..., mu, nu] = g[..., nu, mu] = 0.25 * np.sum(
+                co * (pr_m * pr_n + pi_m * pi_n) + counter * (qr_m * qr_n + qi_m * qi_n),
+                axis=(-2, -1),
             )
     # the curvature weights are formed once the metric weights are done
     # with: two n x n weight arrays live at a time, at the chain point's
     # memory peak
-    co_twist = (gs[:, None] - gs[None, :]) * co**2
+    co_twist = (gs[..., :, None] - gs[..., None, :]) * co**2
     del co
-    counter_twist = (gs[:, None] + gs[None, :]) * counter**2
+    counter_twist = (gs[..., :, None] + gs[..., None, :]) * counter**2
     del counter
     for mu in range(p):
         pr_m, pi_m, qr_m, qi_m = parts[mu]
         for nu in range(mu + 1, p):
             pr_n, pi_n, qr_n, qi_n = parts[nu]
-            u[mu, nu] = 0.5 * np.sum(
+            u[..., mu, nu] = 0.5 * np.sum(
                 co_twist * (pi_m * pr_n - pr_m * pi_n)
-                - counter_twist * (qi_m * qr_n - qr_m * qi_n)
+                - counter_twist * (qi_m * qr_n - qr_m * qi_n),
+                axis=(-2, -1),
             )
-            u[nu, mu] = -u[mu, nu]
-    try:
+            u[..., nu, mu] = -u[..., mu, nu]
+    if lead:
         r = incompatibility_ratio(g, u)
-    except SingularFisher:
-        r = None
+        g[changes] = u[changes] = r[changes] = np.nan
+    else:
+        try:
+            r = incompatibility_ratio(g, u)
+        except SingularFisher:
+            r = None
     return GeometryResult(parameters=tangents.parameters, g=g, u=u, q=g + 0.5j * u, r_ratio=r)
 
 
@@ -157,18 +172,24 @@ def incompatibility_ratio(g: np.ndarray, u: np.ndarray) -> float:
     Evaluated through the similar Hermitian form ``2i J^{-1/2} U J^{-1/2}``
     whose spectral radius it equals; for two parameters this reduces to
     ``sqrt(det(2U) / det(J))``.  Raises SingularFisher when J is singular
-    (the ratio is then undefined, not zero).
+    (the ratio is then undefined, not zero).  Of stacks (k, p, p), each
+    cell's ratio, NaN where J is singular.
     """
     g = np.asarray(g, dtype=float)
     u = np.asarray(u, dtype=float)
     j = 4.0 * g
     vals, vecs = np.linalg.eigh(j)
-    scale = max(np.max(np.abs(vals)), 1e-300)
-    if np.min(vals) <= 1e-12 * scale:
+    scale = np.maximum(np.max(np.abs(vals), axis=-1), 1e-300)
+    singular = np.min(vals, axis=-1) <= 1e-12 * scale
+    if g.ndim == 2 and singular:
         raise SingularFisher("Fisher matrix singular: incompatibility ratio undefined")
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    vals = np.where(singular[..., None], 1.0, vals)
+    inv_sqrt = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     herm = 2j * inv_sqrt @ u @ inv_sqrt
-    r = float(np.max(np.abs(np.linalg.eigvalsh(herm))))
+    r = np.max(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+    if g.ndim == 2:
+        return float(r)
+    r[singular] = np.nan
     return r
 
 

@@ -153,7 +153,7 @@ def gap_report(x: np.ndarray) -> GapReport:
     if lowest < -1e-8 * max(np.max(np.abs(eigs)), 1e-300):
         raise InstabilityDetected(f"drift spectrum has Re x = {lowest:.3e} < 0; model unstable")
     factor = solver._factor
-    cond = factor.condition_estimate()
+    cond = float(np.squeeze(factor.condition_estimate()))
     return GapReport(
         delta=2.0 * lowest,
         delta_xhat=solver.pair_min,
@@ -189,13 +189,14 @@ def _slope_product(dx, a: np.ndarray) -> np.ndarray:
         dx = numerics._real(dx, "dX")
         rows, cols = np.nonzero(dx)
         vals = dx[rows, cols]
-    return numerics._sparse_product(numerics._padded_rows(rows, cols, vals, a.shape[0]), a)
+    return numerics._sparse_product(numerics._padded_rows(rows, cols, vals, a.shape[-1]), a)
 
 
 def _tangent_source(a: np.ndarray, dx, db) -> np.ndarray:
-    """``dB - (P - P^T)`` with ``P = dX A``; ``db=None`` means ``dB = 0``."""
+    """``dB - (P - P^T)`` with ``P = dX A`` (of each A of a stack);
+    ``db=None`` means ``dB = 0``."""
     p = _slope_product(dx, a)
-    source = p.T - p
+    source = p.swapaxes(-1, -2) - p
     if db is not None:
         source += numerics._real(db, "dB")
     return source
@@ -240,7 +241,7 @@ def ness_tangents(
 def point_geometry(
     shape: ShapeMatrices,
     derivatives: Mapping[str, tuple] | None = None,
-) -> PointGeometry:
+) -> PointGeometry | list[PointGeometry | None]:
     """Gap, steady state, tangents along ``derivatives`` and their QGT, all
     on one factorization of ``X`` and one real eigenframe of ``G``, in real
     arithmetic throughout.
@@ -248,6 +249,17 @@ def point_geometry(
     ``derivatives`` maps a parameter to the real pair ``(dX, dB = Im dY)``:
     ``dX`` dense or as its nonzeros ``(rows, cols, vals)``, ``dB`` dense or
     None where the source does not move.
+
+    ``shape.x`` may be a stack (k, d, d) of drifts of one order, with one
+    source ``b`` for all or one each, and ``derivatives`` shared: the points
+    are then computed as one stack, every stage one batched pass, and
+    returned as a list.  A stack of more than one runs the happy path only:
+    a cell that fails its factorization's certificates, has a vanishing
+    pair sum, or fails a solve's residual bound, the norm check or the rank
+    check is None, for a stack of one to compute with its restart, fallback
+    or error (see
+    :class:`numerics.LyapunovSolver`).  Every norm, tolerance and reduction
+    is a cell's own, so a cell's numbers do not depend on its stack-mates.
 
     The stage order holds the fewest d x d arrays: the factorization of
     ``X`` (see :class:`numerics.LyapunovSolver`), the steady state ``A`` and
@@ -259,15 +271,38 @@ def point_geometry(
     of the drift spectrum vanishes or the residual check fails.  The
     occupations of the frame give the ``||G|| <= 1`` check (NormExceedsOne).
     """
-    solver = numerics.LyapunovSolver(shape.x)
-    gap = 2.0 * float(np.min(np.real(solver.spectrum)))
-    a = solver.solve(shape.b)
+    single = shape.x.ndim == 2
+    solver = numerics.LyapunovSolver(shape.x[None] if single else shape.x)
+    # the solver's rows are the cells it factored
+    served = solver.cells
+    points = [None] * solver.ok.size
+    if not served.size:
+        return points
+    gap = 2.0 * np.min(solver.spectrum.real, axis=-1)
+    b = shape.b if shape.b.ndim == 2 else shape.b[served]
     del shape  # the solver keeps x; b is not read again
+    a = solver.solve(b)
+    del b
     tangents = None
     if derivatives:
         tangents = _solve_tangents(solver, a, tuple(derivatives), derivatives.values())
+    ok = solver.ok[served]
     del solver
     modes = gaussian.real_eigenmodes(a)
-    gaussian.check_norm(modes.gammas)
+    ok &= gaussian.check_norm(modes.gammas)
     qgt = None if tangents is None else geometry.qgt(modes, tangents)
-    return PointGeometry(gap, a, modes, tangents, qgt)
+    if qgt is not None and ok.size > 1:  # a rank change (qgt raises on a stack of one)
+        ok &= ~np.isnan(qgt.g[:, 0, 0])
+    for i in np.flatnonzero(ok):
+        cell = None
+        if qgt is not None:
+            r = qgt.r_ratio[i]
+            cell = GeometryResult(qgt.parameters, qgt.g[i], qgt.u[i], qgt.q[i],
+                                  None if np.isnan(r) else float(r))
+        points[served[i]] = PointGeometry(
+            float(gap[i]), a[i], EigenmodeDecomposition(modes.q[i], modes.gammas[i]),
+            None if tangents is None else TangentSet(tangents.parameters,
+                                                     tuple(d[i] for d in tangents.d_a)),
+            cell,
+        )
+    return points[0] if single else points

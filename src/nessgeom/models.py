@@ -13,6 +13,7 @@ which differs from spin-up-is-occupied writeups by conjugation with sigma_x
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .errors import (
 )
 from .gaussian import _PAULI_X, _PAULI_Y, _PAULI_Z, _kron_chain
 from .geometry import GeometryResult, incompatibility_ratio
-from .liouvillian import QuadraticLindbladModel
+from . import liouvillian
+from .liouvillian import QuadraticLindbladModel, ShapeMatrices
 from .momentum import SymbolModel
 
 
@@ -384,6 +386,34 @@ def build_boundary_driven_xy(params: BoundaryXYParams) -> QuadraticLindbladModel
         vec[2 * site + 1] = 0.5j if sign > 0 else -0.5j  # sigma^+ = c^dag, sigma^- = c
         jumps.append(np.sqrt(rate) * vec)
     return QuadraticLindbladModel(n_modes=n, h_im=h_im, jumps=tuple(jumps))
+
+
+def boundary_xy_shapes(points: Sequence[BoundaryXYParams]) -> ShapeMatrices:
+    """The drifts of chain points that share n and the rates, as one stack
+    (k, d, d), and their one source b.
+
+    The bath part of X and the source depend on n and the rates alone, so
+    they come from one model; each drift then takes its couplings at every
+    coupling position, ``4 (Re M - Im H)`` with ``Re M = 0`` there (the
+    jumps touch the diagonal of ``Re M`` only), as
+    :func:`liouvillian.shape_matrices` forms it from
+    :func:`build_boundary_driven_xy`.  A zero coupling is an exact zero, as
+    the one the model leaves out.
+    """
+    n = points[0].n
+    first = liouvillian.shape_matrices(build_boundary_driven_xy(points[0]))
+    rows, cols, unit = _xy_couplings(n, 1.0, 1.0, 1.0)
+    delta = np.array([p.delta for p in points])[:, None]
+    field = np.array([p.h for p in points])[:, None]
+    # unit holds +-1 on the xx, yy and z bonds, in _xy_couplings' order
+    couplings = np.concatenate((np.repeat((1.0 + delta) / 2.0, n - 1, axis=1),
+                                np.repeat((1.0 - delta) / 2.0, n - 1, axis=1),
+                                np.repeat(field, n, axis=1)), axis=1)
+    vals = np.concatenate((couplings, couplings), axis=1) * unit
+    x = np.repeat(first.x[None], len(points), axis=0)
+    # shape_matrices' steps on each coupling: x -= h_im with h_im = -vals / 2, x *= 4
+    x[:, rows, cols] = (0.0 - -0.5 * vals) * 4.0
+    return ShapeMatrices(x=x, b=first.b)
 
 
 def boundary_xy_shape_derivatives(params: BoundaryXYParams) -> dict[str, tuple]:

@@ -57,6 +57,21 @@ def _frobenius(a: np.ndarray) -> float:
     return top * math.sqrt(float(np.dot(v, v)))
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """:func:`_frobenius` of each matrix of the C-ordered stack ``a``: the
+    sums of squares as one stacked dot, each the ``np.dot`` of its matrix."""
+    v = a.reshape(a.shape[0], 1, -1)
+    with np.errstate(over="ignore", under="ignore"):
+        squares = _matmul(v, v.transpose(0, 2, 1))[:, 0, 0]
+    norms = np.sqrt(squares)
+    scaled = ~((squares > _SQUARES_FLOOR) & (squares < math.inf))
+    if scaled.any():  # an exactly zero matrix (an antisymmetry check's) has norm 0
+        scaled[scaled] = np.any(v[scaled, 0], axis=-1)
+        for c in np.flatnonzero(scaled):
+            norms[c] = _frobenius(a[c])
+    return norms
+
+
 def _real(a, name: str) -> np.ndarray:
     """``a`` as a real array; NotReal for a complex one, whose imaginary part
     a real-arithmetic kernel would otherwise drop."""
@@ -73,20 +88,25 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack (a view)."""
+    return m.swapaxes(-1, -2)
+
+
 def _subtract_transpose(m: np.ndarray, block: int = 64) -> None:
-    """``m -= m^T`` in place.
+    """``m -= m^T`` in place, for each matrix of a stack.
 
     numpy buffers the overlapping ``m.T``, a d x d copy.  Above two blocks
     of rows this goes a block of rows and columns at a time instead, each
     entry still ``m_ij - m_ji`` of the original entries.
     """
-    if m.shape[0] <= 2 * block:
-        m -= m.T
+    if m.shape[-1] <= 2 * block:
+        m -= _t(m)
         return
-    for i in range(0, m.shape[0], block):
-        rows = m[i:i + block, i:] - m[i:, i:i + block].T
-        m[i:, i:i + block] -= m[i:i + block, i:].T
-        m[i:i + block, i:] = rows
+    for i in range(0, m.shape[-1], block):
+        rows = m[..., i:i + block, i:] - _t(m[..., i:, i:i + block])
+        m[..., i:, i:i + block] -= _t(m[..., i:i + block, i:])
+        m[..., i:i + block, i:] = rows
 
 
 # Leaf order of the recursive triangular Sylvester solve: below it one
@@ -159,39 +179,44 @@ def _solve_antisymmetric_lyapunov(t: np.ndarray, c: np.ndarray) -> None:
     c[k:, :k] = -z12.T
 
 
-def _pair_min(spectrum: np.ndarray, block: int = 64) -> float:
-    """Sylvester gap ``min |x_i + x_j|`` over all pairs of the spectrum, a
-    block of rows at a time."""
-    return float(min(np.min(np.abs(spectrum[i:i + block, None] + spectrum))
-                     for i in range(0, spectrum.size, block)))
+def _pair_min(spectrum: np.ndarray, block: int = 64) -> np.ndarray:
+    """Sylvester gap ``min |x_i + x_j|`` over all pairs of each spectrum of a
+    stack (k, d), a block of rows at a time."""
+    return np.min([np.min(np.abs(spectrum[..., i:i + block, None] + spectrum[..., None, :]),
+                          axis=(-2, -1)) for i in range(0, spectrum.shape[-1], block)], axis=0)
 
 
 def _padded_rows(rows, cols, vals, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The nonzeros ``(rows, cols, vals)`` of a d-row matrix as ``(cols, vals)``,
     each d x k: row r's nonzeros in column order, then zeros up to the widest
-    row's count k."""
+    row's count k.  ``vals`` may carry leading axes, one matrix each."""
     order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    rows, cols, vals = rows[order], cols[order], vals[..., order]
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     width = int(rank.max(initial=-1)) + 1
     padded_cols = np.zeros((d, width), dtype=np.intp)
-    padded_vals = np.zeros((d, width))
-    padded_cols[rows, rank], padded_vals[rows, rank] = cols, vals
+    padded_vals = np.zeros(vals.shape[:-1] + (d, width))
+    padded_cols[rows, rank] = cols
+    padded_vals[..., rows, rank] = vals
     return padded_cols, padded_vals
 
 
 def _sparse_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """:func:`_padded_rows` of a real x with at most eight nonzeros in every
-    row (the boundary-XY drift has three), else None."""
-    if x.size and np.max(np.count_nonzero(x, axis=1)) > 8:
+    """:func:`_padded_rows` of a real x, or of a stack (k, d, d) on the
+    nonzeros of its matrices together (an entry that is zero in one matrix
+    adds an exact zero to its row there), with at most eight nonzeros in
+    every row (the boundary-XY drift has three), else None."""
+    pattern = np.any(x.reshape((-1,) + x.shape[-2:]), axis=0)
+    if pattern.size and np.max(np.count_nonzero(pattern, axis=1)) > 8:
         return None
-    rows, cols = np.nonzero(x)
-    return _padded_rows(rows, cols, x[rows, cols], x.shape[0])
+    rows, cols = np.nonzero(pattern)
+    return _padded_rows(rows, cols, x[..., rows, cols], x.shape[-1])
 
 
 def _sparse_product(padded: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
     """``S a`` for the sparse real S of :func:`_padded_rows`, a block of rows
-    at a time, so no temporary holds more than 2^15 entries.
+    at a time, so no temporary holds more than 2^15 entries.  The values of
+    S and ``a`` may carry one leading stack axis each.
 
     Pass ``s`` adds each row's s-th nonzero, ``P[r] += v a[c]``, so every row
     takes its terms in column order after a zero start; a padding term adds
@@ -199,14 +224,13 @@ def _sparse_product(padded: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.
     (slopes of +-1 and +-2) this is the GEMM's result bit for bit.
     """
     cols, vals = padded
-    p = np.zeros((cols.shape[0],) + a.shape[1:], dtype=np.result_type(a, vals))
-    block = max(1, (1 << 15) // max(1, int(np.prod(a.shape[1:]))))
-    for i in range(0, p.shape[0], block):
-        rows = p[i:i + block]
+    lead = np.broadcast_shapes(vals.shape[:-2], a.shape[:-2])
+    p = np.zeros(lead + (cols.shape[0], a.shape[-1]), dtype=np.result_type(a, vals))
+    block = max(1, (1 << 15) // max(1, math.prod(lead) * a.shape[-1]))
+    for i in range(0, cols.shape[0], block):
+        rows = p[..., i:i + block, :]
         for s in range(cols.shape[1]):
-            term = a[cols[i:i + block, s]]
-            term *= vals[i:i + block, s, None]
-            rows += term
+            rows += a[..., cols[i:i + block, s], :] * vals[..., i:i + block, s, None]
     return p
 
 
@@ -279,8 +303,44 @@ class _Uncertified(Exception):
     """The modes factorization failed one of its certificates."""
 
 
+def _fail(ok: np.ndarray, bad: np.ndarray, why) -> None:
+    """Take the cells ``bad`` of a stack off ``ok``; a stack of one raises
+    _Uncertified(why) instead (``why`` may be a function of the cell)."""
+    bad = bad & ok
+    if ok.size == 1 and bad[0]:
+        raise _Uncertified(why(0) if callable(why) else why)
+    ok &= ~bad
+
+
+def _take(ok: np.ndarray, *arrays):
+    """``arrays`` at the cells still ``ok`` (each array's leading axis)."""
+    if ok.all():
+        return arrays
+    keep = np.flatnonzero(ok)
+    if not keep.size:
+        raise _Uncertified("no cell of the stack is left")
+    return tuple(a[keep] for a in arrays)
+
+
+def _rounds(cell: np.ndarray, block: int):
+    """The entries of the sorted ``cell`` a round at a time: each cell's
+    entries in pieces of at most ``block``, its r-th piece in round r.
+    Yields a round's entries and each of its pieces as ``(cell, start,
+    stop)`` within the round."""
+    bounds = [0, *(np.flatnonzero(np.diff(cell)) + 1).tolist(), cell.size]
+    pieces = [[(c, p, min(p + block, b)) for p in range(a, b, block)]
+              for c, a, b in zip(cell[bounds[:-1]].tolist(), bounds, bounds[1:])]
+    for r in range(max(map(len, pieces))):
+        batch = [p[r] for p in pieces if r < len(p)]
+        at = np.cumsum([0] + [b - a for _, a, b in batch]).tolist()
+        yield (np.concatenate([np.arange(a, b) for _, a, b in batch]),
+               [(c, i0, i1) for (c, _, _), i0, i1 in zip(batch, at, at[1:])])
+
+
 def _bath_support(x: np.ndarray) -> np.ndarray | None:
-    """Rows of the symmetric part of a boundary-driven drift, or None.
+    """Rows of the symmetric part of a boundary-driven drift, or None; of a
+    stack (k, d, d), the rows when every drift has the structure and the
+    same rows.
 
     The drift must have even order and ``X^T = P X P`` exactly, with
     ``P = diag((-1)^k)``: its antisymmetric part couples even to odd
@@ -288,32 +348,36 @@ def _bath_support(x: np.ndarray) -> np.ndarray | None:
     order, and its symmetric part, on at most ``_BATH_MAX_RANK`` rows,
     couples equal parities only.
     """
-    if x.shape[0] % 2:
+    if x.shape[-1] % 2:
         return None
-    even, odd, cross = x[0::2, 0::2], x[1::2, 1::2], x[0::2, 1::2]
-    if not (np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
-            and np.array_equal(cross, -x[1::2, 0::2].T)):
+    even, odd, cross = x[..., 0::2, 0::2], x[..., 1::2, 1::2], x[..., 0::2, 1::2]
+    if not (np.array_equal(even, _t(even)) and np.array_equal(odd, _t(odd))
+            and np.array_equal(cross, -_t(x[..., 1::2, 0::2]))):
         return None
-    rows = np.concatenate((2 * np.flatnonzero(np.any(even, axis=1)),
-                           2 * np.flatnonzero(np.any(odd, axis=1)) + 1))
+    bath = np.concatenate((np.any(even, axis=-1), np.any(odd, axis=-1)), axis=-1)
+    bath = bath.reshape(-1, x.shape[-1])
+    if np.any(bath != bath[0]):
+        return None
+    n = x.shape[-1] // 2
+    rows = np.concatenate((2 * np.flatnonzero(bath[0, :n]), 2 * np.flatnonzero(bath[0, n:]) + 1))
     return np.sort(rows) if rows.size <= _BATH_MAX_RANK else None
 
 
 def _pair_guesses(mu: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Starting roots: the eigenvalues of each mode pair's own 2x2 problem
-    ``diag(i sigma, -i sigma) + C^H s C``, ``C = [c+, c-]``.
+    ``diag(i sigma, -i sigma) + C^H s C``, ``C = [c+, c-]``, for each cell.
 
     They are ``a +- sqrt(|beta|^2 - sigma^2)``: a conjugate pair, or two
     real roots where the bath outweighs the splitting (the edge modes of
     the ordered phase).
     """
-    n = mu.size // 2
-    up, down = z[:n], z[n:]
-    a = np.einsum("ka,ab,kb->k", up.conj(), s, up).real
-    beta = np.einsum("ka,ab,kb->k", up.conj(), s, down)
-    disc = np.abs(beta) ** 2 - mu[:n].imag ** 2
+    n = mu.shape[-1] // 2
+    up, down = z[..., :n, :], z[..., n:, :]
+    a = np.einsum("...ka,...ab,...kb->...k", up.conj(), s, up).real
+    beta = np.einsum("...ka,...ab,...kb->...k", up.conj(), s, down)
+    disc = np.abs(beta) ** 2 - mu[..., :n].imag ** 2
     root = np.sqrt(np.abs(disc)) * np.where(disc > 0.0, 1.0, 1j)
-    return np.concatenate((a + root, a - root))
+    return np.concatenate((a + root, a - root), axis=-1)
 
 
 def _eigenvalue_start(x: np.ndarray) -> np.ndarray:
@@ -331,49 +395,77 @@ def _eigenvalue_start(x: np.ndarray) -> np.ndarray:
 
 def _real_weights(weights: np.ndarray) -> np.ndarray:
     """The real ``2d x 2r^2`` matrix R with ``(C W).view(float) =
-    C.view(float) R`` for the complex d x r^2 ``weights`` W, so that each
-    complex product of the modes path is one real GEMM."""
-    real = np.empty((2 * weights.shape[0], 2 * weights.shape[1]))
-    real[0::2, 0::2] = real[1::2, 1::2] = weights.real
-    real[0::2, 1::2] = weights.imag
-    real[1::2, 0::2] = -weights.imag
+    C.view(float) R`` for the complex d x r^2 ``weights`` W (of each cell),
+    so that each complex product of the modes path is one real GEMM."""
+    real = np.empty(weights.shape[:-2] + (2 * weights.shape[-2], 2 * weights.shape[-1]))
+    real[..., 0::2, 0::2] = real[..., 1::2, 1::2] = weights.real
+    real[..., 0::2, 1::2] = weights.imag
+    real[..., 1::2, 0::2] = -weights.imag
     return real
 
 
-def _weighted(cauchy: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _weighted(cauchy: np.ndarray, weights: np.ndarray, runs=None) -> np.ndarray:
     """``sum_k cauchy_ik s c_k c_k^H`` for each row i of the C-ordered
-    complex ``cauchy``, as r x r blocks; ``weights`` is :func:`_real_weights`."""
-    r = math.isqrt(weights.shape[1] // 2)
-    return _matmul(cauchy.view(float), weights).view(complex).reshape(-1, r, r)
+    complex ``cauchy``, as r x r blocks; ``weights`` is :func:`_real_weights`,
+    stacked like ``cauchy``, or, with ``runs`` (see :func:`_rounds`), one GEMM
+    per run of rows on its cell's weights."""
+    r = math.isqrt(weights.shape[-1] // 2)
+    if runs is None:
+        out = _matmul(cauchy.view(float), weights)
+    else:
+        out = np.empty((cauchy.shape[0], weights.shape[-1]))
+        for c, i, j in runs:
+            out[i:j] = _matmul(cauchy[i:j].view(float), weights[c])
+    return out.view(complex).reshape(cauchy.shape[:-1] + (r, r))
 
 
-def _secular_matrices(cauchy: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``M = I - s G`` at each root of a block, from its Cauchy rows."""
-    m = _weighted(cauchy, weights)
+def _secular_matrices(cauchy: np.ndarray, weights: np.ndarray, runs=None) -> np.ndarray:
+    """``M = I - s G`` at each root, from its Cauchy rows (see :func:`_weighted`)."""
+    m = _weighted(cauchy, weights, runs)
     m *= -1.0
-    r = m.shape[1]
-    m[:, np.arange(r), np.arange(r)] += 1.0
+    r = m.shape[-1]
+    m[..., np.arange(r), np.arange(r)] += 1.0
     return m
 
 
-def _secular_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``M^-1 rhs`` for each r x r secular matrix of a block, by one batched
-    LU.  An exactly singular M (its root is exact) is solved with its
-    diagonal raised by ``eps ||M||_max``: a large, finite solution along its
-    null vector."""
+def _secular_solve(m: np.ndarray, rhs: np.ndarray, runs=None) -> np.ndarray:
+    """``M^-1 rhs`` for each r x r secular matrix, by one batched LU.  Where
+    an M is exactly singular (its root is exact), its cell's matrices are
+    solved with their diagonals raised by ``eps ||M||_max``: a large, finite
+    solution along the null vector.  A cell is the leading index of a
+    (g, B, r, r) stack, or a run of rows (see :func:`_rounds`)."""
     try:
         return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError:
+        if m.ndim == 4 and m.shape[0] > 1:
+            return np.stack([_secular_solve(mc, rc)
+                             for mc, rc in zip(m, np.broadcast_to(rhs, m.shape))])
+        if runs is not None and len(runs) > 1:
+            return np.concatenate([_secular_solve(m[i:j], rhs[i:j]) for _, i, j in runs])
         m = m.copy()
-        r = m.shape[1]
-        m[:, np.arange(r), np.arange(r)] += _EPS * np.max(np.abs(m), axis=(1, 2))[:, None]
+        r = m.shape[-1]
+        m[..., np.arange(r), np.arange(r)] += (
+            _EPS * np.max(np.abs(m), axis=(-2, -1))[..., None])
         return np.linalg.solve(m, rhs)
 
 
+# Cauchy entries of one Aberth block of roots
+_ABERTH_BLOCK = 1 << 15
+
+
+def stack_size(d: int) -> int:
+    """How many drifts of order d to factor as one stack: as many as keep
+    each stacked d x d array to 2^17 entries, where one Aberth block takes
+    all of a drift's roots (d^2 <= 2^15); one otherwise."""
+    return max(1, (1 << 17) // max(1, d * d)) if d * d <= _ABERTH_BLOCK else 1
+
+
 def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
-                  tol: float) -> np.ndarray:
+                  tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every root of ``prod_k (lam - mu_k) det(I - s G(lam))`` with
-    ``G(lam) = sum_k c_k c_k^H / (lam - mu_k)``, from ``start``.
+    ``G(lam) = sum_k c_k c_k^H / (lam - mu_k)``, from ``start``, for each
+    cell of a stack: ``mu``, ``start`` (k, d), ``tol`` (k,).  Returns the
+    roots and which cells settled.
 
     ``weights`` is :func:`_real_weights` of ``vec(s c_k c_k^H)`` in row k.
     The polynomial is real, so a start above the real axis (its pair's
@@ -384,112 +476,134 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
     cannot reach: the two are then moved apart by the step along the real
     axis and iterated in full.
 
-    Ehrlich-Aberth a block of roots at a time, each block seeing the roots
-    of the blocks before it (one block, all roots at once, up to 2^15
-    Cauchy entries): the block's Cauchy rows ``1/(lam_i - mu_k)`` times
-    ``weights`` give ``M = I - s G``, their squares ``s G_2 = -s G'``, so
-    that ``p'/p = sum_k 1/(lam - mu_k) + tr(M^-1 s G_2)``.  A root freezes
-    once its Newton step is below ``tol``.  Raises _Uncertified on a
-    non-finite step, when nine in ten of the iterated roots still move after
-    ``_ABERTH_CHECK_SWEEPS`` sweeps, or after ``_ABERTH_MAX_SWEEPS``.
+    Ehrlich-Aberth a block of each cell's roots at a time, each block
+    seeing the roots of the blocks before it (one block, all of a cell's
+    roots at once, up to 2^15 Cauchy entries), so a cell's roots never
+    depend on the other cells: the block's Cauchy rows
+    ``1/(lam_i - mu_k)`` times ``weights`` give ``M = I - s G``, their
+    squares ``s G_2 = -s G'``, so that ``p'/p = sum_k 1/(lam - mu_k) +
+    tr(M^-1 s G_2)``.  A root freezes once its Newton step is below
+    ``tol``.  A cell fails on a non-finite step, when nine in ten of its
+    iterated roots still move after ``_ABERTH_CHECK_SWEEPS`` sweeps, or
+    after ``_ABERTH_MAX_SWEEPS``; a stack of one raises _Uncertified.
     """
-    d = mu.size
+    k, d = mu.shape
     n = d // 2
     lam = start.copy()
-    mirrored = np.zeros(d, dtype=bool)
-    mirrored[:n] = start[:n].imag > 0.0
-    active = np.concatenate((np.arange(n), np.flatnonzero(~mirrored[:n]) + n))
-    iterated = active.size
+    mirrored = np.zeros((k, d), dtype=bool)
+    mirrored[:, :n] = start[:, :n].imag > 0.0
+    # the iterated roots, cell by cell, as (cell, root) pairs
+    cell, root = np.nonzero(np.concatenate((np.ones((k, n), dtype=bool), ~mirrored[:, :n]), axis=1))
+    iterated = np.bincount(cell, minlength=k)
+    settled = np.ones(k, dtype=bool)
+    block = max(1, _ABERTH_BLOCK // d)
     with np.errstate(all="ignore"):
         for sweep in range(_ABERTH_MAX_SWEEPS):
-            if not active.size:
+            if sweep == _ABERTH_CHECK_SWEEPS and cell.size:
+                left = np.bincount(cell, minlength=k)
+                _fail(settled, 10 * left > 9 * iterated, lambda c: (
+                    f"{left[c]} of {iterated[c]} roots unsettled after {sweep} Aberth sweeps"))
+                keep = settled[cell]
+                cell, root = cell[keep], root[keep]
+            if not cell.size:
                 break
-            if sweep == _ABERTH_CHECK_SWEEPS and 10 * active.size > 9 * iterated:
-                raise _Uncertified(
-                    f"{active.size} of {iterated} roots unsettled after {sweep} Aberth sweeps"
-                )
-            block = max(1, min(active.size, (1 << 15) // d))
-            settled, split = [], []
-            for i in range(0, active.size, block):
-                idx = active[i:i + block]
-                cauchy = np.reciprocal(lam[idx, None] - mu)
+            done = np.zeros(cell.size, dtype=bool)
+            splits = []
+            for sel, runs in _rounds(cell, block):
+                c, idx = cell[sel], root[sel]
+                # each root's differences to its cell's poles and roots
+                cauchy = np.empty((idx.size, d), dtype=complex)
+                gaps = np.empty((idx.size, d), dtype=complex)
+                for cc, a, b in runs:
+                    np.subtract(lam[cc, idx[a:b], None], mu[cc], out=cauchy[a:b])
+                    np.subtract(lam[cc, idx[a:b], None], lam[cc], out=gaps[a:b])
+                np.reciprocal(cauchy, out=cauchy)
                 poles = np.sum(cauchy, axis=1)
-                m = _secular_matrices(cauchy, weights)
+                m = _secular_matrices(cauchy, weights, runs)
                 cauchy *= cauchy
-                y = _secular_solve(m, _weighted(cauchy, weights))
+                y = _secular_solve(m, _weighted(cauchy, weights, runs), runs)
                 newton = 1.0 / (poles + np.einsum("naa->n", y))
-                gaps = lam[idx, None] - lam
                 gaps[np.arange(idx.size), idx] = np.inf
-                step = newton / (1.0 - newton * np.sum(np.reciprocal(gaps), axis=1))
-                if not np.all(np.isfinite(step)):
-                    raise _Uncertified("an Aberth step is not finite (coincident roots)")
-                lam[idx] -= step
-                mirror = mirrored[idx]
-                done = np.abs(newton) <= tol
-                low = mirror & ~done & (np.abs(lam[idx].imag) <= np.abs(step))
-                lam[idx[mirror] + n] = lam[idx[mirror]].conj()
-                settled.append(done)
-                split.append((idx[low], np.abs(step[low]) + tol))
-            active = active[~np.concatenate(settled)]
-            split, spread = (np.concatenate(a) for a in zip(*split))
-            if split.size:  # un-mirror: iterate both members in full, apart
-                lam[split + n] = lam[split].conj() - spread
-                lam[split] += spread
-                mirrored[split] = False
-                active = np.concatenate((active, split + n))
-    if active.size:
-        raise _Uncertified(
-            f"{active.size} roots unsettled after {_ABERTH_MAX_SWEEPS} Aberth sweeps"
-        )
-    return lam
+                step = newton / (1.0 - newton * np.sum(np.reciprocal(gaps, out=gaps), axis=1))
+                bad = ~np.isfinite(step)
+                if bad.any():
+                    _fail(settled, np.bincount(c[bad], minlength=k) > 0,
+                          "an Aberth step is not finite (coincident roots)")
+                lam[c, idx] -= step
+                mirror = mirrored[c, idx]
+                now = np.abs(newton) <= tol[c]
+                done[sel] = now
+                low = mirror & ~now & (np.abs(lam[c, idx].imag) <= np.abs(step))
+                lam[c[mirror], idx[mirror] + n] = lam[c[mirror], idx[mirror]].conj()
+                if low.any():
+                    splits.append((c[low], idx[low], np.abs(step[low]) + tol[c[low]]))
+            keep = ~done & settled[cell]
+            cell, root = cell[keep], root[keep]
+            if splits:  # un-mirror: iterate both members in full, apart
+                sc, si, spread = (np.concatenate(a) for a in zip(*splits))
+                keep = settled[sc]
+                sc, si, spread = sc[keep], si[keep], spread[keep]
+                lam[sc, si + n] = lam[sc, si].conj() - spread
+                lam[sc, si] += spread
+                mirrored[sc, si] = False
+                order = np.argsort(np.concatenate((cell, sc)), kind="stable")
+                cell = np.concatenate((cell, sc))[order]
+                root = np.concatenate((root, si + n))[order]
+    if cell.size:
+        left = np.bincount(cell, minlength=k)
+        _fail(settled, left > 0,
+              lambda c: f"{left[c]} roots unsettled after {_ABERTH_MAX_SWEEPS} Aberth sweeps")
+    return lam, settled
 
 
 def _eigenvector_block(roots, mu, z, weights, w, v) -> np.ndarray:
     """Unscaled complex eigenvectors of the modes factorization, d x
-    len(roots), at settled roots: ``v = sum_k u_k (c_k^H y)/(lam - mu_k)``
-    with y the null vector of ``I - s G(lam)``, assembled as W and V times
-    the Cauchy-scaled coefficients of the + and - modes.  y is the largest
-    column of ``(I - s G)^-1``, a step of inverse iteration from each unit
-    vector: its residual is at most ``sqrt(r)`` times the smallest singular
-    value."""
-    n = w.shape[0]
-    cauchy = np.reciprocal(roots[:, None] - mu)
+    len(roots) for each cell, at settled roots: ``v = sum_k u_k (c_k^H
+    y)/(lam - mu_k)`` with y the null vector of ``I - s G(lam)``, assembled
+    as W and V times the Cauchy-scaled coefficients of the + and - modes.
+    y is the largest column of ``(I - s G)^-1``, a step of inverse iteration
+    from each unit vector: its residual is at most ``sqrt(r)`` times the
+    smallest singular value."""
+    n = w.shape[-1]
+    cauchy = np.reciprocal(roots[..., :, None] - mu[..., None, :])
     m = _secular_matrices(cauchy, weights)
-    inv = _secular_solve(m, np.broadcast_to(np.eye(m.shape[1]), m.shape))
-    col = np.argmax(np.sum(inv.real ** 2 + inv.imag ** 2, axis=1), axis=1)
-    coef = np.einsum("kr,br->kb", z.conj(), inv[np.arange(roots.size), :, col])
-    coef *= cauchy.T
+    inv = _secular_solve(m, np.broadcast_to(np.eye(m.shape[-1]), m.shape))
+    col = np.argmax(np.sum(inv.real ** 2 + inv.imag ** 2, axis=-2), axis=-1)
+    null = np.take_along_axis(inv, col[..., None, None], axis=-1)[..., 0]
+    coef = np.einsum("...kr,...br->...kb", z.conj(), null)
+    coef *= _t(cauchy)
     del cauchy
-    plus = np.ascontiguousarray(coef[:n] + coef[n:])
-    minus = np.ascontiguousarray(coef[:n] - coef[n:])
-    vec = np.empty((2 * n, roots.size), dtype=complex)
-    vec[0::2] = _matmul(w, plus.view(float)).view(complex)
-    vec[1::2] = _matmul(v, minus.view(float)).view(complex)
-    vec[1::2] *= 1j
+    plus = np.ascontiguousarray(coef[..., :n, :] + coef[..., n:, :])
+    minus = np.ascontiguousarray(coef[..., :n, :] - coef[..., n:, :])
+    vec = np.empty(coef.shape, dtype=complex)
+    vec[..., 0::2, :] = _matmul(w, plus.view(float)).view(complex)
+    vec[..., 1::2, :] = _matmul(v, minus.view(float)).view(complex)
+    vec[..., 1::2, :] *= 1j
     return vec
 
 
 def _scale_eigenvectors(vec: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """Scale each column v of ``vec`` in place to ``v^T P v = 1`` where
-    ``pair`` is True (a root above the real axis), and otherwise rotate it
-    real and scale it to ``v^T P v = +-1``; returns those signs."""
+    """Scale each column v of ``vec`` (of each cell) in place to ``v^T P v =
+    1`` where ``pair`` is True (a root above the real axis), and otherwise
+    rotate it real and scale it to ``v^T P v = +-1``; returns those signs."""
     def nu(cols):
-        return (np.einsum("kc,kc->c", cols[0::2], cols[0::2])
-                - np.einsum("kc,kc->c", cols[1::2], cols[1::2]))
+        return (np.einsum("...kc,...kc->...c", cols[..., 0::2, :], cols[..., 0::2, :])
+                - np.einsum("...kc,...kc->...c", cols[..., 1::2, :], cols[..., 1::2, :]))
 
-    vec[:, pair] /= np.sqrt(nu(vec[:, pair]))
-    real = np.flatnonzero(~pair)
-    phase = vec[np.argmax(np.abs(vec[:, real]), axis=0), real]
-    rotated = (vec[:, real] / (phase / np.abs(phase))).real
+    vec[..., pair] /= np.sqrt(nu(vec[..., pair]))[..., None, :]
+    real = vec[..., np.flatnonzero(~pair)]
+    top = np.argmax(np.abs(real), axis=-2)[..., None, :]
+    phase = np.take_along_axis(real, top, axis=-2)
+    rotated = (real / (phase / np.abs(phase))).real
     signs = np.sign(nu(rotated))
-    vec[:, real] = rotated / np.sqrt(np.abs(nu(rotated)))
+    vec[..., ~pair] = rotated / np.sqrt(np.abs(nu(rotated)))[..., None, :]
     return signs
 
 
 class _ModesFactor:
-    """``X = V Lambda V^-1`` for a boundary-driven drift ``X = K + E s E^T``
+    """``X = V Lambda V^-1`` for boundary-driven drifts ``X = K + E s E^T``
     (see :func:`_bath_support`), from the normal modes of the kernel K and
-    a rank-r secular equation.
+    a rank-r secular equation, for each drift of a stack (k, d, d).
 
     With ``J = W Sigma V^T`` (an n x n SVD) the modes of K are
     ``u_k = [w_k; +-i v_k]/sqrt 2`` at ``mu_k = +-i sigma_k``, and the
@@ -502,7 +616,10 @@ class _ModesFactor:
     so with each ``v`` scaled to ``v^T P v = +-1`` the inverse is
     ``V_r^-1 = N q^T``, N diagonal with 2, -2 on each pair and the signs of
     the real roots.  A solve is then GEMMs and an O(d^2) division by
-    ``lam_i + lam_j``.
+    ``lam_i + lam_j``.  The cells of a stack share each batched LAPACK call
+    and stacked GEMM, one matrix per cell, so a cell's numbers do not
+    depend on the others; those with as many roots above the real axis
+    share their eigenvector blocks and divisions (``_groups``).
 
     Refused before Aberth, with _Uncertified, when two singular values of
     J above ``1e-12 sigma_max`` coincide to that tolerance: a double pole,
@@ -514,7 +631,9 @@ class _ModesFactor:
     within ``2 ||q|| ||X V_r - V_r Lambda_r|| <= 1e-11 ||X||`` of the
     spectrum of X (Bauer-Fike, as ``||V_r^-1|| <= 2 ||q||``), and
     ``||N q^T V_r - I|| <= 1e-6``, so ``V_r`` is a basis and ``N q^T`` its
-    inverse.  ``x_rows`` and ``support`` are :func:`_sparse_rows` and
+    inverse.  That is a stack of one; a stack of more than one has no
+    restart and drops the cells that fail, and ``cells`` lists those it
+    serves.  ``x_rows`` and ``support`` are :func:`_sparse_rows` and
     :func:`_bath_support` of x, neither None.
     """
 
@@ -522,118 +641,176 @@ class _ModesFactor:
     condition_estimator = "modes_frobenius"
 
     def __init__(self, x: np.ndarray, x_rows, support: np.ndarray):
-        s = x[np.ix_(support, support)]
-        s = 0.5 * (s + s.T)
+        k, d = x.shape[0], x.shape[-1]
+        x_cols, x_vals = x_rows
+        cells = np.arange(k)
+        s = x[:, support[:, None], support]
+        s = 0.5 * (s + _t(s))
         try:
-            w, sigma, vt = np.linalg.svd(x[0::2, 1::2])
+            w, sigma, vt = np.linalg.svd(x[:, 0::2, 1::2])
         except np.linalg.LinAlgError as exc:
             raise _Uncertified(f"SVD of the kernel failed: {exc}") from exc
-        v = vt.T
+        v = _t(vt)
         del vt
         # a double pole of the secular equation (the XX chain at zero field),
         # which Aberth cannot settle; edge modes near zero are not one
-        tol = 1e-12 * sigma[0]
-        if np.any(np.diff(sigma[sigma > tol]) >= -tol):
-            raise _Uncertified("two singular values of the kernel coincide")
+        tol = 1e-12 * sigma[:, :1]
+        ok = np.ones(k, dtype=bool)
+        _fail(ok, np.any((np.diff(sigma, axis=1) >= -tol) & (sigma[:, 1:] > tol), axis=1),
+              "two singular values of the kernel coincide")
+        cells, x, x_vals, s, w, sigma, v = _take(ok, cells, x, x_vals, s, w, sigma, v)
         # c_k of the + modes: w on the even rows of the support, i v on the odd ones
-        up = np.where(support % 2 == 0, w[support // 2].T, 1j * v[support // 2].T)
-        z = np.concatenate((up, up.conj())) / math.sqrt(2.0)
-        mu = np.concatenate((1j * sigma, -1j * sigma))
-        zs = np.einsum("ka,ab->kb", z, s)
-        weights = _real_weights((zs[:, :, None] * z.conj()[:, None, :]).reshape(mu.size, -1))
+        up = np.where(support % 2 == 0, _t(w[:, support // 2]), 1j * _t(v[:, support // 2]))
+        z = np.concatenate((up, up.conj()), axis=1) / math.sqrt(2.0)
+        mu = np.concatenate((1j * sigma, -1j * sigma), axis=1)
+        zs = np.einsum("...ka,...ab->...kb", z, s)
+        weights = _real_weights((zs[..., None] * z.conj()[..., None, :]).reshape(mu.shape + (-1,)))
         del zs
-        scale = float(sigma[0]) + float(np.max(np.abs(s))) * s.shape[0]  # >= ||X||_2
+        scale = sigma[:, 0] + np.max(np.abs(s), axis=(1, 2)) * s.shape[-1]  # >= ||X||_2
         step_tol = 4.0 * _EPS * scale
         try:
-            lam = _aberth_roots(mu, weights, _pair_guesses(mu, z, s), step_tol)
-        except _Uncertified as stalled:
+            lam, ok = _aberth_roots(mu, weights, _pair_guesses(mu, z, s), step_tol)
+        except _Uncertified as stalled:  # a stack of one
             try:
-                lam = _aberth_roots(mu, weights, _eigenvalue_start(x), step_tol)
+                lam, ok = _aberth_roots(mu, weights, _eigenvalue_start(x[0])[None], step_tol)
             except _Uncertified as exc:
                 raise _Uncertified(f"{stalled}; from LAPACK's eigenvalues, {exc}") from exc
+        cells, x, x_vals, w, v, z, mu, weights, lam, scale = _take(
+            ok, cells, x, x_vals, w, v, z, mu, weights, lam, scale)
 
-        cut = math.sqrt(_EPS) * scale
-        upper, real = lam[lam.imag > cut], lam[np.abs(lam.imag) <= cut].real
-        d, m = mu.size, upper.size
-        if 2 * m + real.size != d:
-            raise _Uncertified(f"{m} roots above the real axis, {d - m - real.size} below")
-        self.spectrum = np.concatenate((upper, upper.conj(), real))
-        self._lam, self._rho = upper, real
-        self._signs = np.concatenate((np.tile([2.0, -2.0], m), np.ones(real.size)))
-        self.q = np.empty((d, d))
-        roots = np.concatenate((upper, real))
-        # blocks of temporaries of at most 2^15 entries
+        cut = math.sqrt(_EPS) * scale[:, None]
+        above, on = lam.imag > cut, np.abs(lam.imag) <= cut
+        m, q = np.count_nonzero(above, axis=1), np.count_nonzero(on, axis=1)
+        ok = np.ones(cells.size, dtype=bool)
+        _fail(ok, 2 * m + q != d,
+              lambda c: f"{m[c]} roots above the real axis, {d - m[c] - q[c]} below")
+        cells, x, x_vals, w, v, z, mu, weights, lam, above, on, m = _take(
+            ok, cells, x, x_vals, w, v, z, mu, weights, lam, above, on, m)
+
+        k = cells.size
+        self.spectrum = np.empty((k, d), dtype=complex)
+        self._signs = np.ones((k, d))
+        self.q = np.empty((k, d, d))
+        self._groups = []
+        residual = np.zeros(k)
+        # blocks of temporaries of at most 2^15 entries per cell
         block = max(1, (1 << 15) // d)
-        residual = 0.0
-        with np.errstate(all="ignore"):  # a non-finite vector fails the bound below
-            for j in range(0, roots.size, block):
-                k = np.arange(j, min(j + block, roots.size))
-                vec = _eigenvector_block(roots[k], mu, z, weights, w, v)
-                self._signs[k[k >= m] + m] = _scale_eigenvectors(vec, k < m)
-                xv = _sparse_product(x_rows, vec)
-                xv -= vec * roots[k]
-                residual += float(np.sum(xv.real ** 2 + xv.imag ** 2))
-                del xv
-                vec[1::2] *= -1.0
-                pair = k[k < m]
-                self.q[:, 2 * pair] = vec[:, k < m].real
-                self.q[:, 2 * pair + 1] = vec[:, k < m].imag
-                self.q[:, k[k >= m] + m] = vec[:, k >= m].real
-        del w, v
-        bound = 2.0 * _frobenius(self.q) * math.sqrt(residual)
-        if not bound <= 1e-11 * _frobenius(x):
-            raise _Uncertified(f"eigenpair bound {bound:.3e} above 1e-11 ||X||")
-        self._check_inverse(block)
+        for mm in sorted(set(m.tolist())):
+            g = np.flatnonzero(m == mm)
+            whole = g.size == k  # views where one group holds every cell
+            upper = lam[above].reshape(k, mm) if whole else lam[g][above[g]].reshape(g.size, mm)
+            real = (lam[on] if whole else lam[g][on[g]]).real.reshape(g.size, d - 2 * mm)
+            self._groups.append((g, upper, real))
+            self.spectrum[g] = np.concatenate((upper, upper.conj(), real), axis=1)
+            signs = np.tile(np.concatenate((np.tile([2.0, -2.0], mm), np.ones(d - 2 * mm))),
+                            (g.size, 1))
+            basis = self.q if whole else np.empty((g.size, d, d))
+            roots = np.concatenate((upper, real), axis=1)
+            # as many cells at a time as keep a block's temporaries near 2^15 entries
+            per = max(1, (1 << 15) // (min(block, roots.shape[1]) * d))
+            for lo in range(0, g.size, per):
+                at = slice(lo, lo + per)  # in the group
+                cells_at = at if whole else g[at]  # in the stack
+                args = (mu[cells_at], z[cells_at], weights[cells_at], w[cells_at], v[cells_at])
+                rows = (x_cols, x_vals[cells_at])
+                with np.errstate(all="ignore"):  # a non-finite vector fails the bound below
+                    for j in range(0, roots.shape[1], block):
+                        kk = np.arange(j, min(j + block, roots.shape[1]))
+                        vec = _eigenvector_block(roots[at, kk], *args)
+                        signs[at, kk[kk >= mm] + mm] = _scale_eigenvectors(vec, kk < mm)
+                        xv = _sparse_product(rows, vec)
+                        xv -= vec * roots[at, None, kk]
+                        residual[cells_at] += np.sum(xv.real ** 2 + xv.imag ** 2, axis=(1, 2))
+                        del xv
+                        vec[:, 1::2] *= -1.0
+                        pair = kk[kk < mm]
+                        basis[at, :, 2 * pair] = vec[:, :, kk < mm].real
+                        basis[at, :, 2 * pair + 1] = vec[:, :, kk < mm].imag
+                        basis[at, :, kk[kk >= mm] + mm] = vec[:, :, kk >= mm].real
+            self._signs[g] = signs
+            if not whole:
+                self.q[g] = basis
+        del w, v, z, weights
+        bound = 2.0 * _norms(self.q) * np.sqrt(residual)
+        ok = np.ones(k, dtype=bool)
+        _fail(ok, ~(bound <= 1e-11 * _norms(x)),
+              lambda c: f"eigenpair bound {bound[c]:.3e} above 1e-11 ||X||")
+        self._check_inverse(block, ok)
+        self.cells, self.q, self._signs, self.spectrum = _take(
+            ok, cells, self.q, self._signs, self.spectrum)
+        if not ok.all():
+            at = np.cumsum(ok) - 1
+            self._groups = [(at[g[ok[g]]], up[ok[g]], re[ok[g]])
+                            for g, up, re in self._groups if ok[g].any()]
 
     def pair_sums(self) -> np.ndarray:
-        """The sum ``2 Re lam`` of each conjugate pair and twice each real root."""
-        return 2.0 * np.concatenate((self._lam.real, self._rho))
+        """The sum ``2 Re lam`` of each conjugate pair and twice each real
+        root, of every cell."""
+        return 2.0 * np.concatenate([np.concatenate((up.real, re), axis=1).ravel()
+                                     for _, up, re in self._groups])
 
-    def condition_estimate(self) -> float:
-        """``||V_r||_F ||V_r^-1||_F = ||q||_F ||N q^T||_F``, in O(d^2); it
-        bounds the 2-norm condition of ``V_r`` from above."""
-        cols = np.sum(self.q * self.q, axis=0)
-        return math.sqrt(float(np.sum(cols)) * float(np.sum(self._signs ** 2 * cols)))
+    def condition_estimate(self) -> np.ndarray:
+        """``||V_r||_F ||V_r^-1||_F = ||q||_F ||N q^T||_F`` of each cell, in
+        O(d^2); it bounds the 2-norm condition of ``V_r`` from above."""
+        cols = np.sum(self.q * self.q, axis=-2)
+        return np.sqrt(np.sum(cols, axis=-1) * np.sum(self._signs ** 2 * cols, axis=-1))
 
-    def _check_inverse(self, block: int) -> None:
-        """``||N q^T V_r - I||_F <= 1e-6``, a block of columns at a time."""
-        d = self.q.shape[0]
-        err = 0.0
+    def _check_inverse(self, block: int, ok: np.ndarray) -> None:
+        """``||N q^T V_r - I||_F <= 1e-6`` of each cell, a block of columns
+        at a time; the cells that fail leave ``ok``."""
+        d = self.q.shape[-1]
+        err = np.zeros(self.q.shape[0])
         for j in range(0, d, block):
-            cols = self.q[:, j:j + block].copy()
-            cols[1::2] *= -1.0
-            prod = _matmul(self.q.T, cols)
-            prod *= self._signs[:, None]
-            prod[np.arange(j, j + cols.shape[1]), np.arange(cols.shape[1])] -= 1.0
-            err += float(np.sum(prod * prod))
-        if not math.sqrt(err) <= 1e-6:
-            raise _Uncertified(f"||V^-1 V - I|| = {math.sqrt(err):.3e} above 1e-6")
+            cols = self.q[:, :, j:j + block].copy()
+            cols[:, 1::2] *= -1.0
+            prod = _matmul(_t(self.q), cols)
+            prod *= self._signs[:, :, None]
+            prod[:, np.arange(j, j + cols.shape[-1]), np.arange(cols.shape[-1])] -= 1.0
+            err += np.sum(prod * prod, axis=(1, 2))
+        err = np.sqrt(err)
+        _fail(ok, ~(err <= 1e-6), lambda c: f"||V^-1 V - I|| = {err[c]:.3e} above 1e-6")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``A`` before its antisymmetrization: ``P q Z q^T P`` with
-        ``Lambda_r Z + Z Lambda_r^T = N q^T b q N``."""
-        q = self.q
-        rows = np.flatnonzero(np.any(b, axis=1))
-        if rows.size < b.shape[0]:  # a source on few rows, as the steady state's
-            q, b = q[rows], b[np.ix_(rows, rows)]
-        c = _matmul(q.T, _matmul(b, q))
-        del q, b
-        c *= self._signs[:, None]
-        c *= self._signs
-        _divide_by_pair_sums(c, self._lam, self._rho)
+        """``A`` before its antisymmetrization, for each cell: ``P q Z q^T P``
+        with ``Lambda_r Z + Z Lambda_r^T = N q^T b q N``; ``b`` is one source
+        for every cell or one per cell."""
+        rows = np.any(b, axis=-1).reshape(-1, b.shape[-1])
+        if np.all(rows == rows[0]):
+            c = _congruence(self.q, b, np.flatnonzero(rows[0]))
+        else:  # sources on different rows: each cell on its own rows
+            c = np.concatenate([_congruence(self.q[i:i + 1], b[i], np.flatnonzero(r))
+                                for i, r in enumerate(rows)])
+        c *= self._signs[:, :, None]
+        c *= self._signs[:, None, :]
+        for g, lam, rho in self._groups:
+            if g.size == c.shape[0]:
+                _divide_by_pair_sums(c, lam, rho)
+            else:
+                part = c[g]
+                _divide_by_pair_sums(part, lam, rho)
+                c[g] = part
         w = _matmul(self.q, c)
         del c
-        a = _matmul(w, self.q.T)
+        a = _matmul(w, _t(self.q))
         del w
-        a[1::2] *= -1.0
         a[:, 1::2] *= -1.0
+        a[:, :, 1::2] *= -1.0
         return a
+
+
+def _congruence(q: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``q^T b q`` of each cell, on the rows where ``b`` has nonzeros (the
+    steady state's source sits on the bath's)."""
+    if rows.size < q.shape[-1]:
+        q, b = q[:, rows], b[..., rows[:, None], rows]
+    return _matmul(_t(q), _matmul(b, q))
 
 
 def _divide_by_pair_sums(c: np.ndarray, lam: np.ndarray, rho: np.ndarray,
                          block: int = 64) -> None:
     """Overwrite the C-ordered antisymmetric ``c`` with the Z of
-    ``Lambda_r Z + Z Lambda_r^T = c``.
+    ``Lambda_r Z + Z Lambda_r^T = c``, for each matrix of a stack (lam and
+    rho stacked alike).
 
     ``Lambda_r`` is the real form of the spectrum in the order of q's
     columns: ``[[alpha, beta], [-beta, alpha]]`` on rows and columns 2j,
@@ -648,28 +825,29 @@ def _divide_by_pair_sums(c: np.ndarray, lam: np.ndarray, rho: np.ndarray,
     and the real block is divided by ``rho_k + rho_l``.  Temporaries are a
     block of pair rows.
     """
-    m = lam.size
-    pairs = c[:, :2 * m].view(complex)
-    conj = lam.conj()
+    m = lam.shape[-1]
+    pairs = c[..., :2 * m].view(complex)
+    conj = lam.conj()[..., None, :]
     for i in range(0, m, block):
         j = min(i + block, m)
-        a, b = pairs[2 * i:2 * j:2], pairs[2 * i + 1:2 * j:2]
+        a, b = pairs[..., 2 * i:2 * j:2, :], pairs[..., 2 * i + 1:2 * j:2, :]
         ib = 1j * b
         commuting = a - ib
-        commuting /= lam[i:j, None] + conj
+        commuting /= lam[..., i:j, None] + conj
         ib += a
-        ib /= (lam[i:j, None] + lam).conj()
+        ib /= (lam[..., i:j, None] + lam[..., None, :]).conj()
         np.add(commuting, ib, out=a)
         a *= 0.5
         np.subtract(commuting, ib, out=b)
         b *= 0.5j
-    pairs[2 * m:] /= rho[:, None] + conj
-    c[:2 * m, 2 * m:] = -c[2 * m:, :2 * m].T
-    c[2 * m:, 2 * m:] /= rho[:, None] + rho
+    pairs[..., 2 * m:, :] /= rho[..., :, None] + conj
+    c[..., :2 * m, 2 * m:] = -_t(c[..., 2 * m:, :2 * m])
+    c[..., 2 * m:, 2 * m:] /= rho[..., :, None] + rho[..., None, :]
 
 
 class LyapunovSolver:
-    """Factored solver for ``X A + A X^T = B`` with a fixed real drift.
+    """Factored solver for ``X A + A X^T = B`` with a fixed real drift, or
+    for each drift of a stack (k, d, d) of one order.
 
     ``G = iA`` solves ``X G + G X^T = Y`` for the Hermitian antisymmetric,
     hence purely imaginary, source ``Y = iB``, so the solve runs in real
@@ -684,60 +862,102 @@ class LyapunovSolver:
     ``path`` says which factorization serves the solves (``"schur"`` or
     ``"modes"``), and ``fallback`` why the modes path was left, or None.
     Both paths share the uniqueness rule and the residual check.
+
+    A single drift and a stack of one take all of that.  A stack of more
+    than one takes the modes path's happy path only: ``ok`` marks the cells
+    it serves, and a cell leaves it (for a stack of one to compute, with
+    its fallbacks and errors) when its factorization fails, its pair sums
+    vanish, or a solve fails its source check or residual bound.  ``cells``
+    lists the cells factored: the rows of ``spectrum``, ``pair_min`` and of
+    each solve's result, whose source is one for all of them or one each.
+    The solution of a cell that left is zero.
     """
 
     def __init__(self, x: np.ndarray):
-        x = np.real(_as_square(x, "x"))
-        self.x = x
-        self._x_norm = _frobenius(x)
+        x = np.real(np.asarray(x))
+        if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
+            raise DimensionMismatch(f"x must be square, got shape {x.shape}")
+        self._single = x.ndim == 2
+        x = x.reshape((-1,) + x.shape[-2:])
         # the modes path needs X's nonzeros, and the residual check takes them too
-        self._x_rows = _sparse_rows(x)
+        x_rows = _sparse_rows(x)
         self.fallback = None
-        self._factor = None
-        support = None if self._x_rows is None else _bath_support(x)
+        factor = None
+        support = None if x_rows is None else _bath_support(x)
         if support is not None:
             try:
-                self._factor = _ModesFactor(x, self._x_rows, support)
+                factor = _ModesFactor(x, x_rows, support)
             except _Uncertified as exc:
                 self.fallback = str(exc)
-        if self._factor is None:
-            self._factor = _SchurFactor(x)
-        self.path = self._factor.path
-        self.spectrum = self._factor.spectrum
-        scale = max(np.max(np.abs(self.spectrum)), ABS_FLOOR)
-        self.pair_min = _pair_min(self.spectrum)
-        self._singular = self.pair_min <= max(1e-12 * scale, ABS_FLOOR)
+        d = x.shape[-1]
+        if factor is None and x.shape[0] == 1:
+            factor = _SchurFactor(x[0])
+            self.cells = np.zeros(1, dtype=np.intp)
+        else:  # a stack whose modes factorization failed as a whole serves no cell
+            self.cells = np.zeros(0, dtype=np.intp) if factor is None else factor.cells
+        self._factor = factor
+        self.ok = np.zeros(x.shape[0], dtype=bool)
+        self.ok[self.cells] = True
+        if self.cells.size < x.shape[0]:
+            x = x[self.cells]
+            x_rows = None if x_rows is None else (x_rows[0], x_rows[1][self.cells])
+        self.x = x
+        self._x_rows = x_rows
+        self._x_norm = _norms(x)
+        self.path = None if factor is None else factor.path
+        spectrum = np.zeros((0, d), dtype=complex) if factor is None else \
+            np.reshape(factor.spectrum, (-1, d))
+        scale = np.maximum(np.max(np.abs(spectrum), axis=-1, initial=0.0), ABS_FLOOR)
+        pair_min = _pair_min(spectrum)
+        self._singular = pair_min <= np.maximum(1e-12 * scale, ABS_FLOOR)
+        if x.shape[0] > 1:
+            self.ok[self.cells[self._singular]] = False
+        self.spectrum, self.pair_min = (spectrum[0], float(pair_min[0])) if self._single \
+            else (spectrum, pair_min)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The real antisymmetric ``A`` for the real antisymmetric source ``b``."""
-        if self._singular:
+        alone = self.ok.size == 1
+        if alone and self._singular[0]:
             raise SingularSylvester(
-                f"min |x_i + x_j| = {self.pair_min:.3e} below tolerance; "
+                f"min |x_i + x_j| = {float(np.min(self.pair_min)):.3e} below tolerance; "
                 "Lyapunov equation has no unique solution"
             )
         b = _real(b, "Lyapunov source b")
-        b_norm = _frobenius(b)
-        if _frobenius(b + b.T) > max(1e-12 * b_norm, ABS_FLOOR):
+        stack = b.reshape((-1,) + b.shape[-2:])
+        b_norm = _norms(stack)
+        skew = _norms(stack + _t(stack)) > np.maximum(1e-12 * b_norm, ABS_FLOOR)
+        if alone and skew[0]:
             raise NotAntisymmetric("Lyapunov source is not antisymmetric")
-        a = self._factor.solve(b)
-        _subtract_transpose(a)
-        a *= 0.5
-        # A is antisymmetric, so A X^T = -(X A)^T
-        res = _matmul(self.x, a) if self._x_rows is None else _sparse_product(self._x_rows, a)
-        _subtract_transpose(res)
-        res -= b
-        res = _frobenius(res)
-        bound = 1e-10 * (self._x_norm * _frobenius(a) + b_norm)
-        if res > max(bound, ABS_FLOOR):
+        if not self.cells.size:
+            return np.zeros((0,) + b.shape[-2:])
+        # a stack's cells that left (vanishing pair sums) may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.path == "schur":
+                a = self._factor.solve(stack[0])[None]
+            else:
+                a = self._factor.solve(b)
+            _subtract_transpose(a)
+            a *= 0.5
+            # A is antisymmetric, so A X^T = -(X A)^T
+            res = _matmul(self.x, a) if self._x_rows is None else _sparse_product(self._x_rows, a)
+            _subtract_transpose(res)
+            res -= b
+            res = _norms(res)
+            bound = 1e-10 * (self._x_norm * _norms(a) + b_norm)
+        failed = res > np.maximum(bound, ABS_FLOOR)
+        if alone and failed[0]:
             if self.path == "modes":  # the Schur path decides
-                self.fallback = f"solve residual {res:.3e} above {bound:.3e}"
-                self._factor = _SchurFactor(self.x)
+                self.fallback = f"solve residual {res[0]:.3e} above {bound[0]:.3e}"
+                self._factor = _SchurFactor(self.x[0])
                 self.path = self._factor.path
                 return self.solve(b)
             raise SingularSylvester(
-                f"Lyapunov residual {res:.3e} exceeds {bound:.3e}; equation is near singular"
+                f"Lyapunov residual {res[0]:.3e} exceeds {bound[0]:.3e}; equation is near singular"
             )
-        return a
+        self.ok[self.cells[failed | skew]] = False
+        a[~self.ok[self.cells]] = 0.0
+        return a[0] if self._single else a
 
 
 def general_eigendecomposition(a: np.ndarray) -> tuple[np.ndarray, float]:

@@ -69,10 +69,44 @@ class TestSweep:
         spec = sweep_spec(tmp_path)
         assert cli.run_sweep(spec) == cli.run_sweep(spec)
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         serial = cli.run_sweep(sweep_spec(tmp_path))
         parallel = cli.run_sweep(sweep_spec(tmp_path, jobs=2))
         assert serial == parallel
+        # one stack of n = 40 cells of every kind: modes-path cells (one with
+        # real roots), the flat-band cell whose Aberth restarts, the XX chain
+        # at zero field (refused before Aberth: the Schur path), the
+        # near-singular cell whose restart fails its certificate, a cell whose
+        # pair sum vanishes, and one whose rates raise; each row is the cell
+        # computed alone, and --jobs 2 writes the same bytes
+        rates = ("kappa_l_plus", "kappa_l_minus", "kappa_r_plus", "kappa_r_minus")
+        names = ["delta", "h", *rates]
+        default = (0.3, 0.5, 0.1, 0.5)
+        points = np.array([(1.25, 0.3, *default), (1.5, 0.891, *default), (1.0, 0.041, *default),
+                           (0.0, 0.0, *default), (NEAR_SINGULAR[1], NEAR_SINGULAR[2], *default),
+                           (1.0, 0.0, *default), (1.25, 0.3, 0.0, 0.0, 0.0, 0.0),
+                           (0.5, 0.02, *default)])
+        spec = sweep_spec(tmp_path, fixed={"n": 40}, axes=[], quantities=cli.FINITE_QUANTITIES)
+        tasks = [("boundary_xy", {"n": 40, **dict(zip(names, row))}, spec.quantities)
+                 for row in points]
+        assert cli._stacks(tasks) == [list(range(len(tasks)))]
+        alone = []
+        worker = cli._worker
+        monkeypatch.setattr(cli, "_worker", lambda task: alone.append(task[1]) or worker(task))
+        results = cli._run_grid(spec, names, points, 8)
+        stacked = cli._csv_table("sweep", spec, names, points, results)
+        assert [(p["delta"], p["h"]) for p in alone] == [
+            (1.0, 0.041), (0.0, 0.0), NEAR_SINGULAR[1:], (1.0, 0.0), (1.25, 0.3)]
+        monkeypatch.setattr(cli, "_worker", worker)
+        by_cell = cli._csv_table("sweep", spec, names, points, [worker(t) for t in tasks])
+        assert stacked == by_cell
+        rows = [line.split(",")[len(names):] for line in stacked.splitlines()[4:]]
+        errors = [row[0] for row in rows]
+        assert errors[5:7] == ["SingularSylvester", "DimensionMismatch"]
+        assert all(float(v) for row in rows[:5] + rows[7:] for v in row[:2])
+        spec.jobs = 2
+        assert cli._csv_table("sweep", spec, names, points,
+                              cli._run_grid(spec, names, points, 8)) == stacked
 
     def test_parallel_symbol_sweep_matches_serial(self, tmp_path):
         def spec(jobs):
@@ -400,14 +434,19 @@ class TestConfigAndMain:
          "n counts sites and must be a whole number, got (4.0, 6.5, 8.0, 10.0)"),
         (["scaling", "--model", "boundary_xy", "--sizes", "4,six,8,10", "--set", "delta=1.25",
           "--quantities", "gap", "--jobs", "1"], "parameter 'n' must be a number"),
+        (["sweep", "--model", "boundary_xy", "--set", "n=6", "--grid", "h=0.3:0.3:0.1",
+          "--quantities", "gap", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+        (["scaling", "--model", "boundary_xy", "--sizes", "4,6,8,10", "--quantities", "gap",
+          "--jobs", "-3"], "--jobs must be at least 1, got -3"),
     ], ids=["text-value", "fractional-n", "fractional-n-grid", "geometry", "spectrum",
             "nan-set", "inf-set", "inf-grid-stop", "nan-grid-step", "fractional-size",
-            "text-size"])
+            "text-size", "jobs-zero", "jobs-negative"])
     def test_bad_parameter_values_rejected(self, tmp_path, capsys, argv, message):
         # refused when the spec is read, not as an error class in every cell
         # (a fractional n used to run int(n) sites under a header recording n;
         # theta=nan printed CriticalAngle in every cell, delta=inf a
-        # ConvergenceFailure, and a non-finite grid bound died in np.arange)
+        # ConvergenceFailure, a non-finite grid bound died in np.arange,
+        # --jobs 0 ran on every core and a negative --jobs serially)
         out = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
@@ -450,6 +489,15 @@ class TestConfigAndMain:
             assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_config_jobs_below_one_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "job.ini"
+        out = tmp_path / "out.csv"
+        cfg.write_text("[sweep]\nmodel = boundary_xy\nset = n=4\ngrid = h=0.3:0.3:0.1\n"
+                       "quantities = gap\njobs = 0\n", encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_value_taken_as_written(self, tmp_path):
         # a "%" used to stop the run with an InterpolationSyntaxError traceback

@@ -258,6 +258,42 @@ class TestPointGeometry:
         assert point.tangents is None and point.qgt is None
         assert np.all(np.isfinite(point.gamma))
 
+    def test_a_stack_gives_each_cell_its_own_point(self, monkeypatch):
+        # n = 40 cells of one stack, each against its point alone, bit for bit;
+        # the flat-band cell (Aberth restarts) and the XX chain at zero field
+        # (the Schur path) leave the stack, which runs the modes path's happy
+        # path only
+        cells = [(1.25, 0.3), (1.0, 0.041), (1.5, 0.891), (0.0, 0.0), (0.5, 0.02)]
+        params = [models.BoundaryXYParams(delta, h, 40) for delta, h in cells]
+        derivatives = models.boundary_xy_shape_derivatives(params[0])
+        points = liouvillian.point_geometry(models.boundary_xy_shapes(params), derivatives)
+        assert [p is None for p in points] == [False, True, False, True, False]
+        # a cell factored but then dropped for a vanishing pair sum leaves
+        # the others' rows where they were
+        pair_min = numerics._pair_min
+
+        def first_vanishes(spectrum):
+            out = pair_min(spectrum)
+            out[:1] = 0.0
+            return out
+
+        monkeypatch.setattr(numerics, "_pair_min", first_vanishes)
+        kept = [p for p, got in zip(params, points) if got is not None]
+        dropped = liouvillian.point_geometry(models.boundary_xy_shapes(kept), derivatives)
+        assert [p is None for p in dropped] == [True, False, False]
+        monkeypatch.setattr(numerics, "_pair_min", pair_min)
+        points[2], points[4] = dropped[1:]
+        for p, got in zip(params, points):
+            alone = liouvillian.point_geometry(
+                liouvillian.shape_matrices(models.build_boundary_driven_xy(p)), derivatives)
+            if got is None:
+                continue
+            assert got.gap == alone.gap and got.qgt.r_ratio == alone.qgt.r_ratio
+            for a, b in ((got.a, alone.a), (got.modes.q, alone.modes.q),
+                         (got.modes.gammas, alone.modes.gammas), (got.qgt.q, alone.qgt.q),
+                         *zip(got.tangents.d_a, alone.tangents.d_a)):
+                assert a.tobytes() == b.tobytes()
+
 
 class TestReservoirChainRing:
     def test_symbol_eigenvalues_match_closed_forms(self):

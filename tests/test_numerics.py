@@ -433,8 +433,25 @@ def _point_on(factor, shape, derivatives):
             "U": abs(qgt.u[0, 1]), "purity": gaussian.purity(modes)}
 
 
+class _OneCell:
+    """A modes factorization of a stack of one, read as its one cell's: the
+    factor works on stacks, ``_point_on`` on one drift."""
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.spectrum, self.q = factor.spectrum[0], factor.q[0]
+        self._rho = factor._groups[0][2][0]
+
+    def solve(self, b):
+        return self.factor.solve(b)[0]
+
+    def condition_estimate(self):
+        return float(self.factor.condition_estimate()[0])
+
+
 def _modes(x):
-    return numerics._ModesFactor(x, numerics._sparse_rows(x), numerics._bath_support(x))
+    x = x[None]
+    return _OneCell(numerics._ModesFactor(x, numerics._sparse_rows(x), numerics._bath_support(x)))
 
 
 def _assert_points_agree(got, want, rtol=1e-8):
@@ -611,10 +628,11 @@ class TestModesFactor:
         assert outcomes[1:] == ["settled"]
         # the restart's layout: the roots above the real axis, half the real
         # ones, their conjugates, the other half
-        start, m = starts[1], np.count_nonzero(starts[1].imag > 0.0)
+        start = starts[1][0]  # the stack of one's start
+        m = np.count_nonzero(start.imag > 0.0)
         assert np.array_equal(start[n:n + m], start[:m].conj())
         assert not np.any(start[m:n].imag) and not np.any(start[n + m:].imag)
-        _assert_points_agree(_point_on(solver._factor, shape, derivatives),
+        _assert_points_agree(_point_on(_OneCell(solver._factor), shape, derivatives),
                              _point_on(numerics._SchurFactor(shape.x), shape, derivatives))
 
     def test_near_singular_restart_is_refused_by_its_certificate(self, monkeypatch):

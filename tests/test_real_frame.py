@@ -81,6 +81,16 @@ class TestAgainstComplexFormula:
         g_ref, u_ref = qgt_complex(gamma, tang.d_gamma)
         np.testing.assert_allclose(res.g, g_ref, atol=1e-12 * np.max(np.abs(g_ref)))
         np.testing.assert_allclose(res.u, u_ref, atol=1e-12 * np.max(np.abs(g_ref)))
+        # in a stack, the mixed planes take their Schur form on their own
+        # cell, whose frame is then the one it has alone; each q is
+        # column-major, the layout that picks the BLAS path of its products
+        other, _ = canonical_state(8, [0.7, 0.3, 0.1, 0.05, 0.6, 0.2, 0.4])
+        stacked = gaussian.real_eigenmodes(np.imag(np.stack([gamma, other])))
+        for i, state in enumerate((gamma, other)):
+            alone = gaussian.eigenmodes(state)
+            assert stacked.q[i].flags.f_contiguous and alone.q.flags.f_contiguous
+            assert stacked.q[i].tobytes() == alone.q.tobytes()
+            assert stacked.gammas[i].tobytes() == alone.gammas.tobytes()
 
     def test_small_occupations_keep_their_digits(self):
         # sqrt(eig(A^T A)) would read these to ~1e-8 only
@@ -97,6 +107,14 @@ class TestAgainstComplexFormula:
             geometry.qgt(gamma, tang)
         with pytest.raises(RankChangeSingularity):
             qgt_complex(gamma, tang.d_gamma)
+        # in a stack of more than one cell, that cell's g and u read NaN
+        # (it leaves the stack) and its mate's are the mate's own
+        mate, _ = canonical_state(seed + 1, [0.5] * (pure + len(occ)))
+        modes = gaussian.real_eigenmodes(np.imag(np.stack([gamma, mate])))
+        both = geometry.TangentSet(tang.parameters, tuple(np.stack([d, d]) for d in tang.d_a))
+        res = geometry.qgt(modes, both)
+        assert np.all(np.isnan(res.g[0])) and np.all(np.isnan(res.u[0]))
+        assert res.g[1].tobytes() == geometry.qgt(mate, tang).g.tobytes()
         # the continuity rule zeroes the same pure-pure terms in both forms
         res = geometry.qgt(gamma, tang, check_rank=False)
         g_ref, u_ref = qgt_complex(gamma, tang.d_gamma, check_rank=False)
