@@ -127,21 +127,19 @@ def _boundary_xy_params(params: dict):
     )
 
 
-def _boundary_xy_rows(stack: list[dict], quantities: tuple[str, ...]) -> list[dict | None]:
-    """The values of boundary_xy cells of one order n, each set of reservoir
-    rates one stack through :func:`liouvillian.point_geometry`.  A cell that
-    leaves the happy path (its parameters raise, or see point_geometry) is
-    None, for :func:`evaluate_point` to compute alone; a stack of one raises
-    instead."""
+def _boundary_xy_rows(stack: list[dict], quantities: tuple[str, ...]) -> list[dict | Exception]:
+    """The values of boundary_xy cells of one order n, or the error each
+    cell raises alone; the cells of each set of reservoir rates are one
+    stack through :func:`liouvillian.point_geometry`."""
     from . import gaussian, liouvillian, models
 
+    rows: list = [None] * len(stack)
     rates: dict = {}
     for i, params in enumerate(stack):
         try:
             p = _boundary_xy_params(params)
-        except Exception:  # noqa: BLE001 - the cell alone names the error
-            if len(stack) == 1:
-                raise
+        except Exception as exc:  # noqa: BLE001 - the cell's own error
+            rows[i] = exc
             continue
         # the cells that differ only in delta and h share the rates
         rates.setdefault(replace(p, delta=0.0, h=0.0), []).append((i, p))
@@ -154,7 +152,6 @@ def _boundary_xy_rows(stack: list[dict], quantities: tuple[str, ...]) -> list[di
         "muc": lambda point: abs(float(point.qgt.u[0, 1])),
         "R": lambda point: point.qgt.r_ratio,
     }
-    rows: list = [None] * len(stack)
     for group in rates.values():
         ps = [p for _, p in group]
         # no name holds the drifts: point_geometry frees them as soon as its
@@ -164,8 +161,8 @@ def _boundary_xy_rows(stack: list[dict], quantities: tuple[str, ...]) -> list[di
             models.boundary_xy_shape_derivatives(ps[0]) if geom_needed else None,
         )
         for (i, _), point in zip(group, points):
-            if point is not None:
-                rows[i] = {q: cells[q](point) for q in quantities if q in cells}
+            rows[i] = point if isinstance(point, Exception) else {
+                q: cells[q](point) for q in quantities if q in cells}
     return rows
 
 
@@ -191,22 +188,30 @@ def _symbol_point(model_name: str, params: dict, quantities: tuple[str, ...]) ->
 
 
 def evaluate_point(model_name: str, params: dict, quantities: tuple[str, ...]) -> dict:
-    """The values of one cell: a boundary_xy cell is a stack of one."""
+    """The values of one cell; a boundary_xy cell is a stack of one, and raises its error."""
     if model_name == "boundary_xy":
-        return _boundary_xy_rows([params], quantities)[0]
+        row = _boundary_xy_rows([params], quantities)[0]
+        if isinstance(row, Exception):
+            raise row
+        return row
     if model_name in SYMBOL_MODELS:
         return _symbol_point(model_name, params, quantities)
     raise BadSpec(f"unknown model {model_name!r}")
 
 
+def _row(quantities: tuple[str, ...], values) -> dict:
+    """A grid row: each quantity's value, or the class name of the cell's error."""
+    if isinstance(values, Exception):
+        return dict.fromkeys(quantities, type(values).__name__)
+    return {**dict.fromkeys(quantities), **values}
+
+
 def _worker(task):
     model_name, params, quantities = task
-    row = dict.fromkeys(quantities)
     try:
-        row.update(evaluate_point(model_name, params, quantities))
+        return _row(quantities, evaluate_point(model_name, params, quantities))
     except Exception as exc:  # noqa: BLE001 - surfaced in-cell per contract
-        row = dict.fromkeys(quantities, type(exc).__name__)
-    return row
+        return _row(quantities, exc)
 
 
 def _stacks(tasks: list) -> list[list[int]]:
@@ -230,18 +235,17 @@ def _stacks(tasks: list) -> list[list[int]]:
 
 
 def _stack_worker(tasks: list) -> list[dict]:
-    """The rows of one stack's tasks: a boundary_xy stack of more than one
-    cell in one pass, each cell it leaves (or all, should the pass raise)
-    alone through :func:`_worker`."""
-    if len(tasks) == 1:
-        return [_worker(tasks[0])]
-    quantities = tasks[0][2]
-    try:
-        rows = _boundary_xy_rows([params for _, params, _ in tasks], quantities)
-    except Exception:  # noqa: BLE001 - every cell then names its own error
-        rows = [None] * len(tasks)
-    return [_worker(task) if row is None else {**dict.fromkeys(quantities), **row}
-            for task, row in zip(tasks, rows)]
+    """The rows of one stack's tasks: several boundary_xy cells in one pass,
+    each with its values or its own error, one cell through :func:`_worker`;
+    a pass that raises an error no cell owns is retried a cell at a time."""
+    if len(tasks) > 1:
+        quantities = tasks[0][2]
+        try:
+            rows = _boundary_xy_rows([params for _, params, _ in tasks], quantities)
+            return [_row(quantities, row) for row in rows]
+        except Exception:  # noqa: BLE001 - every cell then names its own error
+            pass
+    return [_worker(task) for task in tasks]
 
 
 # --- specs -------------------------------------------------------------------------

@@ -52,15 +52,15 @@ def as_gamma(state) -> np.ndarray:
     return np.asarray(state, dtype=complex)
 
 
-def check_norm(occupations: np.ndarray) -> np.ndarray:
-    """Raise NormExceedsOne when an occupation ``|g_k|`` exceeds 1.  Of a
-    stack (k, n) of more than one cell, return which cells pass instead."""
+def check_norm(occupations: np.ndarray) -> list[NormExceedsOne | None]:
+    """NormExceedsOne where an occupation ``|g_k|`` exceeds 1: raised for one
+    state's occupations (n,), returned for each state of a stack (k, n)."""
     top = np.max(occupations, axis=-1, initial=0.0)
-    passed = ~(top > 1.0 + 1e-10)
-    if np.ndim(occupations) == 1 or len(occupations) == 1:
-        if not np.all(passed):
-            raise NormExceedsOne(f"spectral norm {float(np.max(top)):.12f} exceeds 1")
-    return passed
+    errors = [NormExceedsOne(f"spectral norm {float(t):.12f} exceeds 1") if t > 1.0 + 1e-10
+              else None for t in np.atleast_1d(top)]
+    if np.ndim(occupations) == 1 and errors[0] is not None:
+        raise errors[0]
+    return errors
 
 
 def validate(gamma) -> CovarianceMatrix:

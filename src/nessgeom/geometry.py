@@ -41,6 +41,8 @@ from .errors import (
 from .numerics import _matmul
 
 DEGENERACY_TOL = 1e-10
+RANK_CHANGE = ("tangent has weight on a pure-pure mode pair: the state changes "
+               "rank along this direction and the continuity rule does not apply")
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,8 @@ def qgt(gamma, tangents: TangentSet, *, check_rank: bool = True) -> GeometryResu
 
     A canonical form of a stack (see :func:`nessgeom.gaussian.real_eigenmodes`)
     with stacked tangents gives g, u, q and r_ratio with the same leading
-    axis, r_ratio NaN where undefined; in a stack of more than one, a cell
-    whose tangent changes rank gets NaN g and u instead of the raise.
+    axis, r_ratio NaN where undefined; a cell of a stack whose tangent
+    changes rank gets NaN g and u instead of the raise.
     """
     modes = gaussian.eigenmodes(gamma)
     gs = modes.gammas
@@ -121,11 +123,8 @@ def qgt(gamma, tangents: TangentSet, *, check_rank: bool = True) -> GeometryResu
         if check_rank and degenerate.any():
             scale = np.maximum(np.max(np.abs(d_a), axis=(-2, -1), keepdims=True), 1e-300)
             changes |= np.any(degenerate & (np.hypot(p_re, p_im) > 1e-8 * scale), axis=(-2, -1))
-            if np.any(changes) and changes.size == 1:
-                raise RankChangeSingularity(
-                    "tangent has weight on a pure-pure mode pair: the state changes "
-                    "rank along this direction and the continuity rule does not apply"
-                )
+            if not lead and changes:
+                raise RankChangeSingularity(RANK_CHANGE)
         parts.append((p_re, p_im, q_re, q_im))
     p = len(tangents.d_a)
     g = np.zeros(lead + (p, p))

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import gaussian, geometry, numerics
-from .errors import DimensionMismatch, EmptyJumps, InstabilityDetected
+from .errors import DimensionMismatch, EmptyJumps, InstabilityDetected, RankChangeSingularity
 from .gaussian import CovarianceMatrix, EigenmodeDecomposition, as_gamma, validate
 from .geometry import GeometryResult, TangentSet
 
@@ -152,7 +152,7 @@ def gap_report(x: np.ndarray) -> GapReport:
     lowest = float(np.min(np.real(eigs)))
     if lowest < -1e-8 * max(np.max(np.abs(eigs)), 1e-300):
         raise InstabilityDetected(f"drift spectrum has Re x = {lowest:.3e} < 0; model unstable")
-    factor = solver._factor
+    factor = solver._schur.get(0, solver._modes)
     cond = float(np.squeeze(factor.condition_estimate()))
     return GapReport(
         delta=2.0 * lowest,
@@ -241,7 +241,7 @@ def ness_tangents(
 def point_geometry(
     shape: ShapeMatrices,
     derivatives: Mapping[str, tuple] | None = None,
-) -> PointGeometry | list[PointGeometry | None]:
+) -> PointGeometry | list[PointGeometry | Exception]:
     """Gap, steady state, tangents along ``derivatives`` and their QGT, all
     on one factorization of ``X`` and one real eigenframe of ``G``, in real
     arithmetic throughout.
@@ -253,56 +253,51 @@ def point_geometry(
     ``shape.x`` may be a stack (k, d, d) of drifts of one order, with one
     source ``b`` for all or one each, and ``derivatives`` shared: the points
     are then computed as one stack, every stage one batched pass, and
-    returned as a list.  A stack of more than one runs the happy path only:
-    a cell that fails its factorization's certificates, has a vanishing
-    pair sum, or fails a solve's residual bound, the norm check or the rank
-    check is None, for a stack of one to compute with its restart, fallback
-    or error (see
-    :class:`numerics.LyapunovSolver`).  Every norm, tolerance and reduction
-    is a cell's own, so a cell's numbers do not depend on its stack-mates.
+    returned as a list holding each cell's point or the NessGeomError the
+    cell raises alone (same class, same message), as every norm, tolerance
+    and reduction is the cell's own (see :class:`numerics.LyapunovSolver`).
 
     The stage order holds the fewest d x d arrays: the factorization of
-    ``X`` (see :class:`numerics.LyapunovSolver`), the steady state ``A`` and
-    the tangents on it; then,
-    with ``b`` and the factorization released, the frame of ``G = iA`` and
-    the QGT.  A caller that does not keep ``shape`` lets ``b`` and ``x`` go.
+    ``X``, the steady state ``A`` and the tangents on it; then, with ``b``
+    and the factorization released, the frame of ``G = iA`` and the QGT.  A
+    caller that does not keep ``shape`` lets ``b`` and ``x`` go.
 
     Uniqueness is the solver's own test: SingularSylvester when a pair sum
     of the drift spectrum vanishes or the residual check fails.  The
-    occupations of the frame give the ``||G|| <= 1`` check (NormExceedsOne).
+    occupations of the frame give the ``||G|| <= 1`` check (NormExceedsOne),
+    and the QGT the rank check (RankChangeSingularity).
     """
-    single = shape.x.ndim == 2
-    solver = numerics.LyapunovSolver(shape.x[None] if single else shape.x)
-    # the solver's rows are the cells it factored
-    served = solver.cells
-    points = [None] * solver.ok.size
-    if not served.size:
-        return points
+    solver = numerics.LyapunovSolver(shape.x)
     gap = 2.0 * np.min(solver.spectrum.real, axis=-1)
-    b = shape.b if shape.b.ndim == 2 else shape.b[served]
+    a = solver.solve(shape.b)
     del shape  # the solver keeps x; b is not read again
-    a = solver.solve(b)
-    del b
     tangents = None
     if derivatives:
         tangents = _solve_tangents(solver, a, tuple(derivatives), derivatives.values())
-    ok = solver.ok[served]
+    errors = solver.errors
     del solver
     modes = gaussian.real_eigenmodes(a)
-    ok &= gaussian.check_norm(modes.gammas)
+    norm = gaussian.check_norm(modes.gammas)
     qgt = None if tangents is None else geometry.qgt(modes, tangents)
-    if qgt is not None and ok.size > 1:  # a rank change (qgt raises on a stack of one)
-        ok &= ~np.isnan(qgt.g[:, 0, 0])
-    for i in np.flatnonzero(ok):
+    if a.ndim == 2:
+        return PointGeometry(float(gap), a, modes, tangents, qgt)
+    points = []
+    for i, error in enumerate(errors):
+        error = error or norm[i]
+        if error is None and qgt is not None and np.isnan(qgt.g[i, 0, 0]):
+            error = RankChangeSingularity(geometry.RANK_CHANGE)
+        if error is not None:
+            points.append(error)
+            continue
         cell = None
         if qgt is not None:
             r = qgt.r_ratio[i]
             cell = GeometryResult(qgt.parameters, qgt.g[i], qgt.u[i], qgt.q[i],
                                   None if np.isnan(r) else float(r))
-        points[served[i]] = PointGeometry(
+        points.append(PointGeometry(
             float(gap[i]), a[i], EigenmodeDecomposition(modes.q[i], modes.gammas[i]),
             None if tangents is None else TangentSet(tangents.parameters,
                                                      tuple(d[i] for d in tangents.d_a)),
             cell,
-        )
-    return points[0] if single else points
+        ))
+    return points

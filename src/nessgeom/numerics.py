@@ -60,7 +60,7 @@ def _frobenius(a: np.ndarray) -> float:
 def _norms(a: np.ndarray) -> np.ndarray:
     """:func:`_frobenius` of each matrix of the C-ordered stack ``a``: the
     sums of squares as one stacked dot, each the ``np.dot`` of its matrix."""
-    v = a.reshape(a.shape[0], 1, -1)
+    v = a.reshape(a.shape[0], 1, math.prod(a.shape[1:]))
     with np.errstate(over="ignore", under="ignore"):
         squares = _matmul(v, v.transpose(0, 2, 1))[:, 0, 0]
     norms = np.sqrt(squares)
@@ -244,7 +244,6 @@ class _SchurFactor:
     ``a +- i sqrt|b| sqrt|c|``, ``dlanv2``'s formula, so ``spectrum`` is
     ``gees``'s ``wr + i wi`` bit for bit."""
 
-    path = "schur"
     condition_estimator = "schur_eig_2norm"
 
     def __init__(self, x: np.ndarray):
@@ -299,27 +298,19 @@ _BATH_MAX_RANK = 8
 _EPS = float(np.finfo(float).eps)
 
 
-class _Uncertified(Exception):
-    """The modes factorization failed one of its certificates."""
+def _fail(why: list, cells: np.ndarray, bad: np.ndarray, reason) -> np.ndarray:
+    """Give each ``cells[i]`` with ``bad[i]`` and no reason yet ``reason(i)``, or
+    ``reason``; returns ``~bad``."""
+    for i in np.flatnonzero(bad):
+        if why[cells[i]] is None:
+            why[cells[i]] = reason(i) if callable(reason) else reason
+    return ~bad
 
 
-def _fail(ok: np.ndarray, bad: np.ndarray, why) -> None:
-    """Take the cells ``bad`` of a stack off ``ok``; a stack of one raises
-    _Uncertified(why) instead (``why`` may be a function of the cell)."""
-    bad = bad & ok
-    if ok.size == 1 and bad[0]:
-        raise _Uncertified(why(0) if callable(why) else why)
-    ok &= ~bad
-
-
-def _take(ok: np.ndarray, *arrays):
-    """``arrays`` at the cells still ``ok`` (each array's leading axis)."""
-    if ok.all():
-        return arrays
-    keep = np.flatnonzero(ok)
-    if not keep.size:
-        raise _Uncertified("no cell of the stack is left")
-    return tuple(a[keep] for a in arrays)
+def _take(why: list, cells: np.ndarray, *arrays) -> tuple:
+    """``cells``, and ``arrays`` along their leading axis, at the cells with no reason."""
+    keep = np.array([why[c] is None for c in cells], dtype=bool)
+    return (cells, *arrays) if keep.all() else tuple(a[keep] for a in (cells, *arrays))
 
 
 def _rounds(cell: np.ndarray, block: int):
@@ -384,10 +375,7 @@ def _eigenvalue_start(x: np.ndarray) -> np.ndarray:
     """Starting roots from LAPACK's eigenvalues of x, in the layout of the
     pair guesses: the roots above the real axis, then the first half of the
     real ones; their conjugates, then the second half."""
-    try:
-        lam = np.linalg.eigvals(x)
-    except np.linalg.LinAlgError as exc:
-        raise _Uncertified(f"eigenvalues of the drift failed: {exc}") from exc
+    lam = np.linalg.eigvals(x)
     upper, real = lam[lam.imag > 0.0], lam[lam.imag == 0.0]
     half = real.size // 2
     return np.concatenate((upper, real[:half], upper.conj(), real[half:]))
@@ -465,7 +453,7 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
     """Every root of ``prod_k (lam - mu_k) det(I - s G(lam))`` with
     ``G(lam) = sum_k c_k c_k^H / (lam - mu_k)``, from ``start``, for each
     cell of a stack: ``mu``, ``start`` (k, d), ``tol`` (k,).  Returns the
-    roots and which cells settled.
+    roots and each cell's reason for failing, None where it settled.
 
     ``weights`` is :func:`_real_weights` of ``vec(s c_k c_k^H)`` in row k.
     The polynomial is real, so a start above the real axis (its pair's
@@ -485,7 +473,7 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
     tr(M^-1 s G_2)``.  A root freezes once its Newton step is below
     ``tol``.  A cell fails on a non-finite step, when nine in ten of its
     iterated roots still move after ``_ABERTH_CHECK_SWEEPS`` sweeps, or
-    after ``_ABERTH_MAX_SWEEPS``; a stack of one raises _Uncertified.
+    after ``_ABERTH_MAX_SWEEPS``.
     """
     k, d = mu.shape
     n = d // 2
@@ -495,13 +483,14 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
     # the iterated roots, cell by cell, as (cell, root) pairs
     cell, root = np.nonzero(np.concatenate((np.ones((k, n), dtype=bool), ~mirrored[:, :n]), axis=1))
     iterated = np.bincount(cell, minlength=k)
+    every, why = np.arange(k), [None] * k
     settled = np.ones(k, dtype=bool)
     block = max(1, _ABERTH_BLOCK // d)
     with np.errstate(all="ignore"):
         for sweep in range(_ABERTH_MAX_SWEEPS):
             if sweep == _ABERTH_CHECK_SWEEPS and cell.size:
                 left = np.bincount(cell, minlength=k)
-                _fail(settled, 10 * left > 9 * iterated, lambda c: (
+                settled &= _fail(why, every, 10 * left > 9 * iterated, lambda c: (
                     f"{left[c]} of {iterated[c]} roots unsettled after {sweep} Aberth sweeps"))
                 keep = settled[cell]
                 cell, root = cell[keep], root[keep]
@@ -527,8 +516,8 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
                 step = newton / (1.0 - newton * np.sum(np.reciprocal(gaps, out=gaps), axis=1))
                 bad = ~np.isfinite(step)
                 if bad.any():
-                    _fail(settled, np.bincount(c[bad], minlength=k) > 0,
-                          "an Aberth step is not finite (coincident roots)")
+                    settled &= _fail(why, every, np.bincount(c[bad], minlength=k) > 0,
+                                     "an Aberth step is not finite (coincident roots)")
                 lam[c, idx] -= step
                 mirror = mirrored[c, idx]
                 now = np.abs(newton) <= tol[c]
@@ -551,9 +540,9 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, start: np.ndarray,
                 root = np.concatenate((root, si + n))[order]
     if cell.size:
         left = np.bincount(cell, minlength=k)
-        _fail(settled, left > 0,
+        _fail(why, every, left > 0,
               lambda c: f"{left[c]} roots unsettled after {_ABERTH_MAX_SWEEPS} Aberth sweeps")
-    return lam, settled
+    return lam, why
 
 
 def _eigenvector_block(roots, mu, z, weights, w, v) -> np.ndarray:
@@ -616,92 +605,96 @@ class _ModesFactor:
     so with each ``v`` scaled to ``v^T P v = +-1`` the inverse is
     ``V_r^-1 = N q^T``, N diagonal with 2, -2 on each pair and the signs of
     the real roots.  A solve is then GEMMs and an O(d^2) division by
-    ``lam_i + lam_j``.  The cells of a stack share each batched LAPACK call
-    and stacked GEMM, one matrix per cell, so a cell's numbers do not
-    depend on the others; those with as many roots above the real axis
-    share their eigenvector blocks and divisions (``_groups``).
+    ``lam_i + lam_j``.  Each batched call works one matrix per cell; the
+    cells with as many roots above the real axis share their eigenvector
+    blocks and divisions (``_groups``).
 
-    Refused before Aberth, with _Uncertified, when two singular values of
-    J above ``1e-12 sigma_max`` coincide to that tolerance: a double pole,
-    as in the XX chain at zero field.  Certified before use, else
-    _Uncertified: every root settled within the sweep cap (see
-    :func:`_aberth_roots` for its early exit; a start that stalls is given
-    up and Aberth restarts once from LAPACK's eigenvalues of X), the roots
-    pair up as ``2m + q = d``, every root is
-    within ``2 ||q|| ||X V_r - V_r Lambda_r|| <= 1e-11 ||X||`` of the
-    spectrum of X (Bauer-Fike, as ``||V_r^-1|| <= 2 ||q||``), and
-    ``||N q^T V_r - I|| <= 1e-6``, so ``V_r`` is a basis and ``N q^T`` its
-    inverse.  That is a stack of one; a stack of more than one has no
-    restart and drops the cells that fail, and ``cells`` lists those it
-    serves.  ``x_rows`` and ``support`` are :func:`_sparse_rows` and
-    :func:`_bath_support` of x, neither None.
+    A cell is refused before Aberth when two singular values of its J above
+    ``1e-12 sigma_max`` coincide to that tolerance: a double pole, as in
+    the XX chain at zero field.  It is certified before use: every root
+    settled within the sweep cap (see :func:`_aberth_roots`; a cell whose
+    start stalls restarts once from LAPACK's eigenvalues of its X), the
+    roots pair up as ``2m + q = d``, every root is within ``2 ||q|| ||X V_r
+    - V_r Lambda_r|| <= 1e-11 ||X||`` of the spectrum of X (Bauer-Fike, as
+    ``||V_r^-1|| <= 2 ||q||``), and ``||N q^T V_r - I|| <= 1e-6``.  ``why``
+    holds each cell's reason for a refusal, or None; a refused cell has a
+    NaN spectrum and a zero q.  ``x_rows`` and ``support`` are
+    :func:`_sparse_rows` and :func:`_bath_support` of x, neither None.
     """
 
-    path = "modes"
     condition_estimator = "modes_frobenius"
 
     def __init__(self, x: np.ndarray, x_rows, support: np.ndarray):
         k, d = x.shape[0], x.shape[-1]
         x_cols, x_vals = x_rows
+        self.why = [None] * k
         cells = np.arange(k)
         s = x[:, support[:, None], support]
         s = 0.5 * (s + _t(s))
-        try:
-            w, sigma, vt = np.linalg.svd(x[:, 0::2, 1::2])
-        except np.linalg.LinAlgError as exc:
-            raise _Uncertified(f"SVD of the kernel failed: {exc}") from exc
+        # an SVD per cell (a batched one names no cell when LAPACK fails)
+        w, vt = np.full((2, k, d // 2, d // 2), np.nan)
+        sigma = np.full((k, d // 2), np.nan)
+        for c in range(k):
+            try:
+                w[c], sigma[c], vt[c] = np.linalg.svd(x[c, 0::2, 1::2])
+            except np.linalg.LinAlgError as exc:
+                self.why[c] = f"SVD of the kernel failed: {exc}"
         v = _t(vt)
-        del vt
         # a double pole of the secular equation (the XX chain at zero field),
         # which Aberth cannot settle; edge modes near zero are not one
         tol = 1e-12 * sigma[:, :1]
-        ok = np.ones(k, dtype=bool)
-        _fail(ok, np.any((np.diff(sigma, axis=1) >= -tol) & (sigma[:, 1:] > tol), axis=1),
-              "two singular values of the kernel coincide")
-        cells, x, x_vals, s, w, sigma, v = _take(ok, cells, x, x_vals, s, w, sigma, v)
+        _fail(self.why, cells, np.any((np.diff(sigma, axis=1) >= -tol) & (sigma[:, 1:] > tol),
+                                      axis=1), "two singular values of the kernel coincide")
+        cells, x, x_vals, s, w, sigma, v = _take(self.why, cells, x, x_vals, s, w, sigma, v)
         # c_k of the + modes: w on the even rows of the support, i v on the odd ones
         up = np.where(support % 2 == 0, _t(w[:, support // 2]), 1j * _t(v[:, support // 2]))
         z = np.concatenate((up, up.conj()), axis=1) / math.sqrt(2.0)
         mu = np.concatenate((1j * sigma, -1j * sigma), axis=1)
         zs = np.einsum("...ka,...ab->...kb", z, s)
-        weights = _real_weights((zs[..., None] * z.conj()[..., None, :]).reshape(mu.shape + (-1,)))
+        weights = _real_weights((zs[..., None] * z.conj()[..., None, :]).reshape(
+            mu.shape + (support.size ** 2,)))
         del zs
         scale = sigma[:, 0] + np.max(np.abs(s), axis=(1, 2)) * s.shape[-1]  # >= ||X||_2
         step_tol = 4.0 * _EPS * scale
-        try:
-            lam, ok = _aberth_roots(mu, weights, _pair_guesses(mu, z, s), step_tol)
-        except _Uncertified as stalled:  # a stack of one
-            try:
-                lam, ok = _aberth_roots(mu, weights, _eigenvalue_start(x[0])[None], step_tol)
-            except _Uncertified as exc:
-                raise _Uncertified(f"{stalled}; from LAPACK's eigenvalues, {exc}") from exc
+        lam, stalled = _aberth_roots(mu, weights, _pair_guesses(mu, z, s), step_tol)
+        again = np.flatnonzero([r is not None for r in stalled])
+        if again.size:  # these cells restart once, from LAPACK's eigenvalues of their X
+            start = np.full((again.size, d), np.nan, dtype=complex)
+            for i, c in enumerate(again):
+                try:
+                    start[i] = _eigenvalue_start(x[c])
+                except np.linalg.LinAlgError as exc:
+                    self.why[cells[c]] = (f"{stalled[c]}; from LAPACK's eigenvalues, "
+                                          f"eigenvalues of the drift failed: {exc}")
+            lam[again], restarted = _aberth_roots(mu[again], weights[again], start, step_tol[again])
+            _fail(self.why, cells[again], np.array([r is not None for r in restarted], dtype=bool),
+                  lambda i: f"{stalled[again[i]]}; from LAPACK's eigenvalues, {restarted[i]}")
         cells, x, x_vals, w, v, z, mu, weights, lam, scale = _take(
-            ok, cells, x, x_vals, w, v, z, mu, weights, lam, scale)
+            self.why, cells, x, x_vals, w, v, z, mu, weights, lam, scale)
 
         cut = math.sqrt(_EPS) * scale[:, None]
         above, on = lam.imag > cut, np.abs(lam.imag) <= cut
         m, q = np.count_nonzero(above, axis=1), np.count_nonzero(on, axis=1)
-        ok = np.ones(cells.size, dtype=bool)
-        _fail(ok, 2 * m + q != d,
-              lambda c: f"{m[c]} roots above the real axis, {d - m[c] - q[c]} below")
+        _fail(self.why, cells, 2 * m + q != d,
+              lambda i: f"{m[i]} roots above the real axis, {d - m[i] - q[i]} below")
         cells, x, x_vals, w, v, z, mu, weights, lam, above, on, m = _take(
-            ok, cells, x, x_vals, w, v, z, mu, weights, lam, above, on, m)
+            self.why, cells, x, x_vals, w, v, z, mu, weights, lam, above, on, m)
 
+        self.spectrum = np.full((len(self.why), d), np.nan, dtype=complex)
+        self._signs = np.ones((len(self.why), d))
+        self.q = np.zeros((len(self.why), d, d))
         k = cells.size
-        self.spectrum = np.empty((k, d), dtype=complex)
-        self._signs = np.ones((k, d))
-        self.q = np.empty((k, d, d))
-        self._groups = []
+        groups = []
         residual = np.zeros(k)
         # blocks of temporaries of at most 2^15 entries per cell
         block = max(1, (1 << 15) // d)
         for mm in sorted(set(m.tolist())):
             g = np.flatnonzero(m == mm)
-            whole = g.size == k  # views where one group holds every cell
+            whole = g.size == len(self.why)  # views where one group holds every cell
             upper = lam[above].reshape(k, mm) if whole else lam[g][above[g]].reshape(g.size, mm)
             real = (lam[on] if whole else lam[g][on[g]]).real.reshape(g.size, d - 2 * mm)
-            self._groups.append((g, upper, real))
-            self.spectrum[g] = np.concatenate((upper, upper.conj(), real), axis=1)
+            groups.append((g, upper, real))
+            self.spectrum[cells[g]] = np.concatenate((upper, upper.conj(), real), axis=1)
             signs = np.tile(np.concatenate((np.tile([2.0, -2.0], mm), np.ones(d - 2 * mm))),
                             (g.size, 1))
             basis = self.q if whole else np.empty((g.size, d, d))
@@ -727,21 +720,20 @@ class _ModesFactor:
                         basis[at, :, 2 * pair] = vec[:, :, kk < mm].real
                         basis[at, :, 2 * pair + 1] = vec[:, :, kk < mm].imag
                         basis[at, :, kk[kk >= mm] + mm] = vec[:, :, kk >= mm].real
-            self._signs[g] = signs
+            self._signs[cells[g]] = signs
             if not whole:
-                self.q[g] = basis
+                self.q[cells[g]] = basis
         del w, v, z, weights
-        bound = 2.0 * _norms(self.q) * np.sqrt(residual)
-        ok = np.ones(k, dtype=bool)
-        _fail(ok, ~(bound <= 1e-11 * _norms(x)),
-              lambda c: f"eigenpair bound {bound[c]:.3e} above 1e-11 ||X||")
-        self._check_inverse(block, ok)
-        self.cells, self.q, self._signs, self.spectrum = _take(
-            ok, cells, self.q, self._signs, self.spectrum)
-        if not ok.all():
-            at = np.cumsum(ok) - 1
-            self._groups = [(at[g[ok[g]]], up[ok[g]], re[ok[g]])
-                            for g, up, re in self._groups if ok[g].any()]
+        q = self.q if k == len(self.why) else self.q[cells]
+        bound = 2.0 * _norms(q) * np.sqrt(residual)
+        _fail(self.why, cells, ~(bound <= 1e-11 * _norms(x)),
+              lambda i: f"eigenpair bound {bound[i]:.3e} above 1e-11 ||X||")
+        self._check_inverse(q, self._signs[cells], block, cells)
+        keep = np.array([self.why[c] is None for c in cells], dtype=bool)
+        self._groups = [(cells[g[keep[g]]], up[keep[g]], re[keep[g]])
+                        for g, up, re in groups if keep[g].any()]
+        self.q[cells[~keep]] = 0.0
+        self.spectrum[cells[~keep]] = np.nan
 
     def pair_sums(self) -> np.ndarray:
         """The sum ``2 Re lam`` of each conjugate pair and twice each real
@@ -755,20 +747,20 @@ class _ModesFactor:
         cols = np.sum(self.q * self.q, axis=-2)
         return np.sqrt(np.sum(cols, axis=-1) * np.sum(self._signs ** 2 * cols, axis=-1))
 
-    def _check_inverse(self, block: int, ok: np.ndarray) -> None:
-        """``||N q^T V_r - I||_F <= 1e-6`` of each cell, a block of columns
-        at a time; the cells that fail leave ``ok``."""
-        d = self.q.shape[-1]
-        err = np.zeros(self.q.shape[0])
+    def _check_inverse(self, q, signs, block: int, cells) -> None:
+        """``||N q^T V_r - I||_F <= 1e-6`` of each cell of q, a block of
+        columns at a time; a cell ``cells[i]`` that fails gets its reason."""
+        d = q.shape[-1]
+        err = np.zeros(q.shape[0])
         for j in range(0, d, block):
-            cols = self.q[:, :, j:j + block].copy()
+            cols = q[:, :, j:j + block].copy()
             cols[:, 1::2] *= -1.0
-            prod = _matmul(_t(self.q), cols)
-            prod *= self._signs[:, :, None]
+            prod = _matmul(_t(q), cols)
+            prod *= signs[:, :, None]
             prod[:, np.arange(j, j + cols.shape[-1]), np.arange(cols.shape[-1])] -= 1.0
             err += np.sum(prod * prod, axis=(1, 2))
         err = np.sqrt(err)
-        _fail(ok, ~(err <= 1e-6), lambda c: f"||V^-1 V - I|| = {err[c]:.3e} above 1e-6")
+        _fail(self.why, cells, ~(err <= 1e-6), lambda i: f"||V^-1 V - I|| = {err[i]:.3e} above 1e-6")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``A`` before its antisymmetrization, for each cell: ``P q Z q^T P``
@@ -854,23 +846,20 @@ class LyapunovSolver:
     arithmetic on the real antisymmetric ``B`` and ``A``.  Factoring once
     and reusing it is what makes steady state plus tangent sweeps cheap.
 
-    Two factorizations behind one interface.  A sparse boundary-driven
-    drift (see :func:`_sparse_rows` and :func:`_bath_support`) is factored
-    in its eigenbasis (:class:`_ModesFactor`); every other drift by real Schur
-    (:class:`_SchurFactor`), and so is a boundary-driven one whose modes
-    factorization fails a certificate or a solve's residual check.
-    ``path`` says which factorization serves the solves (``"schur"`` or
-    ``"modes"``), and ``fallback`` why the modes path was left, or None.
-    Both paths share the uniqueness rule and the residual check.
+    Two factorizations behind one interface.  Sparse boundary-driven drifts
+    (see :func:`_sparse_rows` and :func:`_bath_support`; those of a stack on
+    the same bath rows) are factored in their eigenbasis (:class:`_ModesFactor`),
+    every other drift by real Schur (:class:`_SchurFactor`), and so is a cell
+    whose modes factorization is refused or fails a certificate, or whose
+    modes solve misses the residual bound.  Both paths share the uniqueness
+    rule and the residual check.  ``path`` says which factorization serves
+    a cell (``"schur"`` or ``"modes"``), and ``fallback`` why it left the
+    modes path, or None: of a stack, lists with an entry per cell.
 
-    A single drift and a stack of one take all of that.  A stack of more
-    than one takes the modes path's happy path only: ``ok`` marks the cells
-    it serves, and a cell leaves it (for a stack of one to compute, with
-    its fallbacks and errors) when its factorization fails, its pair sums
-    vanish, or a solve fails its source check or residual bound.  ``cells``
-    lists the cells factored: the rows of ``spectrum``, ``pair_min`` and of
-    each solve's result, whose source is one for all of them or one each.
-    The solution of a cell that left is zero.
+    A cell climbs that ladder on its own numbers: in a stack whose drifts
+    share their structure it gets the bytes it gets alone.  A 2-D drift
+    raises its error; a stack keeps each cell's first in ``errors`` (else
+    None), and that cell solves to zero.
     """
 
     def __init__(self, x: np.ndarray):
@@ -878,65 +867,75 @@ class LyapunovSolver:
         if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
             raise DimensionMismatch(f"x must be square, got shape {x.shape}")
         self._single = x.ndim == 2
-        x = x.reshape((-1,) + x.shape[-2:])
+        self.x = x = x.reshape((-1,) + x.shape[-2:])
+        k, d = x.shape[0], x.shape[-1]
         # the modes path needs X's nonzeros, and the residual check takes them too
-        x_rows = _sparse_rows(x)
-        self.fallback = None
-        factor = None
-        support = None if x_rows is None else _bath_support(x)
-        if support is not None:
-            try:
-                factor = _ModesFactor(x, x_rows, support)
-            except _Uncertified as exc:
-                self.fallback = str(exc)
-        d = x.shape[-1]
-        if factor is None and x.shape[0] == 1:
-            factor = _SchurFactor(x[0])
-            self.cells = np.zeros(1, dtype=np.intp)
-        else:  # a stack whose modes factorization failed as a whole serves no cell
-            self.cells = np.zeros(0, dtype=np.intp) if factor is None else factor.cells
-        self._factor = factor
-        self.ok = np.zeros(x.shape[0], dtype=bool)
-        self.ok[self.cells] = True
-        if self.cells.size < x.shape[0]:
-            x = x[self.cells]
-            x_rows = None if x_rows is None else (x_rows[0], x_rows[1][self.cells])
-        self.x = x
-        self._x_rows = x_rows
-        self._x_norm = _norms(x)
-        self.path = None if factor is None else factor.path
-        spectrum = np.zeros((0, d), dtype=complex) if factor is None else \
-            np.reshape(factor.spectrum, (-1, d))
+        self._x_rows = _sparse_rows(x)
+        support = None if self._x_rows is None else _bath_support(x)
+        modes = None if support is None else _ModesFactor(x, self._x_rows, support)
+        self._path = ["modes"] * k
+        self._fallback = [None] * k if modes is None else list(modes.why)
+        self.errors = [None] * k
+        self._schur = {}
+        for c in range(k):
+            if modes is None or modes.why[c] is not None:
+                self._to_schur(c)
+        # a modes factorization that serves no cell is let go
+        self._modes = modes if modes is not None and None in modes.why else None
+        spectrum = np.full((k, d), np.nan, dtype=complex) if modes is None else modes.spectrum
+        for c, factor in self._schur.items():
+            spectrum[c] = factor.spectrum
         scale = np.maximum(np.max(np.abs(spectrum), axis=-1, initial=0.0), ABS_FLOOR)
-        pair_min = _pair_min(spectrum)
-        self._singular = pair_min <= np.maximum(1e-12 * scale, ABS_FLOOR)
-        if x.shape[0] > 1:
-            self.ok[self.cells[self._singular]] = False
-        self.spectrum, self.pair_min = (spectrum[0], float(pair_min[0])) if self._single \
-            else (spectrum, pair_min)
+        self._pair_min = _pair_min(spectrum)
+        self._singular = self._pair_min <= np.maximum(1e-12 * scale, ABS_FLOOR)
+        self.spectrum, self.pair_min = (spectrum[0], float(self._pair_min[0])) if self._single \
+            else (spectrum, self._pair_min)
+
+    @property
+    def path(self):
+        return self._path[0] if self._single else self._path
+
+    @property
+    def fallback(self):
+        return self._fallback[0] if self._single else self._fallback
+
+    def _report(self, c: int, error: Exception) -> None:
+        """Give cell c the error, unless it has one; a 2-D drift raises it."""
+        if self._single:
+            raise error
+        if self.errors[c] is None:
+            self.errors[c] = error
+
+    def _to_schur(self, c: int) -> None:
+        """Factor cell c by real Schur; a failed factorization is its error."""
+        self._path[c] = "schur"
+        try:
+            self._schur[c] = _SchurFactor(self.x[c])
+        except ConvergenceFailure as exc:
+            self._report(c, exc)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The real antisymmetric ``A`` for the real antisymmetric source ``b``."""
-        alone = self.ok.size == 1
-        if alone and self._singular[0]:
-            raise SingularSylvester(
-                f"min |x_i + x_j| = {float(np.min(self.pair_min)):.3e} below tolerance; "
-                "Lyapunov equation has no unique solution"
-            )
+        """The real antisymmetric ``A`` for the real antisymmetric source
+        ``b``: of each cell, for one source for every cell or one each."""
+        for c in np.flatnonzero(self._singular):
+            self._report(c, SingularSylvester(
+                f"min |x_i + x_j| = {self._pair_min[c]:.3e} below tolerance; "
+                "Lyapunov equation has no unique solution"))
         b = _real(b, "Lyapunov source b")
         stack = b.reshape((-1,) + b.shape[-2:])
         b_norm = _norms(stack)
         skew = _norms(stack + _t(stack)) > np.maximum(1e-12 * b_norm, ABS_FLOOR)
-        if alone and skew[0]:
-            raise NotAntisymmetric("Lyapunov source is not antisymmetric")
-        if not self.cells.size:
-            return np.zeros((0,) + b.shape[-2:])
-        # a stack's cells that left (vanishing pair sums) may divide by zero
+        for c in np.flatnonzero(np.broadcast_to(skew, self._singular.shape)):
+            self._report(c, NotAntisymmetric("Lyapunov source is not antisymmetric"))
+        sources = np.broadcast_to(stack, self.x.shape)
+        # a cell with a vanishing pair sum may divide by zero
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.path == "schur":
-                a = self._factor.solve(stack[0])[None]
-            else:
-                a = self._factor.solve(b)
+            # the Schur cells first, so that no stacked array waits through their solves
+            schur = {c: factor.solve(sources[c]) for c, factor in self._schur.items()
+                     if self.errors[c] is None}
+            a = np.zeros(self.x.shape) if self._modes is None else self._modes.solve(b)
+            for c in list(schur):
+                a[c] = schur.pop(c)
             _subtract_transpose(a)
             a *= 0.5
             # A is antisymmetric, so A X^T = -(X A)^T
@@ -944,19 +943,21 @@ class LyapunovSolver:
             _subtract_transpose(res)
             res -= b
             res = _norms(res)
-            bound = 1e-10 * (self._x_norm * _norms(a) + b_norm)
-        failed = res > np.maximum(bound, ABS_FLOOR)
-        if alone and failed[0]:
-            if self.path == "modes":  # the Schur path decides
-                self.fallback = f"solve residual {res[0]:.3e} above {bound[0]:.3e}"
-                self._factor = _SchurFactor(self.x[0])
-                self.path = self._factor.path
-                return self.solve(b)
-            raise SingularSylvester(
-                f"Lyapunov residual {res[0]:.3e} exceeds {bound[0]:.3e}; equation is near singular"
-            )
-        self.ok[self.cells[failed | skew]] = False
-        a[~self.ok[self.cells]] = 0.0
+            bound = 1e-10 * (_norms(self.x) * _norms(a) + b_norm)
+        factored = len(self._schur)
+        for c in np.flatnonzero(res > np.maximum(bound, ABS_FLOOR)):
+            if self.errors[c] is not None:
+                continue
+            if self._path[c] == "modes":  # the Schur path decides
+                self._fallback[c] = f"solve residual {res[c]:.3e} above {bound[c]:.3e}"
+                self._to_schur(c)
+            else:
+                self._report(c, SingularSylvester(
+                    f"Lyapunov residual {res[c]:.3e} exceeds {bound[c]:.3e}; "
+                    "equation is near singular"))
+        if len(self._schur) > factored:  # a cell took the Schur path: solve again
+            return self.solve(b)
+        a[[e is not None for e in self.errors]] = 0.0
         return a[0] if self._single else a
 
 

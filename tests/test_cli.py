@@ -77,7 +77,8 @@ class TestSweep:
         # real roots), the flat-band cell whose Aberth restarts, the XX chain
         # at zero field (refused before Aberth: the Schur path), the
         # near-singular cell whose restart fails its certificate, a cell whose
-        # pair sum vanishes, and one whose rates raise; each row is the cell
+        # pair sum vanishes, and one whose rates raise; every cell is served
+        # in the stack, no cell is computed twice, each row is the cell
         # computed alone, and --jobs 2 writes the same bytes
         rates = ("kappa_l_plus", "kappa_l_minus", "kappa_r_plus", "kappa_r_minus")
         names = ["delta", "h", *rates]
@@ -95,8 +96,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "_worker", lambda task: alone.append(task[1]) or worker(task))
         results = cli._run_grid(spec, names, points, 8)
         stacked = cli._csv_table("sweep", spec, names, points, results)
-        assert [(p["delta"], p["h"]) for p in alone] == [
-            (1.0, 0.041), (0.0, 0.0), NEAR_SINGULAR[1:], (1.0, 0.0), (1.25, 0.3)]
+        assert alone == []
         monkeypatch.setattr(cli, "_worker", worker)
         by_cell = cli._csv_table("sweep", spec, names, points, [worker(t) for t in tasks])
         assert stacked == by_cell
@@ -107,6 +107,35 @@ class TestSweep:
         spec.jobs = 2
         assert cli._csv_table("sweep", spec, names, points,
                               cli._run_grid(spec, names, points, 8)) == stacked
+
+    def test_each_rate_group_is_computed_once(self, tmp_path, monkeypatch):
+        # an n = 40 sweep over kappa_l_plus, one stack of six rate groups of
+        # one cell, the fourth at delta = 1, h = 0 (SingularSylvester): one
+        # point_geometry call per group, none through _worker, and each row
+        # is the cell computed alone
+        names = ["kappa_l_plus", "delta", "h"]
+        points = np.array([(0.1 * (i + 1), *((1.0, 0.0) if i == 3 else (1.25, 0.3)))
+                           for i in range(6)])
+        spec = sweep_spec(tmp_path, fixed={"n": 40}, axes=[], quantities=cli.FINITE_QUANTITIES)
+        calls = {"point_geometry": 0, "_worker": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, call)
+            return original
+
+        worker = counted(cli, "_worker")
+        counted(liouvillian, "point_geometry")
+        results = cli._run_grid(spec, names, points, 8)
+        assert calls == {"point_geometry": 6, "_worker": 0}
+        assert results[3] == dict.fromkeys(spec.quantities, "SingularSylvester")
+        tasks = [("boundary_xy", {"n": 40, **dict(zip(names, row))}, spec.quantities)
+                 for row in points]
+        assert results == [worker(task) for task in tasks]
 
     def test_parallel_symbol_sweep_matches_serial(self, tmp_path):
         def spec(jobs):

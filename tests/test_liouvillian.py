@@ -6,6 +6,7 @@ from nessgeom.errors import (
     DimensionMismatch,
     EmptyJumps,
     InstabilityDetected,
+    NessGeomError,
     NotReal,
     SingularSylvester,
 )
@@ -259,17 +260,39 @@ class TestPointGeometry:
         assert np.all(np.isfinite(point.gamma))
 
     def test_a_stack_gives_each_cell_its_own_point(self, monkeypatch):
-        # n = 40 cells of one stack, each against its point alone, bit for bit;
-        # the flat-band cell (Aberth restarts) and the XX chain at zero field
-        # (the Schur path) leave the stack, which runs the modes path's happy
-        # path only
-        cells = [(1.25, 0.3), (1.0, 0.041), (1.5, 0.891), (0.0, 0.0), (0.5, 0.02)]
+        # n = 40 cells of one stack, each against its point alone: a cell whose
+        # pair sum vanishes (delta = 1, h = 0) gets the error it raises alone,
+        # same class and message, and the XX chain at zero field (the Schur
+        # path), the flat-band cell (Aberth restarts) and the modes-path cells
+        # get their points bit for bit
+        cells = [(1.0, 0.0), (0.0, 0.0), (1.25, 0.3), (1.0, 0.041), (1.5, 0.891), (0.5, 0.02)]
         params = [models.BoundaryXYParams(delta, h, 40) for delta, h in cells]
         derivatives = models.boundary_xy_shape_derivatives(params[0])
+
+        def alone(p):
+            try:
+                return liouvillian.point_geometry(
+                    liouvillian.shape_matrices(models.build_boundary_driven_xy(p)), derivatives)
+            except NessGeomError as exc:
+                return exc
+
+        def assert_same(got, want):
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+                return
+            assert got.gap == want.gap and got.qgt.r_ratio == want.qgt.r_ratio
+            for a, b in ((got.a, want.a), (got.modes.q, want.modes.q),
+                         (got.modes.gammas, want.modes.gammas), (got.qgt.q, want.qgt.q),
+                         *zip(got.tangents.d_a, want.tangents.d_a)):
+                assert a.tobytes() == b.tobytes()
+
         points = liouvillian.point_geometry(models.boundary_xy_shapes(params), derivatives)
-        assert [p is None for p in points] == [False, True, False, True, False]
-        # a cell factored but then dropped for a vanishing pair sum leaves
-        # the others' rows where they were
+        assert isinstance(points[0], SingularSylvester)
+        assert not any(isinstance(p, Exception) for p in points[1:])
+        for p, got in zip(params, points):
+            assert_same(got, alone(p))
+        # a cell whose pair sum vanishes after it was factored leaves the
+        # others' rows where they were
         pair_min = numerics._pair_min
 
         def first_vanishes(spectrum):
@@ -278,21 +301,10 @@ class TestPointGeometry:
             return out
 
         monkeypatch.setattr(numerics, "_pair_min", first_vanishes)
-        kept = [p for p, got in zip(params, points) if got is not None]
-        dropped = liouvillian.point_geometry(models.boundary_xy_shapes(kept), derivatives)
-        assert [p is None for p in dropped] == [True, False, False]
-        monkeypatch.setattr(numerics, "_pair_min", pair_min)
-        points[2], points[4] = dropped[1:]
-        for p, got in zip(params, points):
-            alone = liouvillian.point_geometry(
-                liouvillian.shape_matrices(models.build_boundary_driven_xy(p)), derivatives)
-            if got is None:
-                continue
-            assert got.gap == alone.gap and got.qgt.r_ratio == alone.qgt.r_ratio
-            for a, b in ((got.a, alone.a), (got.modes.q, alone.modes.q),
-                         (got.modes.gammas, alone.modes.gammas), (got.qgt.q, alone.qgt.q),
-                         *zip(got.tangents.d_a, alone.tangents.d_a)):
-                assert a.tobytes() == b.tobytes()
+        dropped = liouvillian.point_geometry(models.boundary_xy_shapes(params[2:]), derivatives)
+        assert isinstance(dropped[0], SingularSylvester)
+        for got, want in zip(dropped[1:], points[3:]):
+            assert_same(got, want)
 
 
 class TestReservoirChainRing:

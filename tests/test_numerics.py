@@ -440,7 +440,7 @@ class _OneCell:
     def __init__(self, factor):
         self.factor = factor
         self.spectrum, self.q = factor.spectrum[0], factor.q[0]
-        self._rho = factor._groups[0][2][0]
+        self._rho = factor._groups[0][2][0] if factor._groups else None
 
     def solve(self, b):
         return self.factor.solve(b)[0]
@@ -493,18 +493,15 @@ def _refined_point(got, shape, derivatives):
 
 
 def _record_aberth(monkeypatch):
-    """Record each start ``_aberth_roots`` is given and how it ended."""
+    """Record each start ``_aberth_roots`` is given and how its first cell
+    ended: its reason for failing, or "settled"."""
     aberth, starts, outcomes = numerics._aberth_roots, [], []
 
     def recorded(mu, weights, start, tol):
         starts.append(start)
-        try:
-            roots = aberth(mu, weights, start, tol)
-        except numerics._Uncertified as exc:
-            outcomes.append(str(exc))
-            raise
-        outcomes.append("settled")
-        return roots
+        roots, why = aberth(mu, weights, start, tol)
+        outcomes.append(why[0] or "settled")
+        return roots, why
 
     monkeypatch.setattr(numerics, "_aberth_roots", recorded)
     return starts, outcomes
@@ -606,8 +603,7 @@ class TestModesFactor:
         # J's singular values pair up and X has double eigenvalues: the
         # modes path refuses before Aberth and the point takes the Schur path
         shape, derivatives = _boundary_shape(n, 0.0, 0.0)
-        with pytest.raises(numerics._Uncertified, match="two singular values of the kernel"):
-            _modes(shape.x)
+        assert _modes(shape.x).factor.why == ["two singular values of the kernel coincide"]
         point = liouvillian.point_geometry(shape, derivatives)
         monkeypatch.setattr(numerics, "_bath_support", lambda x: None)
         want = liouvillian.point_geometry(shape, derivatives)
@@ -632,7 +628,7 @@ class TestModesFactor:
         m = np.count_nonzero(start.imag > 0.0)
         assert np.array_equal(start[n:n + m], start[:m].conj())
         assert not np.any(start[m:n].imag) and not np.any(start[n + m:].imag)
-        _assert_points_agree(_point_on(_OneCell(solver._factor), shape, derivatives),
+        _assert_points_agree(_point_on(_OneCell(solver._modes), shape, derivatives),
                              _point_on(numerics._SchurFactor(shape.x), shape, derivatives))
 
     def test_near_singular_restart_is_refused_by_its_certificate(self, monkeypatch):
@@ -691,6 +687,77 @@ class TestModesFactor:
         assert solver.path == "schur" and solver.fallback.startswith("solve residual")
         want = numerics._SchurFactor(shape.x).solve(shape.b)
         assert np.array_equal(a, 0.5 * (want - want.T))
+
+    def test_certificate_failure_in_a_stack_is_the_cell_alone(self, monkeypatch):
+        # the near-singular cell of test_cli: its restart settles, but its
+        # eigenpair bound fails; in a stack of 3 it falls back to Schur inside
+        # the stack, with the reason and the A it has alone, and its
+        # stack-mates stay on the modes path
+        cells = [(1.25, 0.3), (1.0, 1.1304758631173196e-4), (0.5, 0.02)]
+        shapes = models.boundary_xy_shapes([models.BoundaryXYParams(d, h, 40) for d, h in cells])
+        stacked = numerics.LyapunovSolver(shapes.x)
+        a = stacked.solve(shapes.b)
+        alone = numerics.LyapunovSolver(_boundary_shape(40, *cells[1])[0].x)
+        assert stacked.path == ["modes", "schur", "modes"]
+        assert stacked.fallback[1] == alone.fallback and alone.fallback.startswith("eigenpair bound")
+        assert stacked.fallback[::2] == [None, None]
+        assert a[1].tobytes() == alone.solve(shapes.b).tobytes()
+        # with one sweep allowed every cell falls back, each with both starts'
+        # reasons as it has them alone
+        monkeypatch.setattr(numerics, "_ABERTH_MAX_SWEEPS", 1)
+        stacked = numerics.LyapunovSolver(shapes.x)
+        a = stacked.solve(shapes.b)
+        assert stacked.path == ["schur"] * 3
+        for i, cell in enumerate(cells):
+            alone = numerics.LyapunovSolver(_boundary_shape(40, *cell)[0].x)
+            assert "; from LAPACK's eigenvalues, " in alone.fallback
+            assert stacked.fallback[i] == alone.fallback
+            assert a[i].tobytes() == alone.solve(shapes.b).tobytes()
+
+    def test_lapack_failure_in_a_stack_is_the_cell_alone(self, monkeypatch):
+        # LAPACK failing on one cell's SVD, or on the eigenvalues its restart
+        # starts from, sends that cell alone to the Schur path, with the
+        # reason it has alone; its stack-mates stay on the modes path
+        cells = [(1.25, 0.3), (1.0, 0.041), (0.5, 0.02)]
+        shapes = models.boundary_xy_shapes([models.BoundaryXYParams(d, h, 40) for d, h in cells])
+        alone_x = shapes.x[1].copy()
+        svd, eigvals = np.linalg.svd, np.linalg.eigvals
+
+        def failing(lapack, m):  # on the middle cell's kernel or drift only
+            if any(np.array_equal(m, mine) for mine in (alone_x[0::2, 1::2], alone_x)):
+                raise np.linalg.LinAlgError("did not converge")
+            return lapack(m)
+
+        for name, lapack, reason in (
+                ("svd", svd, r"SVD of the kernel failed: did not converge"),
+                ("eigvals", eigvals, r"\d+ of \d+ roots unsettled after 5 Aberth sweeps; from "
+                 r"LAPACK's eigenvalues, eigenvalues of the drift failed: did not converge")):
+            monkeypatch.setattr(np.linalg, name, lambda m, lapack=lapack: failing(lapack, m))
+            stacked, alone = numerics.LyapunovSolver(shapes.x), numerics.LyapunovSolver(alone_x)
+            assert stacked.path == ["modes", "schur", "modes"] and alone.path == "schur"
+            assert re.fullmatch(reason, alone.fallback)
+            assert stacked.fallback == [None, alone.fallback, None]
+            assert stacked.solve(shapes.b)[1].tobytes() == alone.solve(shapes.b).tobytes()
+            monkeypatch.undo()
+
+    def test_failed_solve_residual_in_a_stack_is_the_cell_alone(self, monkeypatch):
+        # the modes solve of the middle cell of a stack of 3 is spoiled: it
+        # falls back to Schur inside the stack, with the reason and the A it
+        # has alone, and its stack-mates stay on the modes path
+        cells = [(1.25, 0.5), (1.25, 0.3), (1.5, 0.1)]
+        shapes = models.boundary_xy_shapes([models.BoundaryXYParams(d, h, 160) for d, h in cells])
+        stacked, alone = numerics.LyapunovSolver(shapes.x), numerics.LyapunovSolver(shapes.x[1])
+        want = [stacked.solve(shapes.b)[i] for i in (0, 2)]
+        spoiled = numerics._ModesFactor.solve
+        scale = {3: np.array([1.0, 1.001, 1.0])[:, None, None], 1: 1.001}
+        monkeypatch.setattr(numerics._ModesFactor, "solve",
+                            lambda self, b: scale[len(self.why)] * spoiled(self, b))
+        a, a_alone = stacked.solve(shapes.b), alone.solve(shapes.b)
+        assert stacked.path == ["modes", "schur", "modes"]
+        assert alone.path == "schur" and alone.fallback.startswith("solve residual")
+        assert stacked.fallback == [None, alone.fallback, None]
+        assert a[1].tobytes() == a_alone.tobytes()
+        assert [a[i].tobytes() for i in (0, 2)] == [w.tobytes() for w in want]
 
     def test_singular_secular_matrix_is_an_exact_root(self):
         # an exactly singular M gives a finite solution along its null vector,

@@ -107,8 +107,8 @@ class TestAgainstComplexFormula:
             geometry.qgt(gamma, tang)
         with pytest.raises(RankChangeSingularity):
             qgt_complex(gamma, tang.d_gamma)
-        # in a stack of more than one cell, that cell's g and u read NaN
-        # (it leaves the stack) and its mate's are the mate's own
+        # in a stack, that cell's g and u read NaN (point_geometry gives it
+        # its RankChangeSingularity) and its mate's are the mate's own
         mate, _ = canonical_state(seed + 1, [0.5] * (pure + len(occ)))
         modes = gaussian.real_eigenmodes(np.imag(np.stack([gamma, mate])))
         both = geometry.TangentSet(tang.parameters, tuple(np.stack([d, d]) for d in tang.d_a))
